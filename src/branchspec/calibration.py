@@ -26,6 +26,9 @@ CALIBRATION = {
     "cell_budget": 100000,
     "newton_residual_tol": 1e-9,
     "bs_residual_tol": 1e-12,
+    # bijection rate floor: the BS Newton stops at residual 1e-12, so a
+    # root's position error is ~1e-12/|phi'|
+    "bs_position_floor": 5e-12,
     # direct numerics
     "spurious_match_tol": 1e-6,
     "fig_run_L": 1.2,         # measured-necessary deviation from L = 2.5

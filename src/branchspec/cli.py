@@ -221,7 +221,7 @@ def cmd_model(cfg, out, svg, check):
     in_strip = [z.location for z in zs.zeros
                 if x_lo <= z.location.real <= x_hi
                 and not body.in_exceptional_box(z.location)]
-    floor = 1e-13
+    floor = calibration.CALIBRATION["bs_position_floor"]
 
     def rate(mu):
         v = 10 * (p.h / np.log(1.0 / abs(mu))) \
@@ -325,8 +325,8 @@ def cmd_bs(cfg, out, svg, check):
         w = csv.writer(fh)
         w.writerow(["k", "re", "im", "residual", "converged"])
         for row in rows:
-            w.writerow([row[0], repr(row[1]), repr(row[2]), repr(row[3]),
-                        int(row[4])])
+            w.writerow([row[0], repr(float(row[1])), repr(float(row[2])),
+                        repr(float(row[3])), int(row[4])])
     if check:
         if not all(r[4] for r in rows):
             raise CheckFailure("some Bohr-Sommerfeld roots did not converge")

@@ -88,6 +88,16 @@ class NonConvergence(BranchspecError):
     """Dense eigensolver failed to converge."""
 
 
+class CountNotConserved(BranchspecError):
+    """Child winding counts of a cell do not add up to the cell's count."""
+
+    def __init__(self, message, cell=None, count=None, children=()):
+        super().__init__(message)
+        self.cell = cell
+        self.count = count
+        self.children = list(children)
+
+
 class CellBudgetExceeded(BranchspecError):
     """Quadrisection exceeded its cell budget; partial results attached."""
 

@@ -403,13 +403,19 @@ def bohr_sommerfeld_solve(branch, k, p, am, x_max=0.45, max_iter=60,
             f"no real seed for {branch.name} k={k}", last=None)
     i = sign_change[0]
     lo, hi = xs[i], xs[i + 1]
+    # lo only moves to a mid of its own sign, so sign f(lo) is fixed; once
+    # mid hits an end the bracket is two adjacent doubles and no later
+    # step can change it
+    sign_lo = np.sign(np.real(_bs_target(branch, lo + 0j, p, am, k)))
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if np.sign(np.real(_bs_target(branch, mid + 0j, p, am, k))) == \
-                np.sign(np.real(_bs_target(branch, lo + 0j, p, am, k))):
+        at_end = mid == lo or mid == hi
+        if np.sign(np.real(_bs_target(branch, mid + 0j, p, am, k))) == sign_lo:
             lo = mid
         else:
             hi = mid
+        if at_end:
+            break
     mu = complex(0.5 * (lo + hi))
 
     delta = h * 1e-3

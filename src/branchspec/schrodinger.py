@@ -239,4 +239,5 @@ def export_spectrum_csv(path, s):
         w = csv.writer(fh)
         w.writerow(["re", "im", "resolved"])
         for lam, ok in zip(s.eigenvalues, s.resolved):
-            w.writerow([repr(lam.real), repr(lam.imag), int(ok)])
+            w.writerow([repr(float(lam.real)), repr(float(lam.imag)),
+                        int(ok)])

@@ -276,14 +276,16 @@ def find_crossings(p, am, x_max=WORK_DISK - 0.02):
                     - sign * (np.imag(am.S12(m)) - np.imag(am.S34(m))), y)
 
         flo, _ = line_val(lo)
-        y_mid = None
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            fmid, y_mid = line_val(mid)
+            at_end = mid == lo or mid == hi   # adjacent doubles: fixed point
+            fmid, _ = line_val(mid)
             if np.sign(fmid) == np.sign(flo):
                 lo, flo = mid, fmid
             else:
                 hi = mid
+            if at_end:
+                break
         x_star = 0.5 * (lo + hi)
         return complex(x_star, _curve_y_at("1,4-", x_star, p, am))
 

@@ -28,6 +28,7 @@ _LANCZOS_C = np.array([
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 ])
+_LANCZOS_K = np.arange(1.0, 9.0)
 
 POLE_TOL = 1e-14
 
@@ -52,8 +53,7 @@ CONIC_MARGIN = 0.2
 def _lanczos_right(z):
     """log Gamma on Re z >= 1/2 (vectorized, principal branch)."""
     w = z - 1.0
-    series = _LANCZOS_C0 + np.sum(
-        _LANCZOS_C / (w[..., None] + np.arange(1.0, 9.0)), axis=-1)
+    series = _LANCZOS_C0 + (_LANCZOS_C / (w[..., None] + _LANCZOS_K)).sum(-1)
     t = w + 7.5
     return LOG_SQRT_2PI + (w + 0.5) * np.log(t) - t + np.log(series)
 
@@ -74,17 +74,19 @@ def log_gamma(z):
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
 
-    n = np.round(z.real)
-    on_pole = (n <= 0) & (np.abs(z - n) < POLE_TOL)
-    if np.any(on_pole):
-        raise PoleError(f"log_gamma at nonpositive integer, z={z[on_pole][0]}")
-
-    out = np.empty_like(z)
     right = z.real >= 0.5
-    if np.any(right):
-        out[right] = _lanczos_right(z[right])
-    left = ~right
-    if np.any(left):
+    if right.all():   # no poles and no reflection on Re z >= 1/2
+        out = _lanczos_right(z)
+    else:
+        n = np.round(z.real)
+        on_pole = (n <= 0) & (np.abs(z - n) < POLE_TOL)
+        if on_pole.any():
+            raise PoleError(
+                f"log_gamma at nonpositive integer, z={z[on_pole][0]}")
+        out = np.empty_like(z)
+        if right.any():
+            out[right] = _lanczos_right(z[right])
+        left = ~right
         zl = z[left]
         conj = zl.imag < 0
         zu = np.where(conj, np.conj(zl), zl)
@@ -143,7 +145,7 @@ def _remainder(mu, h, regime):
     # (reflection identity); the generic difference loses it to cancellation
     # once it drops below ~1e-15.
     real_axis = mu.imag == 0
-    if np.any(real_axis):
+    if real_axis.any():
         x = np.abs(mu.real[real_axis]) / h
         rem[real_axis] = -0.5 * np.log1p(np.exp(-2 * np.pi * x)) \
             + 1j * rem[real_axis].imag

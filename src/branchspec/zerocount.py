@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     BijectionFailure,
     CellBudgetExceeded,
+    CountNotConserved,
     NotAdmissible,
     OnContourZero,
 )
@@ -263,8 +264,10 @@ def locate_zeros(f, region, p, cell_budget=100_000, residual_tol=1e-9):
             kids = [(a0, am, b0, bm), (am, a1, b0, bm),
                     (a0, am, bm, b1), (am, a1, bm, b1)]
             kid_counts = [count(k) for k in kids]
-        assert sum(kid_counts) == n, \
-            f"count {n} not conserved: children {kid_counts} in {cell}"
+        if sum(kid_counts) != n:
+            raise CountNotConserved(
+                f"count {n} not conserved: children {kid_counts} in {cell}",
+                cell=cell, count=n, children=kid_counts)
         for k, kn in zip(kids, kid_counts):
             recurse(k, kn)
 

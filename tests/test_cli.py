@@ -164,3 +164,21 @@ def test_model_parallel_matches_serial(tmp_path, monkeypatch):
     b = np.sort_complex([complex(float(r.split(",")[0]), float(r.split(",")[1]))
                          for r in z2])
     assert np.max(np.abs(a - b)) <= 1e-10
+
+
+def test_csv_cells_are_plain_floats(tmp_path):
+    # repr of a numpy scalar is 'np.float64(x)' under numpy 2
+    bs = _write(tmp_path, "bs.json", {
+        "schema_version": 1, "h": 0.01, "epsilon": 0.03,
+        "S12": [[0.01, 0.012], [0.3, 0.0]], "S34": [[0.02, 0.02], [-0.2, 0.0]],
+        "branch": "rightint", "k_min": -9, "k_max": -7})
+    spec = _write(tmp_path, "spec.json", {
+        "schema_version": 1, "h": 0.05, "epsilon": 0.0,
+        "V": [0, 0, 1], "W": [0], "L": 3.0, "N": 80, "dN": 16})
+    assert main(["bs", "--config", bs, "--out", str(tmp_path)]) == 0
+    assert main(["spectrum", "--config", spec, "--out", str(tmp_path)]) == 0
+    for name in ("bs_roots.csv", "spectrum.csv"):
+        rows = (tmp_path / name).read_text().strip().splitlines()[1:]
+        assert rows
+        for row in rows:
+            [float(cell) for cell in row.split(",")]

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from branchspec.errors import SectorEscape
+from branchspec import quantization
+from branchspec.errors import BranchspecError, NoConvergence, SectorEscape
 from branchspec.quantization import (
     ActionModel,
     BSBranch,
@@ -346,3 +349,100 @@ def test_factored_form_reproduces_eval_g():
         g = eval_G(mu, p, am, regime=Regime.Case1Large)
         factored = (f1 * f2 + tail) * np.exp(l4p - g.offset / p.h)
         assert factored == pytest.approx(g.value, rel=1e-12)
+
+
+def _bs_solve_reference(branch, k, p, am, x_max=0.45, max_iter=60, tol=1e-12):
+    """The BS solver with its original seed bisection: 60 full steps, each
+    evaluating the target at both mid and lo.  Oracle for the
+    fixed-point early stop of bohr_sommerfeld_solve."""
+    f = quantization._bs_target
+    h = p.h
+    sgn = -1.0 if branch is BSBranch.Ext else 1.0
+    xs = sgn * np.geomspace(1.8 * h, x_max, 400)
+    vals = np.real(f(branch, xs + 0j, p, am, k))
+    sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
+    if len(sign_change) == 0:
+        raise NoConvergence("no real seed", last=None)
+    i = sign_change[0]
+    lo, hi = xs[i], xs[i + 1]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if np.sign(np.real(f(branch, mid + 0j, p, am, k))) == \
+                np.sign(np.real(f(branch, lo + 0j, p, am, k))):
+            lo = mid
+        else:
+            hi = mid
+    mu = complex(0.5 * (lo + hi))
+    delta = h * 1e-3
+    for it in range(max_iter):
+        fv = f(branch, mu, p, am, k)
+        if abs(fv) <= tol:
+            return mu, abs(fv), it
+        step = fv / ((f(branch, mu + delta, p, am, k)
+                      - f(branch, mu - delta, p, am, k)) / (2 * delta))
+        max_step = 0.2 * max(abs(mu), h)
+        if abs(step) > max_step:
+            step *= max_step / abs(step)
+        mu = mu - step
+        if not quantization._in_sector(branch, mu, p):
+            raise SectorEscape("left its sector", last=mu)
+    raise NoConvergence("did not converge", last=mu)
+
+
+def _physical(seed, eps):
+    rng = np.random.default_rng(seed)
+    im = eps * rng.uniform(0.2, 1.0, 2)
+    re = rng.uniform(-0.05, 0.05, 2)
+    sl = rng.uniform(-0.3, 0.3, 2)
+    return ActionModel([re[0] + 1j * im[0], sl[0]],
+                       [re[1] + 1j * im[1], sl[1]], physical=True)
+
+
+def _k_near(branch, x, p, am):
+    """The index k whose leading-equation root lies near |Re mu| = x."""
+    sgn = -1.0 if branch is BSBranch.Ext else 1.0
+    phase = quantization._bs_target(branch, sgn * x + 0j, p, am, -0.5).real
+    return int(np.round(phase / (2 * np.pi * p.h) - 0.5))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 20),
+       h=st.sampled_from([1e-2, 1e-3, 3e-4]),
+       x=st.floats(0.004, 0.3),
+       dk=st.integers(-2, 2),
+       branch=st.sampled_from(list(BSBranch)))
+def test_bs_roots_bitwise_equal_to_full_bisection(seed, h, x, dk, branch):
+    p = params(h=h, eps=3e-2)
+    am = _physical(seed, p.epsilon)
+    k = _k_near(branch, x, p, am) + dk
+    try:
+        want = _bs_solve_reference(branch, k, p, am)
+    except BranchspecError as exc:
+        with pytest.raises(type(exc)) as got:
+            bohr_sommerfeld_solve(branch, k, p, am)
+        if exc.last is not None:
+            assert got.value.last == exc.last
+        return
+    r = bohr_sommerfeld_solve(branch, k, p, am)
+    # repr is exact for doubles and tells -0.0 from 0.0
+    assert repr((r.mu, r.residual, r.iterations)) == repr(want)
+
+
+@pytest.mark.parametrize("branch", list(BSBranch))
+def test_bs_seed_bisection_call_budget(branch, monkeypatch):
+    p = params(h=1e-3, eps=3e-2)
+    am = _physical(4, p.epsilon)
+    target = quantization._bs_target
+    calls = []
+
+    def counting(br, mu, *args):
+        if np.ndim(mu) == 0:
+            calls.append(mu)
+        return target(br, mu, *args)
+
+    monkeypatch.setattr(quantization, "_bs_target", counting)
+    for x in (0.01, 0.05, 0.2):
+        calls.clear()
+        r = bohr_sommerfeld_solve(branch, _k_near(branch, x, p, am), p, am)
+        # Newton: three evaluations per iteration plus the converged one
+        assert len(calls) - (3 * r.iterations + 1) <= 64

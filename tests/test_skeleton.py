@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from branchspec import skeleton
 from branchspec.quantization import ActionModel, SemiclassicalParams, term_set
 from branchspec.skeleton import (
     Body,
@@ -255,3 +258,49 @@ def test_export_roundtrip(tmp_path):
     doc = export_json(tmp_path / "sk.json", sk, body)
     assert doc["schema_version"] == 1
     assert doc["body_constant"] == 10.0
+
+
+def _find_crossings_reference(p, am, x_max=skeleton.WORK_DISK - 0.02):
+    """find_crossings with its original bisection: 60 full steps and a
+    fresh curve solve at the final midpoint.  Oracle for the fixed-point
+    early stop."""
+    curve = trace_gamma("1,4-", p, am, (-x_max, x_max))
+    mu = curve.xs + 1j * curve.ys
+
+    def crossing(sign):
+        vals = -2 * np.pi * curve.xs - sign * (
+            np.imag(am.S12(mu)) - np.imag(am.S34(mu)))
+        exact = np.flatnonzero(vals == 0.0)
+        if len(exact):
+            return complex(curve.xs[exact[0]], curve.ys[exact[0]])
+        idx = np.flatnonzero(np.diff(np.sign(vals)) != 0)
+        if len(idx) == 0:
+            return None
+        lo, hi = float(curve.xs[idx[0]]), float(curve.xs[idx[0] + 1])
+
+        def line_val(x):
+            m = complex(x, skeleton._curve_y_at("1,4-", x, p, am))
+            return -2 * np.pi * x - sign * (np.imag(am.S12(m))
+                                            - np.imag(am.S34(m)))
+
+        flo = line_val(lo)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            fmid = line_val(mid)
+            if np.sign(fmid) == np.sign(flo):
+                lo, flo = mid, fmid
+            else:
+                hi = mid
+        x_star = 0.5 * (lo + hi)
+        return complex(x_star, skeleton._curve_y_at("1,4-", x_star, p, am))
+
+    return crossing(+1.0), crossing(-1.0)
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2 ** 20), h=st.sampled_from([1e-3, 3e-4]))
+def test_crossings_bitwise_equal_to_full_bisection(seed, h):
+    p = params(h=h)
+    am = physical_model(seed)
+    # repr is exact for doubles and tells -0.0 from 0.0
+    assert repr(find_crossings(p, am)) == repr(_find_crossings_reference(p, am))

@@ -155,3 +155,26 @@ def test_reflection_residual_grid():
     mu = mu[np.abs(np.abs(mu.imag / h) - np.round(np.abs(mu.imag / h) + 0.5) + 0.5) > 0.05]
     res = reflection_residual(mu, h)
     assert np.max(res) <= 1e-11
+
+
+def _bits(a):
+    return np.asarray(a, dtype=complex).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("kind", ["right", "left", "mixed"])
+def test_log_gamma_batch_matches_one_point_calls(kind):
+    rng = np.random.default_rng(17)
+    re = {"right": rng.uniform(0.5, 40.0, 203),
+          "left": rng.uniform(-40.0, 0.49, 203),
+          "mixed": rng.uniform(-40.0, 40.0, 203)}[kind]
+    z = re + 1j * rng.uniform(-30.0, 30.0, 203)
+    z[:3] = [0.5, 0.5 - 2j, 0.25 + 0j]
+    z = z[np.abs(z - np.round(z.real)) > 1e-3][:180]
+    if kind == "right":
+        z = z[z.real >= 0.5]
+    batch = log_gamma(z)
+    assert _bits(batch) == _bits([log_gamma(z[i:i + 1])[0]
+                                  for i in range(len(z))])
+    assert _bits(batch) == _bits([log_gamma(v) for v in z])
+    assert _bits(log_gamma(z[:170].reshape(17, 10)).ravel()) \
+        == _bits(batch[:170])

@@ -1,9 +1,13 @@
 """Winding counts, zero location, admissible-curve phase sums, bijections."""
 
+import json
+
 import numpy as np
 import pytest
 
-from branchspec.errors import BijectionFailure, NotAdmissible
+from branchspec import zerocount
+from branchspec.cli import main
+from branchspec.errors import BijectionFailure, CountNotConserved, NotAdmissible
 from branchspec.quantization import (
     ActionModel,
     Regime,
@@ -213,3 +217,28 @@ def test_mirrored_model_zeros_are_conjugates():
     b = np.sort_complex(np.conj(zs_dn.locations()))
     assert len(a) == len(b) >= 8
     assert np.max(np.abs(a - b)) <= 1e-12
+
+
+def test_unconserved_child_counts_raise_typed_error(tmp_path, monkeypatch):
+    # the root cell counts one zero, every child counts none
+    calls = []
+
+    def fake_winding(f, contour, h=None):
+        calls.append(contour)
+        return 1 if len(calls) == 1 else 0
+
+    monkeypatch.setattr(zerocount, "winding_count", fake_winding)
+    p = SemiclassicalParams(h=0.01)
+    with pytest.raises(CountNotConserved) as exc:
+        locate_zeros(lambda z: z, (-1.0, 1.0, -1.0, 1.0), p)
+    assert exc.value.cell == (-1.0, 1.0, -1.0, 1.0)
+    assert exc.value.count == 1
+    assert exc.value.children == [0, 0, 0, 0]
+    # the CLI reports it as a numerical failure
+    calls.clear()
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "h": 0.01, "epsilon": 0.03, "S12": [[0.01, 0.012], [0.3, 0.0]],
+        "S34": [[0.02, 0.02], [-0.2, 0.0]],
+        "rectangle": [0.06, 0.14, -0.04, 0.04]}))
+    assert main(["model", "--config", str(cfg), "--out", str(tmp_path)]) == 3
