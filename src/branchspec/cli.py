@@ -8,7 +8,6 @@ Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 failed check.
 import argparse
 import csv
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -36,13 +35,6 @@ from .zerocount import (
 
 class ConfigError(Exception):
     pass
-
-
-def max_workers():
-    try:
-        return max(1, int(os.environ.get("BRANCHSPEC_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load_config(path):
@@ -149,34 +141,6 @@ class CheckFailure(Exception):
     pass
 
 
-def _locate_parallel(prov, rect, p, cell_budget=100000):
-    """locate_zeros, split into vertical strips across BRANCHSPEC_THREADS
-    workers; strips merge deterministically and duplicates on shared
-    edges are dropped."""
-    from .zerocount import ZeroSet
-    n = max_workers()
-    if n <= 1:
-        return locate_zeros(prov.normalized_G, rect, p,
-                            cell_budget=cell_budget)
-    from concurrent.futures import ThreadPoolExecutor
-    re0, re1, im0, im1 = rect
-    edges = np.linspace(re0, re1, n + 1)
-    strips = [(edges[i], edges[i + 1], im0, im1) for i in range(n)]
-
-    def work(strip):
-        return locate_zeros(prov.normalized_G, strip, p,
-                            cell_budget=cell_budget // n + 1)
-
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        parts = list(ex.map(work, strips))
-    zeros = []
-    for part in parts:  # strip order is deterministic
-        for z in part.zeros:
-            if all(abs(z.location - u.location) > 1e-3 * p.h for u in zeros):
-                zeros.append(z)
-    return ZeroSet(zeros=zeros, method="Winding")
-
-
 def _bs_roots_in_strip(p, am, branch, x_lo, x_hi):
     def phase(x):
         if branch is BSBranch.RightInt:
@@ -206,8 +170,8 @@ def cmd_model(cfg, out, svg, check):
     sk, body = assemble(p, am, C_body=C_body)
     export_csv(out / "skeleton.csv", sk.s_prime)
     prov = GProvider(p, am)
-    zs = _locate_parallel(prov, tuple(rect), p,
-                          cell_budget=int(cfg.get("cell_budget", 100000)))
+    budget = int(cfg.get("cell_budget", calibration.CALIBRATION["cell_budget"]))
+    zs = locate_zeros(prov.normalized_G, tuple(rect), p, cell_budget=budget)
     export_zeros_csv(out / "zeros.csv", zs)
     # BS families in the right strip and the bijection report
     x_lo = max(5 * p.h, rect[0])
@@ -498,7 +462,7 @@ def main(argv=None):
     try:
         cfg = _load_config(args.config)
         return COMMANDS[args.command](cfg, out, args.svg, args.check)
-    except (ConfigError, KeyError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except CheckFailure as exc:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .calibration import CALIBRATION
 from .errors import DegenerateError, NoConvergence, RegimeError, SectorEscape
 from .scaled import ScaledComplex, sum_exp, sum_exp_many
 from .specfun import (
@@ -23,8 +24,10 @@ from .specfun import (
     log_gamma,
 )
 
-SECTOR_C = 8.0    # 1/C sector margin in the Case 1 / Case 2 split
-SMALL_C1 = 10.0   # |mu| <= C1 h switches to the small-mu representations
+# 1/C sector margin in the Case 1 / Case 2 split
+SECTOR_C = CALIBRATION["sector_C"]
+# |mu| <= C1 h switches to the small-mu representations
+SMALL_C1 = CALIBRATION["small_C1"]
 
 
 @dataclass(frozen=True)
@@ -386,7 +389,7 @@ def _in_sector(branch, mu, p, c=1.0):
 
 
 def bohr_sommerfeld_solve(branch, k, p, am, x_max=0.45, max_iter=60,
-                          tol=1e-12):
+                          tol=CALIBRATION["bs_residual_tol"]):
     """Newton solution of the branch quantization condition for index k.
 
     Seeds from a real-axis bisection of the leading equation; raises

@@ -13,6 +13,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy import linalg as sla
 
+from .calibration import CALIBRATION
 from .errors import NonConvergence
 
 
@@ -137,9 +138,9 @@ def solve_operator(spec):
     return eigensolve(A, meta=spec.meta())
 
 
-def spurious_filter(s1, s2, tol_scale=1e-6):
+def spurious_filter(s1, s2, tol_scale=CALIBRATION["spurious_match_tol"]):
     """Mark eigenvalues of s1 that match one of s2 within
-    1e-6 (1 + |lambda|) as resolved; report retained/dropped counts."""
+    tol_scale (1 + |lambda|) as resolved; report retained/dropped counts."""
     if len(s2) == 0 or s1.meta.get("N") == s2.meta.get("N"):
         resolved = np.ones(len(s1), dtype=bool)
     else:

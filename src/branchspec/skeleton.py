@@ -8,78 +8,31 @@ the small form is simply better conditioned near mu = 0.
 """
 
 import csv
-import enum
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .calibration import CALIBRATION, SCHEMA_VERSION
 from .errors import NoConvergence
-from .quantization import SMALL_C1, SemiclassicalParams
+from .quantization import SECTOR_C, SMALL_C1, SemiclassicalParams
 from .specfun import LOG_SQRT_2PI, StirlingRegime, _remainder, log_gamma
 
 WORK_DISK = 0.3     # |mu| radius where the curve machinery is trusted
 Y_CLAMP = 0.45
 
 
-class Side(enum.Enum):
-    Upper = "upper"
-    Lower = "lower"
-
-
 @dataclass
 class ImplicitCurveProblem:
-    """y ln(1/|x+iy|) = F(x+iy) with F real, uniformly Lipschitz."""
+    """y ln(1/|x+iy|) = F(x+iy) with F real, uniformly Lipschitz and
+    vectorized over complex arrays."""
 
     F: callable
-    side: Side = Side.Upper
 
 
 def mu_h_norm(x, h):
     """<x>_h = sqrt(h^2 + |x|^2)."""
     return np.sqrt(h * h + np.abs(x) ** 2)
-
-
-def _solve_scalar(F, x, h=1e-3, tol_scale=1e-12, max_iter=60):
-    """Damped Newton in y for y*ln(1/|x+iy|) = F(x+iy)."""
-    x = float(x)
-    f0 = float(F(complex(x, 0.0)))
-    ax = abs(x)
-    if ax > 0 and abs(f0) <= ax * np.log(1.0 / ax):
-        y = f0 / np.log(1.0 / ax)                      # regularized seed
-    elif f0 == 0.0:
-        y = 0.0
-    else:
-        z = abs(f0)
-        bigz = np.log(1.0 / z)
-        y = np.sign(f0) * z / (bigz + np.log(bigz))    # Y = Z + ln Z seed
-    tol = tol_scale * max(1.0, abs(f0))
-    for _ in range(max_iter):
-        mu = complex(x, y)
-        amu = abs(mu)
-        if amu == 0.0:
-            amu = 1e-300
-        L = np.log(1.0 / amu)
-        r = y * L - float(F(mu))
-        if abs(r) <= tol:
-            return y
-        dy = max(1e-9, 1e-6 * mu_h_norm(x, h))
-        rp = (y + dy) * np.log(1.0 / abs(complex(x, y + dy))) \
-            - float(F(complex(x, y + dy)))
-        rm = (y - dy) * np.log(1.0 / abs(complex(x, y - dy))) \
-            - float(F(complex(x, y - dy)))
-        drdy = (rp - rm) / (2 * dy)
-        step = r / drdy
-        cap = 0.5 * max(abs(y), mu_h_norm(x, h))
-        if abs(step) > cap:
-            step = np.sign(step) * cap
-        y = float(np.clip(y - step, -Y_CLAMP, Y_CLAMP))
-    raise NoConvergence(f"curve solve failed at x={x}", last=y, residual=r)
-
-
-def solve_curve(prob, x, h=1e-3):
-    """Solve the implicit curve problem at abscissa x (Appendix-B form)."""
-    return _solve_scalar(prob.F, x, h=h)
 
 
 # Gamma_{j,k} right sides.  T_large excludes X; the small form uses
@@ -131,14 +84,16 @@ def curve_residual(pair, mu, p, am):
     return float(out[0]) if mu.shape == () else out.reshape(mu.shape)
 
 
-def _trace_vec(pair, xs, p, am, tol=1e-12, max_iter=80):
-    """Vectorized Newton over all abscissas at once; returns ys, ok mask."""
+def _newton_y(residual, xs, h, tol=1e-12, max_iter=80):
+    """Damped Newton in y for residual(x + iy) = 0 at all abscissas at
+    once; returns ys and the converged mask.
+
+    residual is vectorized and has the y ln(1/|mu|) - F(mu) form, so its
+    value at y = 0 is -F(x), which seeds the two Appendix-B regimes.
+    """
     xs = np.asarray(xs, dtype=float)
-    h = p.h
     ys = np.zeros_like(xs)
-    f0 = curve_residual(pair, xs + 0j, p, am)
-    # residual at y=0 is -F(x); seed per the two Appendix-B regimes
-    F0 = -f0
+    F0 = -residual(xs + 0j)
     ax = np.abs(xs)
     with np.errstate(divide="ignore", invalid="ignore"):
         lx = np.log(1.0 / np.maximum(ax, 1e-300))
@@ -154,7 +109,7 @@ def _trace_vec(pair, xs, p, am, tol=1e-12, max_iter=80):
         if len(idx) == 0:
             break
         xa, ya = xs[idx], ys[idx]
-        r = curve_residual(pair, xa + 1j * ya, p, am)
+        r = residual(xa + 1j * ya)
         done = np.abs(r) <= tol
         active[idx[done]] = False
         idx = idx[~done]
@@ -162,14 +117,32 @@ def _trace_vec(pair, xs, p, am, tol=1e-12, max_iter=80):
             break
         xa, ya, r = xa[~done], ya[~done], r[~done]
         dy = np.maximum(1e-9, 1e-6 * mu_h_norm(xa, h))
-        rp = curve_residual(pair, xa + 1j * (ya + dy), p, am)
-        rm = curve_residual(pair, xa + 1j * (ya - dy), p, am)
+        rp = residual(xa + 1j * (ya + dy))
+        rm = residual(xa + 1j * (ya - dy))
         step = r * (2 * dy) / (rp - rm)
         cap = 0.5 * np.maximum(np.abs(ya), mu_h_norm(xa, h))
         step = np.clip(step, -cap, cap)
         ys[idx] = np.clip(ya - step, -Y_CLAMP, Y_CLAMP)
     ok = ~active
     return ys, ok
+
+
+def _solve_one(residual, x, h):
+    """_newton_y at one abscissa; raises NoConvergence with the last y."""
+    ys, ok = _newton_y(residual, np.array([float(x)]), h)
+    y = float(ys[0])
+    if not ok[0]:
+        r = float(residual(np.array([complex(x, y)]))[0])
+        raise NoConvergence(f"curve solve failed at x={x}", last=y, residual=r)
+    return y
+
+
+def solve_curve(prob, x, h=1e-3):
+    """Solve the implicit curve problem at abscissa x (Appendix-B form)."""
+    def residual(mu):
+        return mu.imag * np.log(1.0 / np.maximum(np.abs(mu), 1e-300)) \
+            - prob.F(mu)
+    return _solve_one(residual, x, h)
 
 
 def default_steps(p, x_lo, x_hi, refine_near=(), refine_factor=4.0):
@@ -224,14 +197,15 @@ def trace_gamma(pair, p, am, x_range, step_rule=None, refine_near=()):
             xs.append(xs[-1] + step_rule(xs[-1]))
         xs[-1] = x_hi
         xs = np.array(xs)
-    ys, ok = _trace_vec(pair, xs, p, am)
+    ys, ok = _newton_y(lambda mu: curve_residual(pair, mu, p, am),
+                       xs, p.h)
     # clip samples that drift into the forbidden cone of the large-regime
     # representation (near the negative imaginary axis); gaps are
     # recorded, never interpolated across
     mu = xs + 1j * ys
     small = mu_h_norm(xs, p.h) <= SMALL_C1 * p.h
     from .specfun import _angdist
-    forbidden = ~small & (_angdist(np.angle(mu), -np.pi / 2) < 1.0 / 8.0)
+    forbidden = ~small & (_angdist(np.angle(mu), -np.pi / 2) < 1.0 / SECTOR_C)
     ok &= ~forbidden
     gaps = [float(x) for x in xs[~ok]]
     xs, ys = xs[ok], ys[ok]
@@ -241,12 +215,7 @@ def trace_gamma(pair, p, am, x_range, step_rule=None, refine_near=()):
 
 def _curve_y_at(pair, x, p, am):
     """y with (x, y) on Gamma_pair, via the shared residual function."""
-    def neg_F(m):
-        # solve_scalar expects the y ln(1/|mu|) = F form; build F from the
-        # residual so both regimes are covered transparently
-        return m.imag * np.log(1.0 / max(abs(m), 1e-300)) \
-            - curve_residual(pair, m, p, am)
-    return _solve_scalar(neg_F, x, h=p.h)
+    return _solve_one(lambda mu: curve_residual(pair, mu, p, am), x, p.h)
 
 
 def find_crossings(p, am, x_max=WORK_DISK - 0.02):
@@ -270,16 +239,15 @@ def find_crossings(p, am, x_max=WORK_DISK - 0.02):
         lo, hi = float(curve.xs[i]), float(curve.xs[i + 1])
 
         def line_val(x):
-            y = _curve_y_at("1,4-", x, p, am)
-            m = complex(x, y)
+            m = complex(x, _curve_y_at("1,4-", x, p, am))
             return (-2 * np.pi * x
-                    - sign * (np.imag(am.S12(m)) - np.imag(am.S34(m))), y)
+                    - sign * (np.imag(am.S12(m)) - np.imag(am.S34(m))), m)
 
         flo, _ = line_val(lo)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             at_end = mid == lo or mid == hi   # adjacent doubles: fixed point
-            fmid, _ = line_val(mid)
+            fmid, m_mid = line_val(mid)
             if np.sign(fmid) == np.sign(flo):
                 lo, flo = mid, fmid
             else:
@@ -287,6 +255,8 @@ def find_crossings(p, am, x_max=WORK_DISK - 0.02):
             if at_end:
                 break
         x_star = 0.5 * (lo + hi)
+        if x_star == mid:   # the fixed point: its curve point is known
+            return m_mid
         return complex(x_star, _curve_y_at("1,4-", x_star, p, am))
 
     return crossing(+1.0), crossing(-1.0)
@@ -339,7 +309,7 @@ class Body:
     skeleton: Skeleton
     C: float
     p: SemiclassicalParams
-    box_constant: float = 1.0
+    box_constant: float = CALIBRATION["box_C"]
 
     def _radius(self, xs, ys):
         return self.C * self.p.h / np.log(1.0 / mu_h_norm(xs + 1j * ys, self.p.h))
@@ -396,7 +366,7 @@ class Body:
         return abs(mu.real) <= a and abs(mu.imag) <= b
 
 
-def assemble(p, am, C_body=10.0, x_max=WORK_DISK - 0.02):
+def assemble(p, am, C_body=CALIBRATION["body_C"], x_max=WORK_DISK - 0.02):
     """Assemble the Case-1 skeleton S' (both half-planes), the vertical
     segment with its diamonds, and the body."""
     eps_x = 1e-6 * p.h
@@ -452,7 +422,8 @@ def assemble(p, am, C_body=10.0, x_max=WORK_DISK - 0.02):
     return sk, Body(skeleton=sk, C=C_body, p=p)
 
 
-def assemble_case2(p, am, C_body=10.0, x_max=WORK_DISK - 0.02):
+def assemble_case2(p, am, C_body=CALIBRATION["body_C"],
+                   x_max=WORK_DISK - 0.02):
     """Case-2 skeleton via the conjugation symmetry: the case-2 curves of
     (S12, S34) are the reflections of the case-1 curves of the mirrored
     model with conjugated coefficients."""
@@ -484,7 +455,7 @@ def export_csv(path, curves):
 def export_json(path, skeleton, body, extra=None):
     a, b = body.exceptional_box()
     doc = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "body_constant": skeleton.body_constant,
         "h": skeleton.h,
         "mu_A": None if skeleton.mu_A is None else

@@ -11,6 +11,7 @@ import enum
 
 import numpy as np
 
+from .calibration import CALIBRATION
 from .errors import PoleError, RegimeError
 
 LOG_SQRT_2PI = 0.9189385332046727417803297364056176  # ln sqrt(2 pi)
@@ -47,7 +48,7 @@ class StirlingRegime(enum.Enum):
 
 
 # Margin (radians) kept from the forbidden axis of each regime.
-CONIC_MARGIN = 0.2
+CONIC_MARGIN = CALIBRATION["stirling_conic_margin"]
 
 
 def _lanczos_right(z):

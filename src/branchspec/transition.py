@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .calibration import CALIBRATION
 from .errors import SectorError
 from .scaled import log1p_exp, log_2cosh
 from .specfun import LOG_SQRT_2PI, _angdist, log_gamma
@@ -27,7 +28,7 @@ class Sector(enum.Enum):
     LowerHalf = "lower"   # Im mu < C |Re mu|   (away from +i R+)
 
 
-SECTOR_MARGIN = 0.1
+SECTOR_MARGIN = CALIBRATION["tableau_sector_margin"]
 
 
 @dataclass

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .calibration import CALIBRATION
 from .errors import (
     BijectionFailure,
     CellBudgetExceeded,
@@ -21,7 +22,8 @@ from .errors import (
     OnContourZero,
 )
 
-PHASE_CAP = np.pi / 2
+PHASE_CAP = CALIBRATION["winding_phase_cap_rad"]   # pi/2
+NEWTON_TOL = CALIBRATION["newton_residual_tol"]
 
 
 def _as_vectorized(f):
@@ -195,7 +197,7 @@ class ZeroSet:
         return len(self.zeros)
 
 
-def _newton_polish(f, z0, h, tol=1e-9, max_iter=50):
+def _newton_polish(f, z0, h, tol=NEWTON_TOL, max_iter=50):
     """Newton with central-difference derivative, step h*1e-3."""
     fv = _as_vectorized(f)
     z = complex(z0)
@@ -221,7 +223,8 @@ def _newton_polish(f, z0, h, tol=1e-9, max_iter=50):
     return z, abs(fz)
 
 
-def locate_zeros(f, region, p, cell_budget=100_000, residual_tol=1e-9):
+def locate_zeros(f, region, p, cell_budget=CALIBRATION["cell_budget"],
+                 residual_tol=NEWTON_TOL):
     """All zeros of f in a rectangle by quadrisection + Newton polish.
 
     region: (re0, re1, im0, im1).  f must be normalized so that |f| = 1
@@ -316,7 +319,7 @@ def grid_newton_count(f, region, p, refine=6):
 
     def try_seed(z0):
         z, res = _newton_polish(fv, z0, h)
-        if res > 1e-9:
+        if res > NEWTON_TOL:
             return
         inside = re0 <= z.real <= re1 and im0 <= z.imag <= im1
         bucket = roots if inside else outside
@@ -463,22 +466,19 @@ def match_bijection(zeros, predicted, rate, strict=True):
     """
     za = list(np.asarray(zeros, dtype=complex))
     zb = list(np.asarray(predicted, dtype=complex))
+    # taking the closest remaining pair, ties to the smallest (i, j), is
+    # one scan of all pairs in ascending (d, i, j) order
+    by_distance = sorted((abs(a - b), i, j) for i, a in enumerate(za)
+                         for j, b in enumerate(zb))
     pairs = []
-    ia = list(range(len(za)))
-    ib = list(range(len(zb)))
-    while ia and ib:
-        best = None
-        for i in ia:
-            for j in ib:
-                d = abs(za[i] - zb[j])
-                if best is None or d < best[0]:
-                    best = (d, i, j)
-        d, i, j = best
-        pairs.append((za[i], zb[j], d))
-        ia.remove(i)
-        ib.remove(j)
-    unmatched_a = [za[i] for i in ia]
-    unmatched_b = [zb[j] for j in ib]
+    ia, ib = set(), set()
+    for d, i, j in by_distance:
+        if i not in ia and j not in ib:
+            pairs.append((za[i], zb[j], d))
+            ia.add(i)
+            ib.add(j)
+    unmatched_a = [a for i, a in enumerate(za) if i not in ia]
+    unmatched_b = [b for j, b in enumerate(zb) if j not in ib]
     bad = [(a, b, d) for a, b, d in pairs
            if d > rate(0.5 * (a + b))]
     ok = not unmatched_a and not unmatched_b and not bad

@@ -1,0 +1,93 @@
+"""Every module constant and default that has a calibrated value reads it
+from calibration.CALIBRATION, so the block embedded in each output is
+what actually ran."""
+
+import inspect
+import json
+
+import pytest
+
+from branchspec import (
+    cli,
+    quantization,
+    schrodinger,
+    skeleton,
+    specfun,
+    transition,
+    zerocount,
+)
+from branchspec.calibration import CALIBRATION
+
+
+def _default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+SOURCES = {
+    "quantization.SECTOR_C": (lambda: quantization.SECTOR_C, "sector_C"),
+    "quantization.SMALL_C1": (lambda: quantization.SMALL_C1, "small_C1"),
+    "specfun.CONIC_MARGIN":
+        (lambda: specfun.CONIC_MARGIN, "stirling_conic_margin"),
+    "transition.SECTOR_MARGIN":
+        (lambda: transition.SECTOR_MARGIN, "tableau_sector_margin"),
+    "zerocount.PHASE_CAP":
+        (lambda: zerocount.PHASE_CAP, "winding_phase_cap_rad"),
+    "zerocount.NEWTON_TOL":
+        (lambda: zerocount.NEWTON_TOL, "newton_residual_tol"),
+    "locate_zeros(cell_budget)":
+        (lambda: _default(zerocount.locate_zeros, "cell_budget"),
+         "cell_budget"),
+    "locate_zeros(residual_tol)":
+        (lambda: _default(zerocount.locate_zeros, "residual_tol"),
+         "newton_residual_tol"),
+    "_newton_polish(tol)":
+        (lambda: _default(zerocount._newton_polish, "tol"),
+         "newton_residual_tol"),
+    "bohr_sommerfeld_solve(tol)":
+        (lambda: _default(quantization.bohr_sommerfeld_solve, "tol"),
+         "bs_residual_tol"),
+    "assemble(C_body)":
+        (lambda: _default(skeleton.assemble, "C_body"), "body_C"),
+    "assemble_case2(C_body)":
+        (lambda: _default(skeleton.assemble_case2, "C_body"), "body_C"),
+    "Body.box_constant":
+        (lambda: _default(skeleton.Body, "box_constant"), "box_C"),
+    "spurious_filter(tol_scale)":
+        (lambda: _default(schrodinger.spurious_filter, "tol_scale"),
+         "spurious_match_tol"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_constant_is_read_from_calibration(name):
+    get, key = SOURCES[name]
+    # the same object, not an equal copy: a literal would be a shadow
+    assert get() is CALIBRATION[key]
+
+
+def test_model_cell_budget_default(tmp_path, monkeypatch):
+    seen = []
+
+    def fake_locate(f, rect, p, cell_budget):
+        seen.append(cell_budget)
+        return zerocount.ZeroSet(zeros=[], method="Winding")
+
+    monkeypatch.setattr(cli, "locate_zeros", fake_locate)
+    monkeypatch.setitem(CALIBRATION, "cell_budget", 1234)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "h": 0.01, "epsilon": 0.03, "S12": [[0.01, 0.012], [0.3, 0.0]],
+        "S34": [[0.02, 0.02], [-0.2, 0.0]],
+        "rectangle": [0.06, 0.07, -0.02, 0.02]}))
+    assert cli.main(["model", "--config", str(cfg), "--out",
+                     str(tmp_path)]) == 0
+    assert seen == [1234]
+
+
+def test_skeleton_json_reads_schema_version(tmp_path, monkeypatch):
+    monkeypatch.setattr(skeleton, "SCHEMA_VERSION", 7)
+    p = quantization.SemiclassicalParams(h=0.01, epsilon=0.03)
+    am = quantization.ActionModel([0.01 + 0.012j], [0.02 + 0.02j])
+    sk, body = skeleton.assemble(p, am)
+    doc = skeleton.export_json(tmp_path / "sk.json", sk, body)
+    assert doc["schema_version"] == 7

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from branchspec.cli import main
 
 MODEL_CFG = {
@@ -147,23 +149,18 @@ def test_spectrum_command_small(tmp_path):
     assert (tmp_path / "spectrum.svg").exists()
 
 
-def test_model_parallel_matches_serial(tmp_path, monkeypatch):
+def test_key_error_in_a_command_is_not_a_config_error(tmp_path, monkeypatch):
+    # config keys go through _require (ConfigError, exit 2); a KeyError
+    # raised inside a command is a bug and must not be reported as one
+    from branchspec import cli
+
+    def broken(cfg, out, svg, check):
+        raise KeyError("4+")
+
+    monkeypatch.setitem(cli.COMMANDS, "count", broken)
     cfg = _write(tmp_path, "c.json", MODEL_CFG)
-    out1, out2 = tmp_path / "serial", tmp_path / "par"
-    monkeypatch.setenv("BRANCHSPEC_THREADS", "1")
-    assert main(["model", "--config", cfg, "--out", str(out1)]) == 0
-    monkeypatch.setenv("BRANCHSPEC_THREADS", "3")
-    assert main(["model", "--config", cfg, "--out", str(out2)]) == 0
-    z1 = sorted(ln for ln in (out1 / "zeros.csv").read_text().splitlines()[1:])
-    z2 = sorted(ln for ln in (out2 / "zeros.csv").read_text().splitlines()[1:])
-    assert len(z1) == len(z2)
-    # identical roots up to polish noise
-    import numpy as np
-    a = np.sort_complex([complex(float(r.split(",")[0]), float(r.split(",")[1]))
-                         for r in z1])
-    b = np.sort_complex([complex(float(r.split(",")[0]), float(r.split(",")[1]))
-                         for r in z2])
-    assert np.max(np.abs(a - b)) <= 1e-10
+    with pytest.raises(KeyError):
+        main(["count", "--config", cfg, "--out", str(tmp_path)])
 
 
 def test_csv_cells_are_plain_floats(tmp_path):

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchspec import skeleton
+from branchspec.errors import NoConvergence
 from branchspec.quantization import ActionModel, SemiclassicalParams, term_set
 from branchspec.skeleton import (
     Body,
     ImplicitCurveProblem,
-    Side,
     assemble,
     assemble_case2,
     curve_residual,
@@ -22,9 +22,19 @@ from branchspec.skeleton import (
 
 
 def test_solve_curve_zero_rhs():
-    prob = ImplicitCurveProblem(F=lambda mu: 0.0, side=Side.Upper)
+    prob = ImplicitCurveProblem(F=lambda mu: 0.0)
     for x in [1e-6, 1e-3, 0.1, -0.2]:
         assert solve_curve(prob, x) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_solve_curve_no_root_raises_with_last_iterate():
+    # y ln(1/|mu|) <= 1/e for |y| <= Y_CLAMP < 1, so F = 1 has no root
+    prob = ImplicitCurveProblem(F=lambda mu: 1.0)
+    with pytest.raises(NoConvergence) as info:
+        solve_curve(prob, 0.05)
+    assert info.value.last is not None
+    assert abs(info.value.last) <= skeleton.Y_CLAMP
+    assert info.value.residual < -0.5
 
 
 def _bisect_y_ln(target, lo=1e-9, hi=0.2):
@@ -41,7 +51,7 @@ def _bisect_y_ln(target, lo=1e-9, hi=0.2):
 
 def test_solve_curve_constant_rhs_at_origin():
     F0 = 1e-3
-    prob = ImplicitCurveProblem(F=lambda mu: F0, side=Side.Upper)
+    prob = ImplicitCurveProblem(F=lambda mu: F0)
     y = solve_curve(prob, 0.0)
     oracle = _bisect_y_ln(F0)
     assert y == pytest.approx(oracle, rel=1e-10)
@@ -54,7 +64,7 @@ def test_solve_curve_constant_rhs_at_origin():
 
 def test_solve_curve_lipschitz_vs_simplified():
     F = lambda mu: 0.01 + 0.1 * mu.imag
-    prob = ImplicitCurveProblem(F=F, side=Side.Upper)
+    prob = ImplicitCurveProblem(F=F)
     x = 0.05
     y_full = solve_curve(prob, x)
     # simplified: F frozen at the real axis
@@ -304,3 +314,26 @@ def test_crossings_bitwise_equal_to_full_bisection(seed, h):
     am = physical_model(seed)
     # repr is exact for doubles and tells -0.0 from 0.0
     assert repr(find_crossings(p, am)) == repr(_find_crossings_reference(p, am))
+
+
+def test_crossings_reuse_the_fixed_point_solve(monkeypatch):
+    # the bisection ends on a midpoint it has just solved; the crossing
+    # reuses that curve point instead of solving it a second time
+    p = params()
+    am = physical_model(0)
+    calls = []
+    solve = skeleton._curve_y_at
+
+    def counted(pair, x, p, am):
+        calls.append(x)
+        return solve(pair, x, p, am)
+
+    monkeypatch.setattr(skeleton, "_curve_y_at", counted)
+    crossings = find_crossings(p, am)
+    assert all(mu is not None for mu in crossings)
+    # each crossing abscissa is solved as a bracket end and again as the
+    # fixed-point midpoint; a closing solve at x_star made it three
+    assert [calls.count(mu.real) for mu in crossings] == [2, 2]
+    assert calls[-1] == crossings[1].real     # mu_B is the last midpoint
+    monkeypatch.setattr(skeleton, "_curve_y_at", solve)
+    assert repr(crossings) == repr(_find_crossings_reference(p, am))

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchspec import zerocount
 from branchspec.cli import main
@@ -202,6 +204,56 @@ def test_match_bijection_and_negative_control():
     assert rep["ok"] and rep["max_distance"] <= 1e-4
     with pytest.raises(BijectionFailure):
         match_bijection(base, jitter + 10 * 0.01, rate=lambda mu: 1e-4)
+
+
+def _match_bijection_reference(zeros, predicted, rate):
+    """match_bijection's original O(n^3) greedy loop: repeatedly take the
+    closest remaining pair, ties to the smallest (i, j).  Oracle for the
+    sorted scan."""
+    za = list(np.asarray(zeros, dtype=complex))
+    zb = list(np.asarray(predicted, dtype=complex))
+    pairs = []
+    ia = list(range(len(za)))
+    ib = list(range(len(zb)))
+    while ia and ib:
+        best = None
+        for i in ia:
+            for j in ib:
+                d = abs(za[i] - zb[j])
+                if best is None or d < best[0]:
+                    best = (d, i, j)
+        d, i, j = best
+        pairs.append((za[i], zb[j], d))
+        ia.remove(i)
+        ib.remove(j)
+    unmatched_a = [za[i] for i in ia]
+    unmatched_b = [zb[j] for j in ib]
+    bad = [(a, b, d) for a, b, d in pairs if d > rate(0.5 * (a + b))]
+    return {
+        "pairs": pairs,
+        "unmatched_zeros": unmatched_a,
+        "unmatched_predicted": unmatched_b,
+        "violations": bad,
+        "max_distance": max((d for _, _, d in pairs), default=0.0),
+        "ok": not unmatched_a and not unmatched_b and not bad,
+    }
+
+
+# points on a coarse grid, so equal distances (exact ties) are common
+_grid_points = st.lists(
+    st.builds(complex, st.integers(-3, 3), st.integers(-3, 3)).map(
+        lambda z: 0.25 * z), max_size=9)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(zeros=_grid_points, predicted=_grid_points,
+       cap=st.sampled_from([0.0, 0.3, 1.0, 10.0]))
+def test_match_bijection_equals_greedy_loop(zeros, predicted, cap):
+    rate = lambda mu: cap
+    got = match_bijection(zeros, predicted, rate, strict=False)
+    want = _match_bijection_reference(zeros, predicted, rate)
+    # repr tells the pair order, -0.0 and the numpy scalar types apart
+    assert repr(got) == repr(want)
 
 
 def test_mirrored_model_zeros_are_conjugates():
