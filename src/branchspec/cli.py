@@ -61,6 +61,14 @@ def _require(cfg, key, typ=None):
     return val
 
 
+def _check_keys(cfg, allowed, where="config"):
+    """Reject keys outside `allowed`, so that a misspelt key fails instead
+    of silently taking its default."""
+    unknown = sorted(set(cfg) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys {unknown}")
+
+
 def _complex_coeffs(raw, key):
     if not isinstance(raw, list):
         raise ConfigError(f"'{key}' must be a list of [re, im] pairs")
@@ -361,6 +369,8 @@ def cmd_average(cfg, out, svg, check):
         weighted_average_G0,
         zpoly_from_x,
     )
+    _check_keys(cfg, {"schema_version", "x_poly", "correlate_with",
+                      "golden_check"})
     if cfg.get("golden_check"):
         bad = _golden_check()
         _write_json(out / "golden_check.json", {"failures": bad})
@@ -395,23 +405,25 @@ def cmd_classify(cfg, out, svg, check):
             return Fraction(int(v[0]), int(v[1]))
         return Fraction(str(v))
 
+    def grid(lo, hi, n):
+        return [(float(x), Fraction(str(round(float(x), 9))))
+                for x in np.linspace(lo, hi, int(n))]
+
+    _check_keys(cfg, {"schema_version", "a", "b", "c", "scan"})
     if "scan" in cfg:
-        scan = cfg["scan"]
-        b0, b1, nb = scan.get("b_range", [-4, 4, 200])
-        c0, c1, nc = scan.get("c_range", [-4, 4, 200])
+        scan = _require(cfg, "scan", dict)
+        _check_keys(scan, {"b_range", "c_range", "d"}, "scan")
+        cols = grid(*scan.get("c_range", [-4, 4, 200]))
         d = frac(scan.get("d", 2.5))
         rows = []
-        for b in np.linspace(b0, b1, int(nb)):
-            bq = Fraction(str(round(float(b), 9)))
+        for b, bq in grid(*scan.get("b_range", [-4, 4, 200])):
             aq = (bq / 2 - d) / 2
-            for c in np.linspace(c0, c1, int(nc)):
-                cq = Fraction(str(round(float(c), 9)))
+            for c, cq in cols:
                 try:
                     rep = classify_critical_points(ReducedFunction(aq, bq, cq))
-                    rows.append((float(b), float(c), rep.region.value,
-                                 rep.saddle_count))
+                    rows.append((b, c, rep.region.value, rep.saddle_count))
                 except BranchspecError:
-                    rows.append((float(b), float(c), "boundary", -1))
+                    rows.append((b, c, "boundary", -1))
         with open(out / "region_scan.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["b", "c", "region", "saddles"])

@@ -23,14 +23,19 @@ from .errors import DegenerateInput, Mismatch, NoLoop, NotInvariant
 REGION_LINE_TOL = 1e-9
 
 
+def _fraction(x):
+    """x as a Fraction, without a copy when it already is one."""
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 class QQi:
     """Exact complex rational re + i*im."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = _fraction(re)
+        self.im = _fraction(im)
 
     def __add__(self, o):
         o = _as_qqi(o)
@@ -65,11 +70,9 @@ class QQi:
     def conj(self):
         return QQi(self.re, -self.im)
 
-    def times_i(self):
-        return QQi(-self.im, self.re)
-
-    def over_int(self, n):
-        return QQi(self.re / n, self.im / n)
+    def times_i(self, r):
+        """self * i r for a rational r: a swap and two real products."""
+        return QQi(-self.im * r, self.re * r)
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
@@ -219,6 +222,11 @@ def flow_average(q):
                             if k[0] + k[1] == k[2] + k[3]})
 
 
+def _frequency(key):
+    """k = |beta| - |alpha| of z^alpha zbar^beta: the term goes as e^{ikt}."""
+    return (key[2] + key[3]) - (key[0] + key[1])
+
+
 def weighted_average_G0(q):
     """G0 = (1/T) int_0^T (t - T/2) q(exp(t H_p)) dt, T = 2 pi.
 
@@ -227,31 +235,39 @@ def weighted_average_G0(q):
     """
     out = BalancedLaurent()
     for key, v in q.terms.items():
-        k = (key[2] + key[3]) - (key[0] + key[1])
-        if k == 0:
-            continue
-        # 1/(ik) = -i/k
-        out._add(key, QQi(0, Fraction(-1, k)) * v)
+        k = _frequency(key)
+        if k:
+            out._add(key, v.times_i(Fraction(-1, k)))   # 1/(ik) = -i/k
     return out
 
 
-def poisson(f, g):
-    """Exact Poisson bracket {f, g} of z-polynomials.
+def _bracket_into(out, f_terms, g_terms):
+    """Add {f, g} to the BalancedLaurent out; f and g are re-iterable
+    collections of (key, coefficient) terms.
 
     {z^a zb^at, z^b zb^bt} = 2i sum_j (a_j bt_j - at_j b_j)
-    z^{a+b} zb^{at+bt} / |z_j|^2.
+    z^{a+b} zb^{at+bt} / |z_j|^2; its frequency is the sum of the two
+    factors' frequencies.
     """
+    for (a1, a2, t1, t2), v1 in f_terms:
+        for (b1, b2, u1, u2), v2 in g_terms:
+            sig1 = a1 * u1 - t1 * b1
+            sig2 = a2 * u2 - t2 * b2
+            if not (sig1 or sig2):
+                continue
+            v = v1 * v2
+            if sig1:
+                out._add((a1 + b1 - 1, a2 + b2, t1 + u1 - 1, t2 + u2),
+                         v.times_i(2 * sig1))
+            if sig2:
+                out._add((a1 + b1, a2 + b2 - 1, t1 + u1, t2 + u2 - 1),
+                         v.times_i(2 * sig2))
+
+
+def poisson(f, g):
+    """Exact Poisson bracket {f, g} of z-polynomials."""
     out = BalancedLaurent()
-    for (a1, a2, t1, t2), v1 in f.terms.items():
-        for (b1, b2, u1, u2), v2 in g.terms.items():
-            for j, sig in ((0, a1 * u1 - t1 * b1), (1, a2 * u2 - t2 * b2)):
-                if sig == 0:
-                    continue
-                key = [a1 + b1, a2 + b2, t1 + u1, t2 + u2]
-                key[j] -= 1
-                key[j + 2] -= 1
-                coeff = v1 * v2 * QQi(0, 2 * sig)
-                out._add(tuple(key), coeff)
+    _bracket_into(out, f.terms.items(), g.terms.items())
     return out
 
 
@@ -259,36 +275,50 @@ def hamiltonian_vector_on_p(q):
     """H_p q for p = (|z1|^2 + |z2|^2)/2: each term times i(|b|-|a|)."""
     out = BalancedLaurent()
     for key, v in q.terms.items():
-        k = (key[2] + key[3]) - (key[0] + key[1])
+        k = _frequency(key)
         if k:
-            out._add(key, QQi(0, k) * v)
+            out._add(key, v.times_i(k))
     return out
+
+
+def _by_frequency(q):
+    """The terms of q grouped by frequency: dict k -> [(key, coeff)]."""
+    groups = {}
+    for key, v in q.terms.items():
+        groups.setdefault(_frequency(key), []).append((key, v))
+    return groups
 
 
 def correlation_Cor(q1, q2):
     """Cor(q1, q2; s) as a dict frequency -> BalancedLaurent, where the
-    s-dependence of each piece is exp(i s k)."""
+    s-dependence of each piece is exp(i s k).
+
+    Piece k is the flow average of {q1_k, q2}, with q1_k the frequency-k
+    part of q1.  A bracket term's frequency is the sum of its factors'
+    frequencies, so only the frequency -k part of q2 contributes and the
+    average keeps every term it brackets.
+    """
+    by_k = _by_frequency(q2)
     out = {}
-    for (a1, a2, t1, t2), v1 in q1.terms.items():
-        k = (t1 + t2) - (a1 + a2)
-        piece = poisson(BalancedLaurent({(a1, a2, t1, t2): v1}), q2)
-        bal = flow_average(piece)
-        if not bal:
-            continue
-        out.setdefault(k, BalancedLaurent())
-        out[k] = out[k] + bal
-        if not out[k]:
-            del out[k]
+    for k, terms in _by_frequency(q1).items():
+        piece = BalancedLaurent()
+        _bracket_into(piece, terms, by_k.get(-k, ()))
+        if piece:
+            out[k] = piece
     return out
 
 
 def correlation_C(q1, q2):
-    """C(q1, q2) = (1/T) int_0^T (s - T/2) Cor(q1, q2; s) ds, exact."""
+    """C(q1, q2) = (1/T) int_0^T (s - T/2) Cor(q1, q2; s) ds, exact.
+
+    Piece k of Cor picks up the factor 1/(ik) and k = 0 drops, so C is
+    the flow average of {G0(q1), q2}; each term of G0(q1) is bracketed
+    only with the terms of q2 of the opposite frequency.
+    """
+    by_k = _by_frequency(q2)
     out = BalancedLaurent()
-    for k, piece in correlation_Cor(q1, q2).items():
-        if k == 0:
-            continue
-        out = out + piece * QQi(0, Fraction(-1, k))
+    for k, terms in _by_frequency(weighted_average_G0(q1)).items():
+        _bracket_into(out, terms, by_k.get(-k, ()))
     return out
 
 
@@ -388,9 +418,9 @@ class ReducedFunction:
     c: Fraction
 
     def __post_init__(self):
-        self.a = Fraction(self.a)
-        self.b = Fraction(self.b)
-        self.c = Fraction(self.c)
+        self.a = _fraction(self.a)
+        self.b = _fraction(self.b)
+        self.c = _fraction(self.c)
 
     @property
     def d(self):
@@ -432,7 +462,9 @@ class ReducedFunction:
 
 
 def _sign(x):
-    return 1 if x > 0 else (-1 if x < 0 else 0)
+    """Sign of a rational, read off its numerator."""
+    n = x.numerator
+    return (n > 0) - (n < 0)
 
 
 def _region_of(b, c, d):
@@ -476,36 +508,42 @@ def classify_critical_points(rf):
     a, b, c, d = rf.a, rf.b, rf.c, rf.d
     if d == 0:
         raise DegenerateInput("d = 0", clause="d != 0")
-    if c != 0 and (b == 0 or b + d == 0):
+    bd = b + d
+    if c != 0 and (b == 0 or bd == 0):
         raise DegenerateInput("c != 0 requires b != 0 and b+d != 0",
                               clause="b != 0 and b+d != 0")
     region = _region_of(b, c, d)
+    s_d, s_bd = _sign(d), _sign(bd)
+    s_cf_theta, s_cf_rho = -_sign(b + c), -_sign(c + bd)
+    s_cb_theta, s_cb_rho = _sign(c - b), _sign(c - bd)
+    centre, half_c, c2 = a + bd / 4, c / 2, c * c
     pts = []
     # crossing points, always critical
     pts.append(CriticalPoint(
         kind=PointKind.CrossingCf,
-        signature=(_sign(-c - b - d), _sign(-b - c)),
-        sig_theta=_sign(-b - c), sig_rho=_sign(-c - b - d),
-        value=a + (d + b) / 4 + c / 2,
+        signature=(s_cf_rho, s_cf_theta),
+        sig_theta=s_cf_theta, sig_rho=s_cf_rho,
+        value=centre + half_c,
         locations=[(0.5, 0.0)]))
     pts.append(CriticalPoint(
         kind=PointKind.CrossingCb,
-        signature=(_sign(c - b - d), _sign(c - b)),
-        sig_theta=_sign(c - b), sig_rho=_sign(c - b - d),
-        value=a + (d + b) / 4 - c / 2,
+        signature=(s_cb_rho, s_cb_theta),
+        sig_theta=s_cb_theta, sig_rho=s_cb_rho,
+        value=centre - half_c,
         locations=[(0.5, np.pi)]))
     # horizontal circle: cos(theta) = -c/b, two points, iff |c/b| < 1
     if b != 0 and abs(c) < abs(b):
         th = float(np.arccos(float(-c / b)))
+        s_b = _sign(b)
         pts.append(CriticalPoint(
             kind=PointKind.HorizontalCircle,
-            signature=(_sign(b), -_sign(d)),
-            sig_theta=_sign(b), sig_rho=-_sign(d),
-            value=a + d / 4 - c * c / (4 * b),
+            signature=(s_b, -s_d),
+            sig_theta=s_b, sig_rho=-s_d,
+            value=a + d / 4 - c2 / (4 * b),
             locations=[(0.5, th), (0.5, 2 * np.pi - th)]))
     # vertical circle: g = -+ c/(2(b+d)) at theta = 0 / pi
-    if b + d != 0 and c != 0:
-        t = c / (b + d)
+    if bd != 0 and c != 0:
+        t = c / bd
         if -1 < t < 0:
             gstar, theta0 = -t / 2, 0.0
         elif 0 < t < 1:
@@ -513,21 +551,19 @@ def classify_critical_points(rf):
         else:
             gstar = None
         if gstar is not None:
-            disc = float(Fraction(1, 4) - gstar * gstar)
-            r1 = 0.5 - np.sqrt(disc)
-            r2 = 0.5 + np.sqrt(disc)
+            root = np.sqrt(float(Fraction(1, 4) - gstar * gstar))
             pts.append(CriticalPoint(
                 kind=PointKind.VerticalCircle,
-                signature=(_sign(d + b), _sign(d)),
-                sig_theta=_sign(d), sig_rho=_sign(d + b),
-                value=a - c * c / (4 * (b + d)),
-                locations=[(r1, theta0), (r2, theta0)]))
+                signature=(s_bd, s_d),
+                sig_theta=s_d, sig_rho=s_bd,
+                value=a - c2 / (4 * bd),
+                locations=[(0.5 - root, theta0), (0.5 + root, theta0)]))
     # poles: critical iff c = 0
     if c == 0:
         pts.append(CriticalPoint(
             kind=PointKind.Pole,
-            signature=(_sign(d + b), _sign(d)),
-            sig_theta=_sign(d + b), sig_rho=_sign(d),
+            signature=(s_bd, s_d),
+            sig_theta=s_bd, sig_rho=s_d,
             value=a,
             locations=[(0.0, 0.0), (1.0, 0.0)]))
     report = CriticalPointReport(region=region, points=pts,
@@ -701,13 +737,8 @@ def grid_verify(rf, report, n=400, tol=1e-6):
     missing, an extra point is found, or a signature disagrees.
     """
     numeric = _numeric_critical_points(rf, n=n)
-    expected = []
-    for pt in report.points:
-        for (r, t) in pt.locations:
-            if pt.kind is PointKind.Pole:
-                expected.append((r, t, pt.sig_theta, pt.sig_rho, pt))
-            else:
-                expected.append((r, t, pt.sig_theta, pt.sig_rho, pt))
+    expected = [(r, t, pt.sig_theta, pt.sig_rho, pt)
+                for pt in report.points for (r, t) in pt.locations]
     problems = []
     used = [False] * len(numeric)
     for (r, t, st, sr, pt) in expected:

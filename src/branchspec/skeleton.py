@@ -243,20 +243,24 @@ def find_crossings(p, am, x_max=WORK_DISK - 0.02):
             return (-2 * np.pi * x
                     - sign * (np.imag(am.S12(m)) - np.imag(am.S34(m))), m)
 
-        flo, _ = line_val(lo)
+        flo, m_lo = line_val(lo)
+        m_hi = None
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            at_end = mid == lo or mid == hi   # adjacent doubles: fixed point
+            if mid == lo or mid == hi:   # adjacent doubles: fixed point
+                break
             fmid, m_mid = line_val(mid)
             if np.sign(fmid) == np.sign(flo):
-                lo, flo = mid, fmid
+                lo, flo, m_lo = mid, fmid, m_mid
             else:
-                hi = mid
-            if at_end:
-                break
+                hi, m_hi = mid, m_mid
+        # at the fixed point x_star is a bracket end, whose curve point is
+        # known unless hi is still the traced sample
         x_star = 0.5 * (lo + hi)
-        if x_star == mid:   # the fixed point: its curve point is known
-            return m_mid
+        if x_star == lo:
+            return m_lo
+        if x_star == hi and m_hi is not None:
+            return m_hi
         return complex(x_star, _curve_y_at("1,4-", x_star, p, am))
 
     return crossing(+1.0), crossing(-1.0)

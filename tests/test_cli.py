@@ -135,6 +135,26 @@ def test_classify_scan(tmp_path):
     assert {"A", "B+", "C+"} <= regions
 
 
+def test_average_rejects_misspelt_key(tmp_path, capsys):
+    # "corelate_with" used to drop C silently and exit 0
+    cfg = _write(tmp_path, "c.json", {
+        "schema_version": 1, "x_poly": {"4,0": 1},
+        "corelate_with": {"0,4": 1}})
+    assert main(["average", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "corelate_with" in capsys.readouterr().err
+    assert not (tmp_path / "average.json").exists()
+
+
+def test_classify_scan_rejects_misspelt_key(tmp_path, capsys):
+    # "brange" used to scan the default [-4, 4, 200] b range silently
+    cfg = _write(tmp_path, "c.json", {
+        "schema_version": 1,
+        "scan": {"brange": [-1, 1, 3], "c_range": [-1, 1, 3], "d": 2.5}})
+    assert main(["classify", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "brange" in capsys.readouterr().err
+    assert not (tmp_path / "region_scan.csv").exists()
+
+
 def test_spectrum_command_small(tmp_path):
     cfg = _write(tmp_path, "c.json", {
         "schema_version": 1, "h": 0.05, "epsilon": 0.0,

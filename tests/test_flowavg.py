@@ -4,7 +4,10 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from branchspec import flowavg
 from branchspec.errors import DegenerateInput, Mismatch, NotInvariant
 from branchspec.flowavg import (
     REGION_SADDLES,
@@ -12,6 +15,7 @@ from branchspec.flowavg import (
     BalancedLaurent as BL,
     Loop,
     PointKind,
+    QQi,
     ReducedFunction,
     Region,
     action_perturbation,
@@ -290,3 +294,195 @@ def test_balanced_laurent_json_roundtrip():
     d = q.to_json_dict()
     back = BL.from_json_dict(d)
     assert back == q
+
+
+# ---------------------------------------------------------------------------
+# oracles: the all-pairs correlation (bracket every pair of terms, then
+# take the flow average) and the classification with every subexpression
+# written out where it is used
+
+
+def _poisson_all_pairs(f, g):
+    out = BL()
+    for (a1, a2, t1, t2), v1 in f.terms.items():
+        for (b1, b2, u1, u2), v2 in g.terms.items():
+            for j, sig in ((0, a1 * u1 - t1 * b1), (1, a2 * u2 - t2 * b2)):
+                if sig == 0:
+                    continue
+                key = [a1 + b1, a2 + b2, t1 + u1, t2 + u2]
+                key[j] -= 1
+                key[j + 2] -= 1
+                out._add(tuple(key), v1 * v2 * QQi(0, 2 * sig))
+    return out
+
+
+def _correlation_Cor_all_pairs(q1, q2):
+    out = {}
+    for (a1, a2, t1, t2), v1 in q1.terms.items():
+        k = (t1 + t2) - (a1 + a2)
+        bal = flow_average(_poisson_all_pairs(BL({(a1, a2, t1, t2): v1}), q2))
+        if not bal:
+            continue
+        out[k] = out.get(k, BL()) + bal
+        if not out[k]:
+            del out[k]
+    return out
+
+
+def _correlation_C_all_pairs(q1, q2):
+    out = BL()
+    for k, piece in _correlation_Cor_all_pairs(q1, q2).items():
+        if k:
+            out = out + piece * QQi(0, F(-1, k))
+    return out
+
+
+def _sign(x):
+    return 1 if x > 0 else (-1 if x < 0 else 0)
+
+
+def _classify_written_out(rf):
+    a, b, c, d = rf.a, rf.b, rf.c, rf.d
+    if d == 0:
+        raise DegenerateInput("d = 0", clause="d != 0")
+    if c != 0 and (b == 0 or b + d == 0):
+        raise DegenerateInput("c != 0 requires b != 0 and b+d != 0",
+                              clause="b != 0 and b+d != 0")
+    region = flowavg._region_of(b, c, d)
+    pts = [flowavg.CriticalPoint(
+        kind=PointKind.CrossingCf,
+        signature=(_sign(-c - b - d), _sign(-b - c)),
+        sig_theta=_sign(-b - c), sig_rho=_sign(-c - b - d),
+        value=a + (d + b) / 4 + c / 2, locations=[(0.5, 0.0)])]
+    pts.append(flowavg.CriticalPoint(
+        kind=PointKind.CrossingCb,
+        signature=(_sign(c - b - d), _sign(c - b)),
+        sig_theta=_sign(c - b), sig_rho=_sign(c - b - d),
+        value=a + (d + b) / 4 - c / 2, locations=[(0.5, np.pi)]))
+    if b != 0 and abs(c) < abs(b):
+        th = float(np.arccos(float(-c / b)))
+        pts.append(flowavg.CriticalPoint(
+            kind=PointKind.HorizontalCircle,
+            signature=(_sign(b), -_sign(d)),
+            sig_theta=_sign(b), sig_rho=-_sign(d),
+            value=a + d / 4 - c * c / (4 * b),
+            locations=[(0.5, th), (0.5, 2 * np.pi - th)]))
+    if b + d != 0 and c != 0:
+        t = c / (b + d)
+        if -1 < t < 0:
+            gstar, theta0 = -t / 2, 0.0
+        elif 0 < t < 1:
+            gstar, theta0 = t / 2, np.pi
+        else:
+            gstar = None
+        if gstar is not None:
+            disc = float(F(1, 4) - gstar * gstar)
+            pts.append(flowavg.CriticalPoint(
+                kind=PointKind.VerticalCircle,
+                signature=(_sign(d + b), _sign(d)),
+                sig_theta=_sign(d), sig_rho=_sign(d + b),
+                value=a - c * c / (4 * (b + d)),
+                locations=[(0.5 - np.sqrt(disc), theta0),
+                           (0.5 + np.sqrt(disc), theta0)]))
+    if c == 0:
+        pts.append(flowavg.CriticalPoint(
+            kind=PointKind.Pole,
+            signature=(_sign(d + b), _sign(d)),
+            sig_theta=_sign(d + b), sig_rho=_sign(d),
+            value=a, locations=[(0.0, 0.0), (1.0, 0.0)]))
+    return flowavg.CriticalPointReport(region=region, points=pts,
+                                       params={"a": a, "b": b, "c": c, "d": d})
+
+
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=8)
+X_MONOMIALS = st.tuples(*[st.integers(0, 6)] * 4).filter(lambda m: sum(m) <= 6)
+
+
+@st.composite
+def real_laurent(draw):
+    """A real x-polynomial of degree 0-6 with rational coefficients, plus
+    real terms carrying a matched negative exponent |z_j|^{-2n}."""
+    q = zpoly_from_x(draw(st.dictionaries(X_MONOMIALS, RATIONALS,
+                                          min_size=1, max_size=4)))
+    for _ in range(draw(st.integers(0, 2))):
+        j = draw(st.integers(0, 1))
+        n = draw(st.integers(1, 2))
+        a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        key = [a, a, b, b]
+        key[j] = key[j + 2] = -n
+        c = draw(RATIONALS)
+        q = q + BL({tuple(key): c}) + BL({tuple(key): c}).conj()
+    return q
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(q1=real_laurent(), q2=real_laurent())
+def test_correlation_equals_all_pairs_oracle(q1, q2):
+    assert q1.is_real() and q2.is_real()
+    assert correlation_Cor(q1, q2) == _correlation_Cor_all_pairs(q1, q2)
+    c12 = correlation_C(q1, q2)
+    assert c12 == _correlation_C_all_pairs(q1, q2)
+    assert c12 == correlation_C(q2, q1)
+    assert poisson(q1, q2) == _poisson_all_pairs(q1, q2)
+
+
+def _quartic(coeffs):
+    return zpoly_from_x(dict(zip([(4, 0), (0, 4), (3, 1), (1, 3), (2, 2)],
+                                 coeffs)))
+
+
+def test_correlation_brackets_only_frequency_matched_pairs(monkeypatch):
+    q1, q2 = _quartic([1, -2, 3, -1, 2]), _quartic([-3, 1, 2, 2, -1])
+    assert len(q1.terms) == len(q2.terms) == 35     # 1225 pairs in all
+    pairs, products = [], [0]
+    bracket, mul = flowavg._bracket_into, QQi.__mul__
+
+    def counted_bracket(out, f_terms, g_terms):
+        pairs.extend((flowavg._frequency(kf), flowavg._frequency(kg))
+                     for kf, _ in f_terms for kg, _ in g_terms)
+        bracket(out, f_terms, g_terms)
+
+    def counted_mul(self, o):
+        products[0] += 1
+        return mul(self, o)
+
+    monkeypatch.setattr(flowavg, "_bracket_into", counted_bracket)
+    monkeypatch.setattr(QQi, "__mul__", counted_mul)
+    cor = correlation_Cor(q1, q2)
+    assert all(k1 + k2 == 0 for k1, k2 in pairs)
+    assert len(pairs) == 5 * 5 + 8 * 8 + 9 * 9 + 8 * 8 + 5 * 5 == 259
+    pairs.clear()
+    products[0] = 0
+    c = correlation_C(q1, q2)
+    assert all(k1 + k2 == 0 and k1 != 0 for k1, k2 in pairs)
+    assert len(pairs) == 259 - 9 * 9 == 178
+    assert products[0] <= 178     # one Gaussian-rational product per pair
+    monkeypatch.undo()
+    assert cor == _correlation_Cor_all_pairs(q1, q2)
+    assert c == _correlation_C_all_pairs(q1, q2)
+
+
+# small denominators, so that d = 0, b = 0, b + d = 0, c = 0 and the
+# separating lines are all drawn
+GRID_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(a=GRID_RATIONALS, b=GRID_RATIONALS, c=GRID_RATIONALS)
+def test_classification_equals_written_out_oracle(a, b, c):
+    rf = ReducedFunction(a, b, c)
+    try:
+        want = _classify_written_out(rf)
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            classify_critical_points(rf)
+        return
+    got = classify_critical_points(rf)
+    assert got.region is want.region
+    assert got.params == want.params
+    assert len(got.points) == len(want.points)
+    for g, w in zip(got.points, want.points):
+        assert (g.kind, g.signature, g.sig_theta, g.sig_rho) == \
+            (w.kind, w.signature, w.sig_theta, w.sig_rho)
+        assert type(g.value) is F and g.value == w.value
+        assert repr(g.locations) == repr(w.locations)

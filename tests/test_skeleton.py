@@ -317,8 +317,8 @@ def test_crossings_bitwise_equal_to_full_bisection(seed, h):
 
 
 def test_crossings_reuse_the_fixed_point_solve(monkeypatch):
-    # the bisection ends on a midpoint it has just solved; the crossing
-    # reuses that curve point instead of solving it a second time
+    # the bisection ends when the midpoint equals a bracket end; the
+    # crossing reuses that end's curve point instead of solving it again
     p = params()
     am = physical_model(0)
     calls = []
@@ -331,9 +331,9 @@ def test_crossings_reuse_the_fixed_point_solve(monkeypatch):
     monkeypatch.setattr(skeleton, "_curve_y_at", counted)
     crossings = find_crossings(p, am)
     assert all(mu is not None for mu in crossings)
-    # each crossing abscissa is solved as a bracket end and again as the
-    # fixed-point midpoint; a closing solve at x_star made it three
-    assert [calls.count(mu.real) for mu in crossings] == [2, 2]
-    assert calls[-1] == crossings[1].real     # mu_B is the last midpoint
+    # each crossing abscissa is solved once, as a bracket end; solving it
+    # again as the fixed-point midpoint made it two, a closing solve three
+    assert [calls.count(mu.real) for mu in crossings] == [1, 1]
+    assert len(calls) == 96
     monkeypatch.setattr(skeleton, "_curve_y_at", solve)
     assert repr(crossings) == repr(_find_crossings_reference(p, am))
