@@ -21,6 +21,7 @@ from .quantization import (
     BSBranch,
     SemiclassicalParams,
     bohr_sommerfeld_solve,
+    bs_seeds,
 )
 from .skeleton import assemble, curve_residual, export_csv, export_json
 from .zerocount import (
@@ -159,10 +160,11 @@ def _bs_roots_in_strip(p, am, branch, x_lo, x_hi):
 
     k_lo = int(np.floor(min(phase(x_lo), phase(x_hi)) / (2 * np.pi * p.h) - 0.5))
     k_hi = int(np.ceil(max(phase(x_lo), phase(x_hi)) / (2 * np.pi * p.h) - 0.5))
+    ks = range(k_lo - 1, k_hi + 2)
     roots = []
-    for k in range(k_lo - 1, k_hi + 2):
+    for k, seed in zip(ks, bs_seeds(branch, ks, p, am)):
         try:
-            r = bohr_sommerfeld_solve(branch, k, p, am)
+            r = bohr_sommerfeld_solve(branch, k, p, am, seed=seed)
         except BranchspecError:
             continue
         if x_lo <= r.mu.real <= x_hi:
@@ -286,13 +288,16 @@ def cmd_bs(cfg, out, svg, check):
         raise ConfigError("branch must be ext|leftint|rightint")
     k_min = int(_require(cfg, "k_min", int))
     k_max = int(_require(cfg, "k_max", int))
+    ks = range(k_min, k_max + 1)
     rows = []
-    for k in range(k_min, k_max + 1):
+    failures = []
+    for k, seed in zip(ks, bs_seeds(branch, ks, p, am)):
         try:
-            r = bohr_sommerfeld_solve(branch, k, p, am)
+            r = bohr_sommerfeld_solve(branch, k, p, am, seed=seed)
             rows.append((k, r.mu.real, r.mu.imag, r.residual, r.converged))
         except BranchspecError as exc:
             rows.append((k, float("nan"), float("nan"), float("nan"), False))
+            failures.append(f"k={k}: {type(exc).__name__}: {exc}")
     with open(out / "bs_roots.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "re", "im", "residual", "converged"])
@@ -300,24 +305,31 @@ def cmd_bs(cfg, out, svg, check):
             w.writerow([row[0], repr(float(row[1])), repr(float(row[2])),
                         repr(float(row[3])), int(row[4])])
     if check:
-        if not all(r[4] for r in rows):
-            raise CheckFailure("some Bohr-Sommerfeld roots did not converge")
+        if failures:
+            raise CheckFailure(f"{len(failures)} Bohr-Sommerfeld roots did "
+                               f"not converge, first {failures[0]}")
         if any(r[3] > calibration.CALIBRATION["bs_residual_tol"]
                for r in rows if r[4]):
             raise CheckFailure("Bohr-Sommerfeld residual above tolerance")
     return 0
 
 
-def _parse_xpoly(raw):
+def _parse_xpoly(raw, where):
+    if not isinstance(raw, dict):
+        raise ConfigError(f"'{where}' must be an object of monomials")
     out = {}
     for key, val in raw.items():
-        parts = tuple(int(s) for s in key.split(","))
+        try:
+            parts = tuple(int(s) for s in key.split(","))
+            if isinstance(val, list) and len(val) == 2:
+                coeff = Fraction(int(val[0]), int(val[1]))
+            else:
+                coeff = Fraction(val)
+        except (ValueError, TypeError, ZeroDivisionError):
+            raise ConfigError(f"bad term '{key}': {val!r} in '{where}'")
         if len(parts) not in (2, 4):
             raise ConfigError(f"bad monomial key '{key}'")
-        if isinstance(val, list) and len(val) == 2:
-            out[parts] = Fraction(int(val[0]), int(val[1]))
-        else:
-            out[parts] = Fraction(val)
+        out[parts] = coeff
     return out
 
 
@@ -377,13 +389,14 @@ def cmd_average(cfg, out, svg, check):
         if bad:
             raise CheckFailure(f"golden identities failed: {bad}")
         return 0
-    q = zpoly_from_x(_parse_xpoly(_require(cfg, "x_poly", dict)))
+    q = zpoly_from_x(_parse_xpoly(_require(cfg, "x_poly"), "x_poly"))
     doc = {
         "average": flow_average(q).to_json_dict(),
         "G0": weighted_average_G0(q).to_json_dict(),
     }
     if "correlate_with" in cfg:
-        q2 = zpoly_from_x(_parse_xpoly(cfg["correlate_with"]))
+        q2 = zpoly_from_x(_parse_xpoly(cfg["correlate_with"],
+                                       "correlate_with"))
         doc["C"] = correlation_C(q, q2).to_json_dict()
     _write_json(out / "average.json", doc)
     if check:
@@ -401,22 +414,31 @@ def cmd_classify(cfg, out, svg, check):
     )
 
     def frac(v):
-        if isinstance(v, list) and len(v) == 2:
-            return Fraction(int(v[0]), int(v[1]))
-        return Fraction(str(v))
+        try:
+            if isinstance(v, list) and len(v) == 2:
+                return Fraction(int(v[0]), int(v[1]))
+            return Fraction(str(v))
+        except (ValueError, TypeError, ZeroDivisionError):
+            raise ConfigError(f"not a rational: {v!r}")
 
-    def grid(lo, hi, n):
-        return [(float(x), Fraction(str(round(float(x), 9))))
-                for x in np.linspace(lo, hi, int(n))]
+    def grid(scan, key, default):
+        r = scan.get(key, default)
+        if not (isinstance(r, list) and len(r) == 3):
+            raise ConfigError(f"scan '{key}' must be [lo, hi, n]")
+        try:
+            xs = np.linspace(r[0], r[1], int(r[2]))
+        except (ValueError, TypeError):
+            raise ConfigError(f"bad scan '{key}': {r!r}")
+        return [(float(x), Fraction(str(round(float(x), 9)))) for x in xs]
 
     _check_keys(cfg, {"schema_version", "a", "b", "c", "scan"})
     if "scan" in cfg:
         scan = _require(cfg, "scan", dict)
         _check_keys(scan, {"b_range", "c_range", "d"}, "scan")
-        cols = grid(*scan.get("c_range", [-4, 4, 200]))
+        cols = grid(scan, "c_range", [-4, 4, 200])
         d = frac(scan.get("d", 2.5))
         rows = []
-        for b, bq in grid(*scan.get("b_range", [-4, 4, 200])):
+        for b, bq in grid(scan, "b_range", [-4, 4, 200]):
             aq = (bq / 2 - d) / 2
             for c, cq in cols:
                 try:

@@ -90,14 +90,6 @@ class ActionModel:
     def dS34(self, mu):
         return npoly.polyval(mu, npoly.polyder(self.s34))
 
-    def check_physical(self, p, C=10.0):
-        """Im S = O(eps + h^2/eps) at mu in {-0.1, 0, 0.1}."""
-        scale = C * (p.width + 1e-15)
-        mus = np.array([-0.1, 0.0, 0.1])
-        vals = np.concatenate([np.atleast_1d(self.S12(mus)),
-                               np.atleast_1d(self.S34(mus))])
-        return bool(np.max(np.abs(vals.imag)) <= scale)
-
     def mirrored(self):
         """Model with S_jk(mu) -> conj(S_jk(conj mu)) (conjugate coefficients)."""
         return ActionModel(np.conj(self.s12), np.conj(self.s34),
@@ -114,10 +106,6 @@ class Regime(enum.Enum):
     @property
     def is_case1(self):
         return self in (Regime.Case1Large, Regime.Case1Small)
-
-    @property
-    def is_small(self):
-        return self in (Regime.Case1Small, Regime.Case2Small)
 
 
 CASE1_LABELS = ("1", "2", "3", "4+", "4-")
@@ -371,15 +359,24 @@ class BSRoot:
     converged: bool
 
 
-def _bs_target(branch, mu, p, am, k):
+def _bs_phase(branch, mu, p, am):
+    """The branch's Bohr-Sommerfeld phase: _bs_target without its rhs."""
     h = p.h
-    rhs = 2 * np.pi * h * (k + 0.5)
     rem = _remainder(mu, h, StirlingRegime.MinusBranch)
     if branch is BSBranch.Ext:
         return (am.S12(mu) + am.S34(mu) + 2 * mu * (np.log(-mu) - 1)
-                + np.pi * h / 2 + 2j * h * rem - rhs)
+                + np.pi * h / 2 + 2j * h * rem)
     s = am.S34(mu) if branch is BSBranch.LeftInt else am.S12(mu)
-    return mu * np.log(mu) - mu + np.pi * h / 4 + s + 1j * h * rem - rhs
+    return mu * np.log(mu) - mu + np.pi * h / 4 + s + 1j * h * rem
+
+
+def _bs_rhs(p, k):
+    return 2 * np.pi * p.h * (k + 0.5)
+
+
+def _bs_target(branch, mu, p, am, k):
+    # the rhs is the last operation, so the phase serves every k bit for bit
+    return _bs_phase(branch, mu, p, am) - _bs_rhs(p, k)
 
 
 def _in_sector(branch, mu, p, c=1.0):
@@ -388,38 +385,57 @@ def _in_sector(branch, mu, p, c=1.0):
     return mu.real >= 1.5 * p.h and abs(mu.imag) <= c * abs(mu.real)
 
 
-def bohr_sommerfeld_solve(branch, k, p, am, x_max=0.45, max_iter=60,
-                          tol=CALIBRATION["bs_residual_tol"]):
-    """Newton solution of the branch quantization condition for index k.
+def bs_seeds(branch, ks, p, am, x_max=0.45):
+    """Real-axis Newton seeds of the leading equation for every k in ks.
 
-    Seeds from a real-axis bisection of the leading equation; raises
-    SectorEscape if the iterate leaves the branch's truncated sector and
-    NoConvergence (carrying the last iterate) after max_iter steps.
+    One 400-point grid of the phase serves all k: each k bisects the
+    first sign change of phase - rhs_k, all k in lockstep as one array,
+    until its bracket is two adjacent doubles (or after 60 steps).  A k
+    with no sign change gets NaN.
     """
-    h = p.h
+    rhs = _bs_rhs(p, np.asarray(ks))
     sgn = -1.0 if branch is BSBranch.Ext else 1.0
-    xs = sgn * np.geomspace(1.8 * h, x_max, 400)
-    vals = np.real(_bs_target(branch, xs + 0j, p, am, k))
-    sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
-    if len(sign_change) == 0:
-        raise NoConvergence(
-            f"no real seed for {branch.name} k={k}", last=None)
-    i = sign_change[0]
+    xs = sgn * np.geomspace(1.8 * p.h, x_max, 400)
+    phase = np.real(_bs_phase(branch, xs + 0j, p, am))
+    signs = np.sign(phase - rhs[:, None])
+    change = np.diff(signs, axis=1) != 0
+    found = change.any(axis=1)
+    i = change.argmax(axis=1)
     lo, hi = xs[i], xs[i + 1]
     # lo only moves to a mid of its own sign, so sign f(lo) is fixed; once
     # mid hits an end the bracket is two adjacent doubles and no later
     # step can change it
-    sign_lo = np.sign(np.real(_bs_target(branch, lo + 0j, p, am, k)))
+    sign_lo = signs[np.arange(len(rhs)), i]
+    active = np.flatnonzero(found)
     for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        at_end = mid == lo or mid == hi
-        if np.sign(np.real(_bs_target(branch, mid + 0j, p, am, k))) == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-        if at_end:
+        mid = 0.5 * (lo[active] + hi[active])
+        at_end = (mid == lo[active]) | (mid == hi[active])
+        active, mid = active[~at_end], mid[~at_end]
+        if len(active) == 0:
             break
-    mu = complex(0.5 * (lo + hi))
+        f = np.real(_bs_phase(branch, mid + 0j, p, am)) - rhs[active]
+        same = np.sign(f) == sign_lo[active]
+        lo[active[same]] = mid[same]
+        hi[active[~same]] = mid[~same]
+    return np.where(found, 0.5 * (lo + hi), np.nan)
+
+
+def bohr_sommerfeld_solve(branch, k, p, am, x_max=0.45, max_iter=60,
+                          tol=CALIBRATION["bs_residual_tol"], seed=None):
+    """Newton solution of the branch quantization condition for index k.
+
+    Seeds from bs_seeds unless given its real seed for this k (NaN for
+    none); raises SectorEscape if the iterate leaves the branch's
+    truncated sector and NoConvergence (carrying the last iterate) after
+    max_iter steps.
+    """
+    h = p.h
+    if seed is None:
+        seed, = bs_seeds(branch, [k], p, am, x_max)
+    if np.isnan(seed):
+        raise NoConvergence(
+            f"no real seed for {branch.name} k={k}", last=None)
+    mu = complex(seed)
 
     delta = h * 1e-3
     for it in range(max_iter):

@@ -9,6 +9,7 @@ the small form is simply better conditioned near mu = 0.
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,17 +146,18 @@ def solve_curve(prob, x, h=1e-3):
     return _solve_one(residual, x, h)
 
 
-def default_steps(p, x_lo, x_hi, refine_near=(), refine_factor=4.0):
-    """Adaptive abscissas with step h/(4 ln(1/<x>_h)), refined x4 near
-    the points in refine_near (within 10 coarse steps)."""
+def default_steps(p, x_lo, x_hi):
+    """Adaptive abscissas with step h/(4 ln(1/<x>_h)), on Python floats.
+
+    np.log stays: math.log rounds differently on some arguments (about 3
+    in 10^4), and one such step moves every later sample.
+    """
     h = p.h
-    xs = [x_lo]
-    while xs[-1] < x_hi:
-        x = xs[-1]
-        step = h / (4.0 * np.log(1.0 / mu_h_norm(x, h)))
-        if any(abs(x - c) < 10 * step for c in refine_near):
-            step /= refine_factor
-        xs.append(x + step)
+    x = x_lo
+    xs = [x]
+    while x < x_hi:
+        x += h / (4.0 * np.log(1.0 / math.sqrt(h * h + abs(x) ** 2)))
+        xs.append(x)
     xs[-1] = x_hi
     return np.array(xs)
 
@@ -177,7 +179,7 @@ class SkeletonCurve:
         return (x >= self.xs[0]) & (x <= self.xs[-1])
 
 
-def trace_gamma(pair, p, am, x_range, step_rule=None, refine_near=()):
+def trace_gamma(pair, p, am, x_range):
     """Trace Gamma_pair over x_range = (x_lo, x_hi).
 
     Samples that fail to converge are dropped and recorded in .gaps.
@@ -189,14 +191,7 @@ def trace_gamma(pair, p, am, x_range, step_rule=None, refine_near=()):
         x_hi = SMALL_C1 * p.h
     if x_hi <= x_lo:
         raise ValueError(f"empty x-range for pair {pair}")
-    if step_rule is None:
-        xs = default_steps(p, x_lo, x_hi, refine_near=refine_near)
-    else:
-        xs = [x_lo]
-        while xs[-1] < x_hi:
-            xs.append(xs[-1] + step_rule(xs[-1]))
-        xs[-1] = x_hi
-        xs = np.array(xs)
+    xs = default_steps(p, x_lo, x_hi)
     ys, ok = _newton_y(lambda mu: curve_residual(pair, mu, p, am),
                        xs, p.h)
     # clip samples that drift into the forbidden cone of the large-regime

@@ -199,3 +199,97 @@ def test_csv_cells_are_plain_floats(tmp_path):
         assert rows
         for row in rows:
             [float(cell) for cell in row.split(",")]
+
+
+@pytest.mark.parametrize("field,value", [
+    ("b", "x"),
+    ("scan", {"b_range": [-1, 1], "c_range": [-1, 1, 3], "d": 2.5}),
+    ("scan", {"b_range": [-1, 1, 3], "c_range": [-1, 1, 3], "d": [1, 0]}),
+])
+def test_classify_rejects_malformed_values(tmp_path, capsys, field, value):
+    # each used to escape as a TypeError/ValueError traceback (exit 1)
+    cfg = {"schema_version": 1, "a": -1, "b": 1, "c": [1, 2]}
+    if field == "scan":
+        cfg = {"schema_version": 1}
+    cfg[field] = value
+    path = _write(tmp_path, "c.json", cfg)
+    assert main(["classify", "--config", path, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+
+
+@pytest.mark.parametrize("x_poly", [{"a,b": 1}, {"4,0": "x"}, {"4,0": [1, 0]}])
+def test_average_rejects_malformed_terms(tmp_path, capsys, x_poly):
+    path = _write(tmp_path, "c.json", {"schema_version": 1, "x_poly": x_poly})
+    assert main(["average", "--config", path, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert not (tmp_path / "average.json").exists()
+
+
+BS_ZERO = {"schema_version": 1, "h": 0.01, "S12": [0.0], "S34": [0.0],
+           "branch": "leftint"}
+
+
+def test_bs_check_names_the_first_failed_k(tmp_path, capsys):
+    # the zero-action LeftInt phase stays below 2 pi h (k + 1/2) for
+    # k >= -1 on the seed grid, so k = -1 has no real seed
+    cfg = _write(tmp_path, "c.json", dict(BS_ZERO, k_min=-3, k_max=-1))
+    assert main(["bs", "--config", cfg, "--out", str(tmp_path),
+                 "--check"]) == 4
+    err = capsys.readouterr().err
+    assert "k=-1" in err and "no real seed" in err
+    rows = (tmp_path / "bs_roots.csv").read_text().strip().splitlines()
+    assert rows[-1] == "-1,nan,nan,nan,0"
+    assert len(rows) == 4
+
+
+def _counting(monkeypatch, module, name):
+    fn = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_bs_solves_go_through_the_cli_name_once_per_k(tmp_path, monkeypatch):
+    # the benchmark tracer counts BS solves at cli.bohr_sommerfeld_solve
+    from branchspec import cli
+    from branchspec.quantization import BSBranch, SemiclassicalParams
+
+    solves = _counting(monkeypatch, cli, "bohr_sommerfeld_solve")
+    seeds = _counting(monkeypatch, cli, "bs_seeds")
+    cfg = _write(tmp_path, "c.json", dict(BS_ZERO, k_min=-14, k_max=-1))
+    assert main(["bs", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert [args[1] for args, _ in solves] == list(range(-14, 0))
+    assert all("seed" in kwargs for _, kwargs in solves)
+    assert len(seeds) == 1
+
+    solves.clear()
+    seeds.clear()
+    p = SemiclassicalParams(h=0.01, epsilon=0.03)
+    am = cli._action_model(MODEL_CFG)
+    roots = cli._bs_roots_in_strip(p, am, BSBranch.RightInt, 0.05, 0.2)
+    assert len(seeds) == 1
+    tried = list(seeds[0][0][1])
+    assert tried == list(range(tried[0], tried[-1] + 1))
+    assert [args[1] for args, _ in solves] == tried
+    assert {r.k for r in roots} <= set(tried)
+
+
+def test_bs_job_phase_call_budget(tmp_path, monkeypatch):
+    # a curves-benchmark-sized job: h = 3e-4, 31 k on 0.01 <= Re mu <= 0.025;
+    # one seed grid and one lockstep bisection, then three evaluations per
+    # Newton step (the per-k seed bisections made about 2,000)
+    from branchspec import quantization
+
+    calls = _counting(monkeypatch, quantization, "_bs_phase")
+    cfg = dict(BS_ZERO, h=3e-4, epsilon=0.03, branch="rightint",
+               S12=[[0.01, 0.02], [0.1, 0.0]], S34=[[-0.02, 0.015]],
+               k_min=-55, k_max=-25)
+    path = _write(tmp_path, "c.json", cfg)
+    assert main(["bs", "--config", path, "--out", str(tmp_path),
+                 "--check"]) == 0
+    assert len(calls) < 700

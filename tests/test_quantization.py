@@ -432,17 +432,60 @@ def test_bs_roots_bitwise_equal_to_full_bisection(seed, h, x, dk, branch):
 def test_bs_seed_bisection_call_budget(branch, monkeypatch):
     p = params(h=1e-3, eps=3e-2)
     am = _physical(4, p.epsilon)
-    target = quantization._bs_target
+    phase = quantization._bs_phase
     calls = []
 
+    # every evaluation, scalar target or array grid and bisection step,
+    # goes through the phase
     def counting(br, mu, *args):
-        if np.ndim(mu) == 0:
-            calls.append(mu)
-        return target(br, mu, *args)
+        calls.append(mu)
+        return phase(br, mu, *args)
 
-    monkeypatch.setattr(quantization, "_bs_target", counting)
+    monkeypatch.setattr(quantization, "_bs_phase", counting)
     for x in (0.01, 0.05, 0.2):
         calls.clear()
         r = bohr_sommerfeld_solve(branch, _k_near(branch, x, p, am), p, am)
         # Newton: three evaluations per iteration plus the converged one
         assert len(calls) - (3 * r.iterations + 1) <= 64
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 20),
+       h=st.sampled_from([1e-2, 1e-3, 3e-4]),
+       x=st.one_of(st.floats(0.004, 0.3), st.sampled_from(["grid_lo", 0.45])),
+       lo=st.integers(-8, 0), n=st.integers(0, 12),
+       branch=st.sampled_from(list(BSBranch)))
+def test_bs_family_equals_per_k_reference(seed, h, x, lo, n, branch):
+    # whole k-ranges, near the grid ends too, where some k have no real
+    # seed: one bs_seeds call plus one Newton per k must equal the
+    # original per-k solver bit for bit, failures included
+    p = params(h=h, eps=3e-2)
+    am = _physical(seed, p.epsilon)
+    if x == "grid_lo":
+        x = 1.8 * h
+    k0 = _k_near(branch, x, p, am)
+    ks = range(k0 + lo, k0 + lo + n)
+    seeds = quantization.bs_seeds(branch, ks, p, am)
+    assert seeds.shape == (len(ks),)
+    for k, seed_k in zip(ks, seeds):
+        try:
+            want = _bs_solve_reference(branch, k, p, am)
+        except BranchspecError as exc:
+            with pytest.raises(type(exc)) as got:
+                bohr_sommerfeld_solve(branch, k, p, am, seed=seed_k)
+            assert repr(got.value.last) == repr(exc.last)
+            continue
+        r = bohr_sommerfeld_solve(branch, k, p, am, seed=seed_k)
+        assert repr((r.mu, r.residual, r.iterations)) == repr(want)
+
+
+def test_bs_family_marks_k_without_a_real_seed():
+    # the zero-action LeftInt phase decreases from about -0.08 at the
+    # first grid point (h = 0.01), so k >= -1 has no sign change
+    p = params(h=0.01)
+    seeds = quantization.bs_seeds(BSBranch.LeftInt, range(-3, 2), p, ZERO_AM)
+    assert np.isfinite(seeds[:2]).all() and np.isnan(seeds[2:]).all()
+    with pytest.raises(NoConvergence, match="no real seed") as info:
+        bohr_sommerfeld_solve(BSBranch.LeftInt, -1, p, ZERO_AM, seed=seeds[2])
+    assert info.value.last is None
+    assert quantization.bs_seeds(BSBranch.Ext, [], p, ZERO_AM).shape == (0,)

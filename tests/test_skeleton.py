@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from branchspec import skeleton
@@ -14,6 +14,7 @@ from branchspec.skeleton import (
     assemble,
     assemble_case2,
     curve_residual,
+    default_steps,
     find_crossings,
     mu_h_norm,
     solve_curve,
@@ -337,3 +338,28 @@ def test_crossings_reuse_the_fixed_point_solve(monkeypatch):
     assert len(calls) == 96
     monkeypatch.setattr(skeleton, "_curve_y_at", solve)
     assert repr(crossings) == repr(_find_crossings_reference(p, am))
+
+
+def _default_steps_reference(p, x_lo, x_hi):
+    """default_steps as a numpy-scalar recurrence, before it moved to
+    Python floats."""
+    h = p.h
+    xs = [x_lo]
+    while xs[-1] < x_hi:
+        x = xs[-1]
+        xs.append(x + h / (4.0 * np.log(1.0 / mu_h_norm(x, h))))
+    xs[-1] = x_hi
+    return np.array(xs)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(h=st.floats(1e-4, 1e-2), a=st.floats(-0.3, 0.3),
+       b=st.floats(-0.3, 0.3))
+# math.log in place of np.log moves a sample of this range by one ulp
+@example(h=0.004284403649780654, a=0.11322145859240818,
+         b=0.27249910194012367)
+def test_default_steps_bitwise_equal_to_numpy_recurrence(h, a, b):
+    p = SemiclassicalParams(h=h)
+    x_lo, x_hi = min(a, b), max(a, b)
+    got = default_steps(p, x_lo, x_hi)
+    assert got.tobytes() == _default_steps_reference(p, x_lo, x_hi).tobytes()
