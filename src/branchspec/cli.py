@@ -3,6 +3,7 @@ average | classify, with JSON configs, CSV/JSON/SVG outputs, and a
 --check mode that runs each pipeline's acceptance assertions.
 
 Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 failed check.
+The config keys of each command, with their defaults, are in SCHEMAS.
 """
 
 import argparse
@@ -20,6 +21,7 @@ from .quantization import (
     ActionModel,
     BSBranch,
     SemiclassicalParams,
+    _bs_phase,
     bohr_sommerfeld_solve,
     bs_seeds,
 )
@@ -38,66 +40,165 @@ class ConfigError(Exception):
     pass
 
 
-def _load_config(path):
+# --- config schema --------------------------------------------------------
+# SCHEMAS maps each command to one table, key -> (parser, default).  A
+# parser returns a JSON value normalized; its ValueError or TypeError on a
+# bad value becomes a ConfigError naming the key.  A default is parsed like
+# a given value unless it is None (the key stays None) or REQUIRED; one
+# that is callable is called, with the keys before it, at load time.
+
+REQUIRED = object()
+
+
+def _unless(other):
+    """Default of a key that is required unless `other` is set."""
+    return lambda cfg: None if cfg[other] else REQUIRED
+
+
+def _fill(raw, table, where="config"):
+    """`raw` checked against `table`, with every key parsed or defaulted."""
+    if type(raw) is not dict:
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(raw) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown {where} keys {unknown}")
+    cfg = {}
+    for key, (parse, default) in table.items():
+        val = raw[key] if key in raw else (
+            default(cfg) if callable(default) else default)
+        if val is REQUIRED:
+            raise ConfigError(f"missing config key '{key}'")
+        try:
+            cfg[key] = parse(val) if key in raw or val is not None else None
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            raise ConfigError(f"bad '{key}' {val!r}: {exc}")
+    return cfg
+
+
+def _typed(types, what, convert=None):
+    """Parser of a JSON value of one of `types` (true is not a number)."""
+    def parse(raw):
+        if type(raw) not in types:
+            raise TypeError(f"must be {what}")
+        return convert(raw) if convert else raw
+    return parse
+
+
+_real = _typed((int, float), "a number", float)
+_integer = _typed((int,), "an integer")
+_flag = _typed((bool,), "true or false")
+_text = _typed((str,), "a string")
+_branch = _typed((str,), "ext|leftint|rightint", lambda s: BSBranch(s.lower()))
+
+
+def _reals(n=None):
+    """Parser of a nonempty list of numbers (n if given), kept as written."""
+    def parse(raw):
+        if (type(raw) is not list or not raw or n not in (None, len(raw))
+                or any(type(v) not in (int, float) for v in raw)):
+            raise TypeError(f"must be a list of {n or 'one or more'} numbers")
+        return raw
+    return parse
+
+
+def _version(raw):
+    if raw != calibration.SCHEMA_VERSION:
+        raise ValueError(f"only {calibration.SCHEMA_VERSION} is supported")
+    return raw
+
+
+def _complex_coeffs(raw):
+    """Numbers or [re, im] pairs, as complex coefficients."""
+    if type(raw) is not list or not raw:
+        raise TypeError("must be a list of numbers or [re, im] pairs")
+    pairs = [v if type(v) is list and len(v) == 2 else [v, 0] for v in raw]
+    return [complex(_real(re), _real(im)) for re, im in pairs]
+
+
+def _rational(raw):
+    """A number, a string such as "1/3", or [num, den], as a Fraction."""
+    if type(raw) is list and len(raw) == 2:
+        return Fraction(int(raw[0]), int(raw[1]))
+    return Fraction(str(raw))
+
+
+def _xpoly(raw):
+    """{"i,j": coefficient} (or "i,j,k,l"), as {exponents: Fraction}."""
+    if type(raw) is not dict:
+        raise TypeError("must be an object of monomials")
+    out = {}
+    for mono, val in raw.items():
+        parts = tuple(int(s) for s in mono.split(","))
+        if len(parts) not in (2, 4):
+            raise ValueError(f"bad monomial key '{mono}'")
+        out[parts] = _rational(val) if type(val) is list else Fraction(val)
+    return out
+
+
+def _grid(raw):
+    """A scan range [lo, hi, n], as n (float, Fraction) points."""
+    if type(raw) is not list or len(raw) != 3:
+        raise TypeError("must be [lo, hi, n]")
+    return [(float(x), Fraction(str(round(float(x), 9))))
+            for x in np.linspace(raw[0], raw[1], int(raw[2]))]
+
+
+_VERSION = {"schema_version": (_version, calibration.SCHEMA_VERSION)}
+# h, epsilon, the actions and the body: shared by the four model commands
+_MODEL = {**_VERSION, "h": (_real, REQUIRED), "epsilon": (_real, 0.0),
+          "S12": (_complex_coeffs, REQUIRED),
+          "S34": (_complex_coeffs, REQUIRED), "description": (_text, ""),
+          "C_body": (_real, lambda cfg: calibration.CALIBRATION["body_C"])}
+_SCAN = {"b_range": (_grid, [-4, 4, 200]), "c_range": (_grid, [-4, 4, 200]),
+         "d": (_rational, 2.5)}
+SCHEMAS = {
+    "spectrum": {**_VERSION, "h": (_real, REQUIRED), "epsilon": (_real, 0.0),
+                 "V": (_reals(), REQUIRED), "W": (_reals(), REQUIRED),
+                 "L": (_real, 2.5), "N": (_integer, 800),
+                 "dN": (_integer, lambda cfg: max(8, cfg["N"] // 10)),
+                 "window": (_reals(2), [-0.2, 0.2])},
+    "model": {**_MODEL, "rectangle": (_reals(4), [-0.2, 0.2, -0.05, 0.05]),
+              "cell_budget": (_integer, lambda cfg:
+                              calibration.CALIBRATION["cell_budget"])},
+    "skeleton": _MODEL,
+    "count": {**_MODEL, "rectangle": (_reals(4), REQUIRED)},
+    "bs": {**_MODEL, "branch": (_branch, "leftint"),
+           "k_min": (_integer, REQUIRED), "k_max": (_integer, REQUIRED)},
+    "average": {**_VERSION, "golden_check": (_flag, False),
+                "x_poly": (_xpoly, _unless("golden_check")),
+                "correlate_with": (_xpoly, None)},
+    "classify": {**_VERSION,
+                 "scan": (lambda raw: _fill(raw, _SCAN, "scan"), None),
+                 **{k: (_rational, _unless("scan")) for k in "abc"}},
+}
+
+
+def _load_config(path, command):
+    """The config file at `path`, filled in by the command's table."""
     if path is None:
         raise ConfigError("--config FILE is required")
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            # NaN and Infinity are not JSON; as strings no parser takes them
+            raw = json.load(fh, parse_constant=str)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}")
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    if cfg.get("schema_version", 1) != 1:
-        raise ConfigError("unsupported schema_version")
-    return cfg
+    return _fill(raw, SCHEMAS[command])
 
 
-def _require(cfg, key, typ=None):
-    if key not in cfg:
-        raise ConfigError(f"missing config key '{key}'")
-    val = cfg[key]
-    if typ is not None and not isinstance(val, typ):
-        raise ConfigError(f"config key '{key}' has wrong type")
-    return val
-
-
-def _check_keys(cfg, allowed, where="config"):
-    """Reject keys outside `allowed`, so that a misspelt key fails instead
-    of silently taking its default."""
-    unknown = sorted(set(cfg) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown {where} keys {unknown}")
-
-
-def _complex_coeffs(raw, key):
-    if not isinstance(raw, list):
-        raise ConfigError(f"'{key}' must be a list of [re, im] pairs")
-    out = []
-    for item in raw:
-        if isinstance(item, (int, float)):
-            out.append(complex(item))
-        elif isinstance(item, list) and len(item) == 2:
-            out.append(complex(item[0], item[1]))
-        else:
-            raise ConfigError(f"bad coefficient in '{key}': {item}")
-    return np.array(out, dtype=complex)
-
-
-def _params(cfg):
-    h = _require(cfg, "h", (int, float))
-    eps = cfg.get("epsilon", 0.0)
+def _checked(cls, **kwargs):
+    """cls(**kwargs); the range checks of cls are config errors."""
     try:
-        return SemiclassicalParams(h=float(h), epsilon=float(eps))
+        return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
 
-def _action_model(cfg):
-    am = ActionModel(_complex_coeffs(_require(cfg, "S12"), "S12"),
-                     _complex_coeffs(_require(cfg, "S34"), "S34"),
-                     description=cfg.get("description", ""))
-    return am
+def _model(cfg):
+    """The semiclassical parameters and action model of a model block."""
+    p = _checked(SemiclassicalParams, h=cfg["h"], epsilon=cfg["epsilon"])
+    return p, ActionModel(cfg["S12"], cfg["S34"],
+                          description=cfg["description"])
 
 
 def _write_json(path, doc):
@@ -113,18 +214,13 @@ def cmd_spectrum(cfg, out, svg, check):
         phase_space_count,
         resolved_spectrum,
     )
-    spec = OperatorSpec(
-        V=_require(cfg, "V", list), W=_require(cfg, "W", list),
-        h=float(_require(cfg, "h", (int, float))),
-        epsilon=float(cfg.get("epsilon", 0.0)),
-        L=float(cfg.get("L", 2.5)), N=int(cfg.get("N", 800)))
-    dN = int(cfg.get("dN", max(8, spec.N // 10)))
-    s = resolved_spectrum(spec, dN=dN)
+    spec = _checked(OperatorSpec, V=cfg["V"], W=cfg["W"], h=cfg["h"],
+                    epsilon=cfg["epsilon"], L=cfg["L"], N=cfg["N"])
+    s = resolved_spectrum(spec, dN=cfg["dN"])
     rep = branch_structure_report(s, spec)
     export_spectrum_csv(out / "spectrum.csv", s)
-    window = cfg.get("window", [-0.2, 0.2])
-    rep["phase_space_heuristic"] = phase_space_count(spec, *window)
-    rep["window"] = window
+    rep["phase_space_heuristic"] = phase_space_count(spec, *cfg["window"])
+    rep["window"] = cfg["window"]
     rep["meta"] = s.meta
     _write_json(out / "report.json", rep)
     if svg:
@@ -151,15 +247,9 @@ class CheckFailure(Exception):
 
 
 def _bs_roots_in_strip(p, am, branch, x_lo, x_hi):
-    def phase(x):
-        if branch is BSBranch.RightInt:
-            s = am.S12(x + 0j)
-        else:
-            s = am.S34(x + 0j)
-        return np.real(x * np.log(x) - x + np.pi * p.h / 4 + s)
-
-    k_lo = int(np.floor(min(phase(x_lo), phase(x_hi)) / (2 * np.pi * p.h) - 0.5))
-    k_hi = int(np.ceil(max(phase(x_lo), phase(x_hi)) / (2 * np.pi * p.h) - 0.5))
+    ends = np.real(_bs_phase(branch, np.array([x_lo, x_hi]) + 0j, p, am))
+    k_lo = int(np.floor(ends.min() / (2 * np.pi * p.h) - 0.5))
+    k_hi = int(np.ceil(ends.max() / (2 * np.pi * p.h) - 0.5))
     ks = range(k_lo - 1, k_hi + 2)
     roots = []
     for k, seed in zip(ks, bs_seeds(branch, ks, p, am)):
@@ -173,15 +263,13 @@ def _bs_roots_in_strip(p, am, branch, x_lo, x_hi):
 
 
 def cmd_model(cfg, out, svg, check):
-    p = _params(cfg)
-    am = _action_model(cfg)
-    rect = cfg.get("rectangle", [-0.2, 0.2, -0.05, 0.05])
-    C_body = float(cfg.get("C_body", calibration.CALIBRATION["body_C"]))
-    sk, body = assemble(p, am, C_body=C_body)
+    p, am = _model(cfg)
+    rect = cfg["rectangle"]
+    sk, body = assemble(p, am, C_body=cfg["C_body"])
     export_csv(out / "skeleton.csv", sk.s_prime)
     prov = GProvider(p, am)
-    budget = int(cfg.get("cell_budget", calibration.CALIBRATION["cell_budget"]))
-    zs = locate_zeros(prov.normalized_G, tuple(rect), p, cell_budget=budget)
+    zs = locate_zeros(prov.normalized_G, tuple(rect), p,
+                      cell_budget=cfg["cell_budget"])
     export_zeros_csv(out / "zeros.csv", zs)
     # BS families in the right strip and the bijection report
     x_lo = max(5 * p.h, rect[0])
@@ -238,10 +326,8 @@ def cmd_model(cfg, out, svg, check):
 
 
 def cmd_skeleton(cfg, out, svg, check):
-    p = _params(cfg)
-    am = _action_model(cfg)
-    C_body = float(cfg.get("C_body", calibration.CALIBRATION["body_C"]))
-    sk, body = assemble(p, am, C_body=C_body)
+    p, am = _model(cfg)
+    sk, body = assemble(p, am, C_body=cfg["C_body"])
     export_csv(out / "skeleton.csv", sk.s_prime)
     export_json(out / "skeleton.json", sk, body, extra=calibration.embed({}))
     if svg:
@@ -261,13 +347,11 @@ def cmd_skeleton(cfg, out, svg, check):
 
 
 def cmd_count(cfg, out, svg, check):
-    p = _params(cfg)
-    am = _action_model(cfg)
-    rect = _require(cfg, "rectangle", list)
+    p, am = _model(cfg)
     prov = GProvider(p, am)
-    contour = Contour.rectangle(*rect)
+    contour = Contour.rectangle(*cfg["rectangle"])
     n = winding_count(prov.normalized_G, contour, h=p.h)
-    doc = {"rectangle": rect, "count": n,
+    doc = {"rectangle": cfg["rectangle"], "count": n,
            "contour_vertices": [[v.real, v.imag] for v in contour.vertices]}
     _write_json(out / "count.json", doc)
     print(n)
@@ -279,16 +363,9 @@ def cmd_count(cfg, out, svg, check):
 
 
 def cmd_bs(cfg, out, svg, check):
-    p = _params(cfg)
-    am = _action_model(cfg)
-    branch = {"ext": BSBranch.Ext, "leftint": BSBranch.LeftInt,
-              "rightint": BSBranch.RightInt}.get(
-                  str(cfg.get("branch", "leftint")).lower())
-    if branch is None:
-        raise ConfigError("branch must be ext|leftint|rightint")
-    k_min = int(_require(cfg, "k_min", int))
-    k_max = int(_require(cfg, "k_max", int))
-    ks = range(k_min, k_max + 1)
+    p, am = _model(cfg)
+    branch = cfg["branch"]
+    ks = range(cfg["k_min"], cfg["k_max"] + 1)
     rows = []
     failures = []
     for k, seed in zip(ks, bs_seeds(branch, ks, p, am)):
@@ -312,25 +389,6 @@ def cmd_bs(cfg, out, svg, check):
                for r in rows if r[4]):
             raise CheckFailure("Bohr-Sommerfeld residual above tolerance")
     return 0
-
-
-def _parse_xpoly(raw, where):
-    if not isinstance(raw, dict):
-        raise ConfigError(f"'{where}' must be an object of monomials")
-    out = {}
-    for key, val in raw.items():
-        try:
-            parts = tuple(int(s) for s in key.split(","))
-            if isinstance(val, list) and len(val) == 2:
-                coeff = Fraction(int(val[0]), int(val[1]))
-            else:
-                coeff = Fraction(val)
-        except (ValueError, TypeError, ZeroDivisionError):
-            raise ConfigError(f"bad term '{key}': {val!r} in '{where}'")
-        if len(parts) not in (2, 4):
-            raise ConfigError(f"bad monomial key '{key}'")
-        out[parts] = coeff
-    return out
 
 
 def _golden_check():
@@ -381,22 +439,19 @@ def cmd_average(cfg, out, svg, check):
         weighted_average_G0,
         zpoly_from_x,
     )
-    _check_keys(cfg, {"schema_version", "x_poly", "correlate_with",
-                      "golden_check"})
-    if cfg.get("golden_check"):
+    if cfg["golden_check"]:
         bad = _golden_check()
         _write_json(out / "golden_check.json", {"failures": bad})
         if bad:
             raise CheckFailure(f"golden identities failed: {bad}")
         return 0
-    q = zpoly_from_x(_parse_xpoly(_require(cfg, "x_poly"), "x_poly"))
+    q = zpoly_from_x(cfg["x_poly"])
     doc = {
         "average": flow_average(q).to_json_dict(),
         "G0": weighted_average_G0(q).to_json_dict(),
     }
-    if "correlate_with" in cfg:
-        q2 = zpoly_from_x(_parse_xpoly(cfg["correlate_with"],
-                                       "correlate_with"))
+    if cfg["correlate_with"] is not None:
+        q2 = zpoly_from_x(cfg["correlate_with"])
         doc["C"] = correlation_C(q, q2).to_json_dict()
     _write_json(out / "average.json", doc)
     if check:
@@ -413,34 +468,12 @@ def cmd_classify(cfg, out, svg, check):
         grid_verify,
     )
 
-    def frac(v):
-        try:
-            if isinstance(v, list) and len(v) == 2:
-                return Fraction(int(v[0]), int(v[1]))
-            return Fraction(str(v))
-        except (ValueError, TypeError, ZeroDivisionError):
-            raise ConfigError(f"not a rational: {v!r}")
-
-    def grid(scan, key, default):
-        r = scan.get(key, default)
-        if not (isinstance(r, list) and len(r) == 3):
-            raise ConfigError(f"scan '{key}' must be [lo, hi, n]")
-        try:
-            xs = np.linspace(r[0], r[1], int(r[2]))
-        except (ValueError, TypeError):
-            raise ConfigError(f"bad scan '{key}': {r!r}")
-        return [(float(x), Fraction(str(round(float(x), 9)))) for x in xs]
-
-    _check_keys(cfg, {"schema_version", "a", "b", "c", "scan"})
-    if "scan" in cfg:
-        scan = _require(cfg, "scan", dict)
-        _check_keys(scan, {"b_range", "c_range", "d"}, "scan")
-        cols = grid(scan, "c_range", [-4, 4, 200])
-        d = frac(scan.get("d", 2.5))
+    scan = cfg["scan"]
+    if scan is not None:
         rows = []
-        for b, bq in grid(scan, "b_range", [-4, 4, 200]):
-            aq = (bq / 2 - d) / 2
-            for c, cq in cols:
+        for b, bq in scan["b_range"]:
+            aq = (bq / 2 - scan["d"]) / 2
+            for c, cq in scan["c_range"]:
                 try:
                     rep = classify_critical_points(ReducedFunction(aq, bq, cq))
                     rows.append((b, c, rep.region.value, rep.saddle_count))
@@ -453,8 +486,7 @@ def cmd_classify(cfg, out, svg, check):
                 w.writerow([repr(row[0]), repr(row[1]), row[2], row[3]])
         return 0
 
-    rf = ReducedFunction(frac(_require(cfg, "a")), frac(_require(cfg, "b")),
-                         frac(_require(cfg, "c")))
+    rf = ReducedFunction(cfg["a"], cfg["b"], cfg["c"])
     rep = classify_critical_points(rf)
     doc = {
         "region": rep.region.value,
@@ -494,7 +526,7 @@ def main(argv=None):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        cfg = _load_config(args.config)
+        cfg = _load_config(args.config, args.command)
         return COMMANDS[args.command](cfg, out, args.svg, args.check)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -38,10 +38,6 @@ class SectorEscape(BranchspecError):
         self.last = last
 
 
-class Hidden(BranchspecError):
-    """Requested crossing point lies inside a forbidden region."""
-
-
 class OnContourZero(BranchspecError):
     """|f| vanishes on the integration contour even after perturbation."""
 

@@ -150,18 +150,8 @@ class BalancedLaurent:
         return BalancedLaurent({(k[2], k[3], k[0], k[1]): v.conj()
                                 for k, v in self.terms.items()})
 
-    def is_flow_invariant(self):
-        return all(k[0] + k[1] == k[2] + k[3] for k in self.terms)
-
     def is_real(self):
         return self == self.conj()
-
-    def evaluate(self, z1, z2):
-        tot = 0j
-        for (a1, a2, b1, b2), v in self.terms.items():
-            tot += complex(v) * z1 ** a1 * z2 ** a2 \
-                * np.conj(z1) ** b1 * np.conj(z2) ** b2
-        return tot
 
     def to_json_dict(self):
         return {",".join(map(str, k)):

@@ -36,16 +36,12 @@ class SemiclassicalParams:
 
     h: float
     epsilon: float = 0.0
-    strict: bool = False
 
     def __post_init__(self):
         if self.h <= 0:
             raise ValueError("h must be positive")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
-        if self.strict and self.epsilon > 0:
-            if self.epsilon / self.h ** 2 < 10 or self.epsilon / np.sqrt(self.h) > 0.1:
-                raise ValueError("strict regime requires h^2 << epsilon << h^(1/2)")
 
     @property
     def alpha2(self):

@@ -18,10 +18,6 @@ class ScaledComplex:
     offset: float
     h: float
 
-    def to_complex(self):
-        """Collapse to a plain complex; may overflow for large offsets."""
-        return self.value * np.exp(self.offset / self.h)
-
     def abs_log(self):
         """log |.| (natural), or -inf for an exact zero."""
         if self.value == 0:

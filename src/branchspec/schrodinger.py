@@ -42,9 +42,6 @@ class OperatorSpec:
     def w_at(self, x):
         return npoly.polyval(x, self.W)
 
-    def check_window(self, e_max):
-        return self.v_at(self.L) >= 2 * e_max and self.v_at(-self.L) >= 2 * e_max
-
     def meta(self):
         return {"N": self.N, "L": self.L, "h": self.h, "epsilon": self.epsilon,
                 "V": list(self.V), "W": list(self.W)}
@@ -178,15 +175,6 @@ def phase_space_count(spec, e_lo, e_hi, n_quad=20000):
         return 2.0 * np.trapezoid(np.sqrt(val), x)
 
     return (area(e_hi) - area(e_lo)) / (2 * np.pi * spec.h)
-
-
-def anti_hermitian_deviation(spec):
-    """|| antiHermitian(A) - i eps diag(W) || / ||A||, certifying the
-    numerical-range containment Im(lambda) in eps [min W, max W]."""
-    A, xi = discretize(spec)
-    anti = 0.5 * (A - A.conj().T)
-    target = 1j * spec.epsilon * np.diag(spec.w_at(xi))
-    return sla.norm(anti - target) / sla.norm(A)
 
 
 def _cluster_1d(values, gap):

@@ -1,10 +1,16 @@
 """CLI: configs, exit codes, output files, determinism."""
 
+import importlib.util
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from branchspec import calibration, cli
 from branchspec.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 MODEL_CFG = {
     "schema_version": 1,
@@ -170,10 +176,9 @@ def test_spectrum_command_small(tmp_path):
 
 
 def test_key_error_in_a_command_is_not_a_config_error(tmp_path, monkeypatch):
-    # config keys go through _require (ConfigError, exit 2); a KeyError
-    # raised inside a command is a bug and must not be reported as one
-    from branchspec import cli
-
+    # config keys are checked by _load_config (ConfigError, exit 2); a
+    # KeyError raised inside a command is a bug and must not be reported
+    # as one
     def broken(cfg, out, svg, check):
         raise KeyError("4+")
 
@@ -221,8 +226,110 @@ def test_classify_rejects_malformed_values(tmp_path, capsys, field, value):
 def test_average_rejects_malformed_terms(tmp_path, capsys, x_poly):
     path = _write(tmp_path, "c.json", {"schema_version": 1, "x_poly": x_poly})
     assert main(["average", "--config", path, "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("config error")
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "x_poly" in err
     assert not (tmp_path / "average.json").exists()
+
+
+SPECTRUM_CFG = {"schema_version": 1, "h": 0.05, "epsilon": 0.0,
+                "V": [0, 0, 1], "W": [0], "L": 3.0, "N": 80, "dN": 16}
+MODEL_BLOCK = {k: v for k, v in MODEL_CFG.items() if k != "rectangle"}
+BS_CFG = dict(MODEL_BLOCK, branch="leftint", k_min=-5, k_max=-4)
+
+
+@pytest.mark.parametrize("command,base,field,value", [
+    # each ran at its default and exited 0
+    ("bs", BS_CFG, "eps", 0.03),
+    ("spectrum", SPECTRUM_CFG, "epslion", 0.5),
+    ("bs", BS_CFG, "k_min", True),
+    ("average", {"x_poly": {"4,0": 1}}, "golden_check", "no"),
+    # each escaped as a TypeError or ValueError traceback (exit 1)
+    ("count", MODEL_CFG, "rectangle", [0.06, 0.14, -0.04]),
+    ("skeleton", MODEL_BLOCK, "C_body", "x"),
+    ("model", MODEL_CFG, "cell_budget", "many"),
+    ("spectrum", SPECTRUM_CFG, "window", 5),
+    ("spectrum", SPECTRUM_CFG, "V", [0, 0, "a"]),
+    ("spectrum", SPECTRUM_CFG, "dN", "x"),
+    # out of range: OperatorSpec's own checks
+    ("spectrum", SPECTRUM_CFG, "N", 8),
+    ("spectrum", SPECTRUM_CFG, "h", -0.05),
+    # more wrong values
+    ("bs", BS_CFG, "branch", "middle"),
+    ("bs", BS_CFG, "epsilon", -0.03),
+    ("model", MODEL_CFG, "S12", [[0.01, "x"]]),
+    ("skeleton", MODEL_BLOCK, "description", 3),
+    ("spectrum", SPECTRUM_CFG, "W", []),
+    ("spectrum", SPECTRUM_CFG, "schema_version", 2),
+    ("spectrum", SPECTRUM_CFG, "L", float("nan")),   # a ValueError traceback
+    # null is a wrong value, not an absent key
+    ("average", {"x_poly": {"4,0": 1}}, "correlate_with", None),
+])
+def test_malformed_config_names_its_key(tmp_path, capsys, command, base,
+                                        field, value):
+    path = _write(tmp_path, "c.json", dict(base, **{field: value}))
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and field in err
+    assert not any(out.iterdir())
+
+
+def test_config_defaults_are_filled_in_at_load(tmp_path, monkeypatch):
+    monkeypatch.setitem(calibration.CALIBRATION, "body_C", 7.0)
+    path = _write(tmp_path, "c.json", {
+        "h": 0.01, "S12": [0.1, [0, 1]], "S34": [1]})
+    cfg = cli._load_config(path, "model")
+    assert set(cfg) == set(cli.SCHEMAS["model"])
+    assert cfg["epsilon"] == 0.0 and cfg["description"] == ""
+    assert cfg["C_body"] == 7.0
+    assert cfg["rectangle"] == [-0.2, 0.2, -0.05, 0.05]
+    assert cfg["S12"] == [0.1, 1j] and cfg["S34"] == [1]
+
+    path = _write(tmp_path, "s.json", {"h": 0.1, "V": [0, 0, 1], "W": [0],
+                                       "N": 300})
+    cfg = cli._load_config(path, "spectrum")
+    assert (cfg["L"], cfg["dN"], cfg["window"]) == (2.5, 30, [-0.2, 0.2])
+
+    path = _write(tmp_path, "a.json", {"golden_check": True})
+    assert cli._load_config(path, "average")["x_poly"] is None
+    path = _write(tmp_path, "k.json", {"scan": {}})
+    scan = cli._load_config(path, "classify")["scan"]
+    assert scan["d"] == Fraction(5, 2) and len(scan["b_range"]) == 200
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", ROOT / "benchmark" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _shipped_configs():
+    examples = {"fig": "spectrum", "model": "model",
+                "average_golden": "average",
+                "classify_region_scan": "classify"}
+    for path in sorted((ROOT / "examples_cli").glob("*.json")):
+        command = examples["fig" if path.stem.startswith("fig") else path.stem]
+        yield command, json.loads(path.read_text())
+    yield from _bench_module("setup_child").TINY_JOBS
+    jobs = _bench_module("jobs")
+    for workload in jobs.WORKLOADS:
+        for seed in (0, 1):
+            for job in jobs.make_jobs(workload, seed):
+                yield job.command, job.config
+
+
+def test_shipped_configs_validate(tmp_path):
+    # the examples, the benchmark's set-up jobs (its set-up fails if one
+    # exits nonzero) and the jobs of every workload at two seeds
+    commands = []
+    for command, cfg in _shipped_configs():
+        path = _write(tmp_path, "c.json", cfg)
+        assert set(cli._load_config(path, command)) == \
+            set(cli.SCHEMAS[command])
+        commands.append(command)
+    assert set(commands) == set(cli.COMMANDS) and len(commands) > 300
 
 
 BS_ZERO = {"schema_version": 1, "h": 0.01, "S12": [0.0], "S34": [0.0],
@@ -256,8 +363,7 @@ def _counting(monkeypatch, module, name):
 
 def test_bs_solves_go_through_the_cli_name_once_per_k(tmp_path, monkeypatch):
     # the benchmark tracer counts BS solves at cli.bohr_sommerfeld_solve
-    from branchspec import cli
-    from branchspec.quantization import BSBranch, SemiclassicalParams
+    from branchspec.quantization import BSBranch
 
     solves = _counting(monkeypatch, cli, "bohr_sommerfeld_solve")
     seeds = _counting(monkeypatch, cli, "bs_seeds")
@@ -269,8 +375,8 @@ def test_bs_solves_go_through_the_cli_name_once_per_k(tmp_path, monkeypatch):
 
     solves.clear()
     seeds.clear()
-    p = SemiclassicalParams(h=0.01, epsilon=0.03)
-    am = cli._action_model(MODEL_CFG)
+    p, am = cli._model(cli._load_config(_write(tmp_path, "m.json", MODEL_CFG),
+                                        "model"))
     roots = cli._bs_roots_in_strip(p, am, BSBranch.RightInt, 0.05, 0.2)
     assert len(seeds) == 1
     tried = list(seeds[0][0][1])
