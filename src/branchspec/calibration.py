@@ -29,6 +29,9 @@ CALIBRATION = {
     # bijection rate floor: the BS Newton stops at residual 1e-12, so a
     # root's position error is ~1e-12/|phi'|
     "bs_position_floor": 5e-12,
+    # flow averages: (b, c, d) this close to a line c = +-b, c = +-(b+d)
+    # (in floats) is on the boundary between two regions
+    "region_line_tol": 1e-9,
     # direct numerics
     "spurious_match_tol": 1e-6,
     "fig_run_L": 1.2,         # measured-necessary deviation from L = 2.5

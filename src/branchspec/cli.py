@@ -9,6 +9,7 @@ The config keys of each command, with their defaults, are in SCHEMAS.
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -70,7 +71,8 @@ def _fill(raw, table, where="config"):
             raise ConfigError(f"missing config key '{key}'")
         try:
             cfg[key] = parse(val) if key in raw or val is not None else None
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
+        except (ValueError, TypeError, ZeroDivisionError,
+                OverflowError) as exc:
             raise ConfigError(f"bad '{key}' {val!r}: {exc}")
     return cfg
 
@@ -84,7 +86,15 @@ def _typed(types, what, convert=None):
     return parse
 
 
-_real = _typed((int, float), "a number", float)
+def _finite(x):
+    """float(x); a number that overflows a double (JSON 1e400) is not."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError("must be finite")
+    return x
+
+
+_real = _typed((int, float), "a number", _finite)
 _integer = _typed((int,), "an integer")
 _flag = _typed((bool,), "true or false")
 _text = _typed((str,), "a string")
@@ -92,11 +102,14 @@ _branch = _typed((str,), "ext|leftint|rightint", lambda s: BSBranch(s.lower()))
 
 
 def _reals(n=None):
-    """Parser of a nonempty list of numbers (n if given), kept as written."""
+    """Parser of a nonempty list of finite numbers (n if given), kept as
+    written."""
     def parse(raw):
         if (type(raw) is not list or not raw or n not in (None, len(raw))
                 or any(type(v) not in (int, float) for v in raw)):
             raise TypeError(f"must be a list of {n or 'one or more'} numbers")
+        for v in raw:
+            _finite(v)
         return raw
     return parse
 
@@ -365,6 +378,9 @@ def cmd_count(cfg, out, svg, check):
 def cmd_bs(cfg, out, svg, check):
     p, am = _model(cfg)
     branch = cfg["branch"]
+    if cfg["k_min"] > cfg["k_max"]:
+        raise ConfigError(f"empty k-range: k_min {cfg['k_min']} > "
+                          f"k_max {cfg['k_max']}")
     ks = range(cfg["k_min"], cfg["k_max"] + 1)
     rows = []
     failures = []
@@ -463,27 +479,24 @@ def cmd_average(cfg, out, svg, check):
 
 def cmd_classify(cfg, out, svg, check):
     from .flowavg import (
+        REGION_SADDLES,
         ReducedFunction,
         classify_critical_points,
         grid_verify,
+        scan_regions,
     )
 
     scan = cfg["scan"]
     if scan is not None:
-        rows = []
-        for b, bq in scan["b_range"]:
-            aq = (bq / 2 - scan["d"]) / 2
-            for c, cq in scan["c_range"]:
-                try:
-                    rep = classify_critical_points(ReducedFunction(aq, bq, cq))
-                    rows.append((b, c, rep.region.value, rep.saddle_count))
-                except BranchspecError:
-                    rows.append((b, c, "boundary", -1))
+        regions = scan_regions([bq for _, bq in scan["b_range"]],
+                               [cq for _, cq in scan["c_range"]], scan["d"])
         with open(out / "region_scan.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["b", "c", "region", "saddles"])
-            for row in rows:
-                w.writerow([repr(row[0]), repr(row[1]), row[2], row[3]])
+            for (b, _), row in zip(scan["b_range"], regions):
+                for (c, _), region in zip(scan["c_range"], row):
+                    w.writerow([repr(b), repr(c), region.value,
+                                REGION_SADDLES.get(region, -1)])
         return 0
 
     rf = ReducedFunction(cfg["a"], cfg["b"], cfg["c"])

@@ -18,9 +18,10 @@ from math import comb
 
 import numpy as np
 
+from .calibration import CALIBRATION
 from .errors import DegenerateInput, Mismatch, NoLoop, NotInvariant
 
-REGION_LINE_TOL = 1e-9
+REGION_LINE_TOL = CALIBRATION["region_line_tol"]
 
 
 def _fraction(x):
@@ -411,6 +412,8 @@ class ReducedFunction:
         self.a = _fraction(self.a)
         self.b = _fraction(self.b)
         self.c = _fraction(self.c)
+        # a, b, c, d as floats, converted once for the numerical methods
+        self.floats = tuple(map(float, (self.a, self.b, self.c, self.d)))
 
     @property
     def d(self):
@@ -420,11 +423,11 @@ class ReducedFunction:
         g2 = rho * (1.0 - rho)
         g = np.sqrt(np.maximum(g2, 0.0))
         y = np.cos(theta)
-        a, b, c, d = map(float, (self.a, self.b, self.c, self.d))
+        a, b, c, d = self.floats
         return a + d * g2 + b * g2 * y * y + c * g * y
 
     def grad(self, rho, theta):
-        a, b, c, d = map(float, (self.a, self.b, self.c, self.d))
+        a, b, c, d = self.floats
         g2 = rho * (1.0 - rho)
         g = np.sqrt(np.maximum(g2, 1e-300))
         y = np.cos(theta)
@@ -435,14 +438,14 @@ class ReducedFunction:
 
     def eval_pole_chart(self, u, v):
         """Exact <q> near rho = 0 in the (Re zeta1, Im zeta1) chart."""
-        a, b, c, d = map(float, (self.a, self.b, self.c, self.d))
+        a, b, c, d = self.floats
         s = u * u + v * v
         return a + d * s * (1.0 - s) + b * u * u * (1.0 - s) \
             + c * u * np.sqrt(np.maximum(1.0 - s, 0.0))
 
     def grad_pole_chart(self, u, v):
         """Analytic chart gradient (avoids finite-difference noise)."""
-        a, b, c, d = map(float, (self.a, self.b, self.c, self.d))
+        a, b, c, d = self.floats
         s = u * u + v * v
         root = np.sqrt(np.maximum(1.0 - s, 1e-300))
         du = 2 * u * d * (1 - 2 * s) + 2 * u * b * (1 - s) \
@@ -458,35 +461,33 @@ def _sign(x):
 
 
 def _region_of(b, c, d):
-    b, c, d = float(b), float(c), float(d)
-    lines = [abs(c - b), abs(c + b), abs(c - (b + d)), abs(c + (b + d))]
-    if min(lines) <= REGION_LINE_TOL:
-        raise DegenerateInput("parameters on a separating line",
-                              clause="c = +-b or c = +-(b+d)")
-    if d < 0:
-        # classify via the sign-flipped parameters; the point list is
-        # computed from the general formulas either way
-        return _region_of(-b, -c, -d)
-    if b > 0 and -b < c < b:
-        return Region.A
-    if max(b, -b) < c < b + d:
-        return Region.Bplus
-    if -(b + d) < c < min(b, -b):
-        return Region.Bminus
-    if c > max(b + d, -b):
-        return Region.Cplus
-    if c < min(b, -b - d):
-        return Region.Cminus
-    if b < 0 and max(b, -b - d) < c < min(-b, b + d):
-        return Region.D
-    if max(b + d, -b - d) < c < -b:
-        return Region.Eplus
-    if b < c < min(-b - d, b + d):
-        return Region.Eminus
-    if b < -d and b + d < c < -b - d:
-        return Region.F
-    raise DegenerateInput(f"no region for b={b}, c={c}, d={d}",
-                          clause="region table")
+    """The Region of (b, c, d), elementwise over broadcast arrays.
+
+    Float comparisons in the order of the region table; Region.Boundary
+    within REGION_LINE_TOL of a separating line c = +-b, c = +-(b+d)
+    (and in no open region, which the table leaves only on those lines).
+    """
+    b, c, d = (np.asarray(x, dtype=float) for x in (b, c, d))
+    on_line = np.minimum.reduce([abs(c - b), abs(c + b), abs(c - (b + d)),
+                                 abs(c + (b + d))]) <= REGION_LINE_TOL
+    # classify via the sign-flipped parameters where d < 0; the point
+    # list is computed from the general formulas either way
+    flip = d < 0
+    b, c, d = (np.where(flip, -x, x) for x in (b, c, d))
+    return np.select([
+        on_line,
+        (b > 0) & (-b < c) & (c < b),
+        (np.maximum(b, -b) < c) & (c < b + d),
+        (-(b + d) < c) & (c < np.minimum(b, -b)),
+        c > np.maximum(b + d, -b),
+        c < np.minimum(b, -b - d),
+        (b < 0) & (np.maximum(b, -b - d) < c) & (c < np.minimum(-b, b + d)),
+        (np.maximum(b + d, -b - d) < c) & (c < -b),
+        (b < c) & (c < np.minimum(-b - d, b + d)),
+        (b < -d) & (b + d < c) & (c < -b - d),
+    ], [Region.Boundary, Region.A, Region.Bplus, Region.Bminus, Region.Cplus,
+        Region.Cminus, Region.D, Region.Eplus, Region.Eminus, Region.F],
+        Region.Boundary)
 
 
 def classify_critical_points(rf):
@@ -502,7 +503,10 @@ def classify_critical_points(rf):
     if c != 0 and (b == 0 or bd == 0):
         raise DegenerateInput("c != 0 requires b != 0 and b+d != 0",
                               clause="b != 0 and b+d != 0")
-    region = _region_of(b, c, d)
+    region = _region_of(b, c, d).item()
+    if region is Region.Boundary:
+        raise DegenerateInput("parameters on a separating line",
+                              clause="c = +-b or c = +-(b+d)")
     s_d, s_bd = _sign(d), _sign(bd)
     s_cf_theta, s_cf_rho = -_sign(b + c), -_sign(c + bd)
     s_cb_theta, s_cb_rho = _sign(c - b), _sign(c - bd)
@@ -588,14 +592,30 @@ REGION_SADDLES = {Region.A: 2, Region.Bplus: 1, Region.Bminus: 1,
                   Region.Eplus: 1, Region.Eminus: 1, Region.F: 2}
 
 
+def scan_regions(bs, cs, d):
+    """The Region that classify_critical_points reports at every (b, c)
+    of a grid with one d, as a len(bs) x len(cs) object array, with
+    Region.Boundary wherever it raises DegenerateInput.
+
+    bs, cs and d are exact rationals.  A scan's rf.d is d itself, so the
+    exact preconditions split into one test per grid (d != 0), per row
+    (b != 0 and b + d != 0) and per column (c != 0).
+    """
+    region = _region_of(np.array(bs, dtype=float)[:, None],
+                        np.array(cs, dtype=float), d)
+    degenerate = (np.array([b == 0 or b + d == 0 for b in bs],
+                           dtype=bool)[:, None]
+                  & np.array([c != 0 for c in cs], dtype=bool)[None, :])
+    return np.where(degenerate | (d == 0), Region.Boundary, region)
+
+
 def _numeric_critical_points(rf, n=400):
     """All critical points of <q> on Sigma by grid + Newton, plus the
     pole-chart check; returns [(rho, theta, sig_theta, sig_rho)] with
     poles encoded as rho in {0, 1} and chart signs."""
     rhos = np.linspace(1e-3, 1 - 1e-3, n)
     thetas = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-    R, T = np.meshgrid(rhos, thetas, indexing="ij")
-    gr, gt = rf.grad(R, T)
+    gr, gt = rf.grad(rhos[:, None], thetas[None, :])
     g2 = gr * gr + gt * gt
     found = []
 
@@ -632,7 +652,7 @@ def _numeric_critical_points(rf, n=400):
                                g2w[1:-1, :-2], g2w[1:-1, 2:]])
     mask = (interior <= neigh) & (interior < 1e-2)
     for i, j in zip(*np.nonzero(mask)):
-        res = refine(R[i + 1, j], T[i + 1, j])
+        res = refine(rhos[i + 1], thetas[j])
         if res is None:
             continue
         r0, t0 = res

@@ -38,10 +38,11 @@ class SemiclassicalParams:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("h must be positive")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        # written so that NaN fails too
+        if not 0 < self.h < np.inf:
+            raise ValueError("h must be positive and finite")
+        if not 0 <= self.epsilon < np.inf:
+            raise ValueError("epsilon must be nonnegative and finite")
 
     @property
     def alpha2(self):

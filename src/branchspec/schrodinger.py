@@ -33,8 +33,11 @@ class OperatorSpec:
         self.W = np.atleast_1d(np.asarray(self.W, dtype=float))
         if self.N < 16:
             raise ValueError("N must be at least 16")
-        if self.L <= 0 or self.h <= 0 or self.epsilon < 0:
-            raise ValueError("L, h must be positive; epsilon nonnegative")
+        # written so that NaN fails too
+        if not (0 < self.L < np.inf and 0 < self.h < np.inf
+                and 0 <= self.epsilon < np.inf):
+            raise ValueError("L, h must be positive and finite; epsilon "
+                             "nonnegative and finite")
 
     def v_at(self, x):
         return npoly.polyval(x, self.V)

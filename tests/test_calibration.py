@@ -9,6 +9,7 @@ import pytest
 
 from branchspec import (
     cli,
+    flowavg,
     quantization,
     schrodinger,
     skeleton,
@@ -24,6 +25,8 @@ def _default(fn, name):
 
 
 SOURCES = {
+    "flowavg.REGION_LINE_TOL":
+        (lambda: flowavg.REGION_LINE_TOL, "region_line_tol"),
     "quantization.SECTOR_C": (lambda: quantization.SECTOR_C, "sector_C"),
     "quantization.SMALL_C1": (lambda: quantization.SMALL_C1, "small_C1"),
     "specfun.CONIC_MARGIN":

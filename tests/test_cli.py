@@ -24,7 +24,8 @@ MODEL_CFG = {
 
 def _write(tmp_path, name, cfg):
     p = tmp_path / name
-    p.write_text(json.dumps(cfg))
+    # JSON has no infinity; a number that overflows a double reads as one
+    p.write_text(json.dumps(cfg).replace("Infinity", "1e400"))
     return str(p)
 
 
@@ -263,6 +264,11 @@ BS_CFG = dict(MODEL_BLOCK, branch="leftint", k_min=-5, k_max=-4)
     ("spectrum", SPECTRUM_CFG, "L", float("nan")),   # a ValueError traceback
     # null is a wrong value, not an absent key
     ("average", {"x_poly": {"4,0": 1}}, "correlate_with", None),
+    # 1e400 read as inf: an OverflowError traceback and a scipy error
+    ("average", {"x_poly": {"4,0": 1}}, "x_poly", {"4,0": float("inf")}),
+    ("spectrum", SPECTRUM_CFG, "L", float("inf")),
+    # an empty k-range wrote a header-only CSV and exited 0
+    ("bs", BS_CFG, "k_min", -3),
 ])
 def test_malformed_config_names_its_key(tmp_path, capsys, command, base,
                                         field, value):

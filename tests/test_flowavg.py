@@ -1,13 +1,18 @@
 """Exact flow averages, correlations, classification, separatrix actions."""
 
+import csv
+import io
+import json
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from branchspec import flowavg
+from branchspec import cli, flowavg
 from branchspec.errors import DegenerateInput, Mismatch, NotInvariant
 from branchspec.flowavg import (
     REGION_SADDLES,
@@ -259,8 +264,7 @@ def test_classification_totality_random():
             continue
         rep = classify_critical_points(rf)
         grid_verify(rf, rep, n=250)
-        if float(d) > 0:
-            assert rep.saddle_count == REGION_SADDLES[rep.region]
+        assert rep.saddle_count == REGION_SADDLES[rep.region]
         checked += 1
 
 
@@ -341,6 +345,35 @@ def _sign(x):
     return 1 if x > 0 else (-1 if x < 0 else 0)
 
 
+def _region_if_chain(b, c, d):
+    """The region table as one scalar if-chain, raising on a boundary."""
+    b, c, d = float(b), float(c), float(d)
+    lines = [abs(c - b), abs(c + b), abs(c - (b + d)), abs(c + (b + d))]
+    if min(lines) <= flowavg.REGION_LINE_TOL:
+        raise DegenerateInput("on a separating line", clause="lines")
+    if d < 0:
+        return _region_if_chain(-b, -c, -d)
+    if b > 0 and -b < c < b:
+        return Region.A
+    if max(b, -b) < c < b + d:
+        return Region.Bplus
+    if -(b + d) < c < min(b, -b):
+        return Region.Bminus
+    if c > max(b + d, -b):
+        return Region.Cplus
+    if c < min(b, -b - d):
+        return Region.Cminus
+    if b < 0 and max(b, -b - d) < c < min(-b, b + d):
+        return Region.D
+    if max(b + d, -b - d) < c < -b:
+        return Region.Eplus
+    if b < c < min(-b - d, b + d):
+        return Region.Eminus
+    if b < -d and b + d < c < -b - d:
+        return Region.F
+    raise DegenerateInput("no region", clause="region table")
+
+
 def _classify_written_out(rf):
     a, b, c, d = rf.a, rf.b, rf.c, rf.d
     if d == 0:
@@ -348,7 +381,7 @@ def _classify_written_out(rf):
     if c != 0 and (b == 0 or b + d == 0):
         raise DegenerateInput("c != 0 requires b != 0 and b+d != 0",
                               clause="b != 0 and b+d != 0")
-    region = flowavg._region_of(b, c, d)
+    region = _region_if_chain(b, c, d)
     pts = [flowavg.CriticalPoint(
         kind=PointKind.CrossingCf,
         signature=(_sign(-c - b - d), _sign(-b - c)),
@@ -486,3 +519,61 @@ def test_classification_equals_written_out_oracle(a, b, c):
             (w.kind, w.signature, w.sig_theta, w.sig_rho)
         assert type(g.value) is F and g.value == w.value
         assert repr(g.locations) == repr(w.locations)
+
+
+def _scan_per_cell(scan):
+    """region_scan.csv classified cell by cell by the written-out oracle:
+    each cell's region and the saddle count of its reported points."""
+    fh = io.StringIO(newline="")
+    w = csv.writer(fh)
+    w.writerow(["b", "c", "region", "saddles"])
+    for b, bq in scan["b_range"]:
+        aq = (bq / 2 - scan["d"]) / 2
+        for c, cq in scan["c_range"]:
+            try:
+                rep = _classify_written_out(ReducedFunction(aq, bq, cq))
+                w.writerow([repr(b), repr(c), rep.region.value,
+                            rep.saddle_count])
+            except DegenerateInput:
+                w.writerow([repr(b), repr(c), "boundary", -1])
+    return fh.getvalue()
+
+
+@st.composite
+def scan_range(draw):
+    """[lo, hi, n] whose n points are multiples of 1/4, so that c = 0
+    columns, b = 0 and b + d = 0 rows and separating lines occur."""
+    n = draw(st.integers(0, 9))
+    lo = draw(st.integers(-12, 12)) / 4
+    return [lo, lo + draw(st.integers(-6, 6)) / 4 * max(n - 1, 0), n]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(b_range=scan_range(), c_range=scan_range(), d=GRID_RATIONALS)
+@example(b_range=[-3, 3, 9], c_range=[-3, 3, 9], d=F(0))
+@example(b_range=[-3, 3, 25], c_range=[-3, 3, 25], d=F(3))
+@example(b_range=[-3, 3, 13], c_range=[-3, 3, 13], d=F(-3, 2))
+@example(b_range=[-2, 2, 5], c_range=[-4, 4, 200], d=F(5, 2))
+def test_scan_equals_per_cell_oracle(b_range, c_range, d):
+    raw = {"scan": {"b_range": b_range, "c_range": c_range,
+                    "d": [d.numerator, d.denominator]}}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "c.json")
+        path.write_text(json.dumps(raw))
+        assert cli.main(["classify", "--config", str(path), "--out", tmp]) == 0
+        got = Path(tmp, "region_scan.csv").read_bytes()
+    want = _scan_per_cell(cli._fill(raw, cli.SCHEMAS["classify"])["scan"])
+    assert got == want.encode()
+
+
+@pytest.mark.parametrize("abc", list(REGION_SAMPLES.values())
+                         + [(F(1), F(1), F(1, 2)), (F(1, 2), F(-3), F(5, 4))])
+def test_grid_broadcast_equals_meshgrid(abc):
+    rf = ReducedFunction(*abc)
+    rhos = np.linspace(1e-3, 1 - 1e-3, 400)
+    thetas = np.linspace(0.0, 2 * np.pi, 400, endpoint=False)
+    R, T = np.meshgrid(rhos, thetas, indexing="ij")
+    for mesh, bcast in zip(rf.grad(R, T),
+                           rf.grad(rhos[:, None], thetas[None, :])):
+        assert mesh.shape == bcast.shape == (400, 400)
+        assert mesh.tobytes() == bcast.tobytes()

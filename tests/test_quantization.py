@@ -489,3 +489,14 @@ def test_bs_family_marks_k_without_a_real_seed():
         bohr_sommerfeld_solve(BSBranch.LeftInt, -1, p, ZERO_AM, seed=seeds[2])
     assert info.value.last is None
     assert quantization.bs_seeds(BSBranch.Ext, [], p, ZERO_AM).shape == (0,)
+
+
+@pytest.mark.parametrize("h,epsilon", [
+    (float("nan"), 0.0), (float("inf"), 0.0), (0.0, 0.0), (-0.01, 0.0),
+    (0.01, float("nan")), (0.01, float("inf")), (0.01, -0.03),
+])
+def test_params_reject_nonpositive_and_nonfinite(h, epsilon):
+    # NaN passed the old `h <= 0` check and winding_count never returned;
+    # only the constructor runs here, so a regression cannot hang
+    with pytest.raises(ValueError):
+        SemiclassicalParams(h=h, epsilon=epsilon)

@@ -170,3 +170,15 @@ def test_export_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "re,im,resolved"
     assert len(lines) == len(s) + 1
+
+
+@pytest.mark.parametrize("key,value", [
+    ("h", float("nan")), ("h", float("inf")), ("h", 0.0),
+    ("epsilon", float("nan")), ("epsilon", float("inf")), ("epsilon", -0.1),
+    ("L", float("nan")), ("L", float("inf")), ("L", -1.0),
+])
+def test_operator_spec_rejects_nonpositive_and_nonfinite(key, value):
+    kwargs = dict(V=[0, 0, 1], W=[0.0], h=0.01, epsilon=0.0, L=2.0, N=100)
+    kwargs[key] = value
+    with pytest.raises(ValueError):
+        OperatorSpec(**kwargs)
