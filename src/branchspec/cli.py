@@ -65,15 +65,16 @@ def _fill(raw, table, where="config"):
         raise ConfigError(f"unknown {where} keys {unknown}")
     cfg = {}
     for key, (parse, default) in table.items():
+        name = key if where == "config" else f"{where}.{key}"
         val = raw[key] if key in raw else (
             default(cfg) if callable(default) else default)
         if val is REQUIRED:
-            raise ConfigError(f"missing config key '{key}'")
+            raise ConfigError(f"missing config key '{name}'")
         try:
             cfg[key] = parse(val) if key in raw or val is not None else None
         except (ValueError, TypeError, ZeroDivisionError,
                 OverflowError) as exc:
-            raise ConfigError(f"bad '{key}' {val!r}: {exc}")
+            raise ConfigError(f"bad '{name}' {val!r}: {exc}")
     return cfg
 
 
@@ -129,9 +130,9 @@ def _complex_coeffs(raw):
 
 
 def _rational(raw):
-    """A number, a string such as "1/3", or [num, den], as a Fraction."""
+    """A number, a string such as "1/3", or integers [num, den]: a Fraction."""
     if type(raw) is list and len(raw) == 2:
-        return Fraction(int(raw[0]), int(raw[1]))
+        return Fraction(*map(_integer, raw))
     return Fraction(str(raw))
 
 
@@ -142,18 +143,22 @@ def _xpoly(raw):
     out = {}
     for mono, val in raw.items():
         parts = tuple(int(s) for s in mono.split(","))
-        if len(parts) not in (2, 4):
+        if len(parts) not in (2, 4) or min(parts) < 0:
             raise ValueError(f"bad monomial key '{mono}'")
+        if type(val) is bool:
+            raise TypeError(f"coefficient of '{mono}' must be a number")
         out[parts] = _rational(val) if type(val) is list else Fraction(val)
     return out
 
 
 def _grid(raw):
-    """A scan range [lo, hi, n], as n (float, Fraction) points."""
+    """A scan range [lo, hi, n] with n >= 1, as n (float, Fraction) points."""
     if type(raw) is not list or len(raw) != 3:
         raise TypeError("must be [lo, hi, n]")
+    if _integer(raw[2]) < 1:
+        raise ValueError("n must be at least 1")
     return [(float(x), Fraction(str(round(float(x), 9))))
-            for x in np.linspace(raw[0], raw[1], int(raw[2]))]
+            for x in np.linspace(_real(raw[0]), _real(raw[1]), raw[2])]
 
 
 _VERSION = {"schema_version": (_version, calibration.SCHEMA_VERSION)}

@@ -80,10 +80,6 @@ class NoLoop(BranchspecError):
     """No homoclinic loop exists for the requested parameters."""
 
 
-class NonConvergence(BranchspecError):
-    """Dense eigensolver failed to converge."""
-
-
 class CountNotConserved(BranchspecError):
     """Child winding counts of a cell do not add up to the cell's count."""
 

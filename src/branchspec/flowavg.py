@@ -359,7 +359,6 @@ class Region(enum.Enum):
     Eminus = "E-"
     F = "F"
     Boundary = "boundary"
-    Degenerate = "degenerate"
 
 
 class PointKind(enum.Enum):
@@ -436,6 +435,18 @@ class ReducedFunction:
         dq_dth = -np.sin(theta) * (2.0 * b * g2 * y + c * g)
         return dq_drho, dq_dth
 
+    def hess(self, rho, theta):
+        """Closed-form Hessian ((q_rr, q_rt), (q_rt, q_tt)); uses
+        g'' = -1/(4 g^3), from (1 - 2 rho)^2 = 1 - 4 g^2."""
+        a, b, c, d = self.floats
+        g2 = rho * (1.0 - rho)
+        g = np.sqrt(np.maximum(g2, 1e-300))
+        y, sn = np.cos(theta), np.sin(theta)
+        q_rr = -2.0 * (d + b * y * y) - c * y / (4.0 * g2 * g)
+        q_rt = -sn * (1.0 - 2.0 * rho) * (2.0 * b * y + c / (2.0 * g))
+        q_tt = 2.0 * b * g2 * (sn * sn - y * y) - c * g * y
+        return (q_rr, q_rt), (q_rt, q_tt)
+
     def eval_pole_chart(self, u, v):
         """Exact <q> near rho = 0 in the (Re zeta1, Im zeta1) chart."""
         a, b, c, d = self.floats
@@ -452,6 +463,19 @@ class ReducedFunction:
             - 2 * b * u ** 3 + c * (root - u * u / root)
         dv = 2 * v * d * (1 - 2 * s) - 2 * b * u * u * v - c * u * v / root
         return du, dv
+
+    def hess_pole_chart(self, u, v):
+        """Closed-form chart Hessian ((q_uu, q_uv), (q_uv, q_vv))."""
+        a, b, c, d = self.floats
+        s = u * u + v * v
+        root = np.sqrt(np.maximum(1.0 - s, 1e-300))
+        r3 = root ** 3
+        q_uu = 2 * d * (1 - 2 * s) - 8 * d * u * u + 2 * b * (1 - s) \
+            - 10 * b * u * u - c * u * (3 / root + u * u / r3)
+        q_uv = -8 * d * u * v - 4 * b * u * v - c * v * (1 / root + u * u / r3)
+        q_vv = 2 * d * (1 - 2 * s) - 8 * d * v * v - 2 * b * u * u \
+            - c * u * (1 / root + v * v / r3)
+        return (q_uu, q_uv), (q_uv, q_vv)
 
 
 def _sign(x):
@@ -609,125 +633,85 @@ def scan_regions(bs, cs, d):
     return np.where(degenerate | (d == 0), Region.Boundary, region)
 
 
+def _newton_2d(grad, hess, x, tol, cap, max_iter, inside):
+    """Newton's method for grad = 0 from x, each step capped at length
+    cap; the root, or None on a singular Hessian, on leaving the domain
+    (inside(x) false) or after max_iter steps."""
+    x = np.asarray(x, dtype=float)
+    for _ in range(max_iter):
+        g = np.array(grad(*x))
+        if np.linalg.norm(g) < tol:
+            return x
+        try:
+            step = np.linalg.solve(np.array(hess(*x)), g)
+        except np.linalg.LinAlgError:
+            return None
+        norm = np.linalg.norm(step)
+        if norm > cap:
+            step *= cap / norm
+        x = x - step
+        if not inside(x):
+            return None
+    return None
+
+
+def _grid_minima(g2):
+    """Indices (i, j) of the interior local minima of |grad|^2 below 1e-2."""
+    interior = g2[1:-1, 1:-1]
+    neigh = np.minimum.reduce([g2[:-2, 1:-1], g2[2:, 1:-1],
+                               g2[1:-1, :-2], g2[1:-1, 2:]])
+    return zip(*np.nonzero((interior <= neigh) & (interior < 1e-2)))
+
+
 def _numeric_critical_points(rf, n=400):
     """All critical points of <q> on Sigma by grid + Newton, plus the
     pole-chart check; returns [(rho, theta, sig_theta, sig_rho)] with
-    poles encoded as rho in {0, 1} and chart signs."""
+    poles encoded as rho in {0, 1} and chart signs.  Signs are those of
+    the closed-form Hessian's diagonal."""
     rhos = np.linspace(1e-3, 1 - 1e-3, n)
     thetas = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
     gr, gt = rf.grad(rhos[:, None], thetas[None, :])
     g2 = gr * gr + gt * gt
     found = []
 
-    def refine(r0, t0):
-        x = np.array([r0, t0])
-        for _ in range(60):
-            gr, gt = rf.grad(x[0], x[1])
-            g = np.array([gr, gt])
-            if np.linalg.norm(g) < 1e-13:
-                break
-            eps = 1e-7
-            J = np.empty((2, 2))
-            for j, dx in enumerate(np.eye(2) * eps):
-                gp = np.array(rf.grad(*(x + dx)))
-                gm = np.array(rf.grad(*(x - dx)))
-                J[:, j] = (gp - gm) / (2 * eps)
-            try:
-                step = np.linalg.solve(J, g)
-            except np.linalg.LinAlgError:
-                return None
-            if np.linalg.norm(step) > 0.3:
-                step *= 0.3 / np.linalg.norm(step)
-            x = x - step
-            if not (1e-6 < x[0] < 1 - 1e-6):
-                return None
-        else:
-            return None
-        return x[0], x[1] % (2 * np.pi)
+    def add(r0, t0):
+        """Record (r0, t0) unless a point within 1e-4 is already found."""
+        if all(_sigma_dist(r0, t0, r1, t1) > 1e-4 for r1, t1, *_ in found):
+            (q_rr, _), (_, q_tt) = rf.hess(r0, t0)
+            found.append((r0, t0, _sign_eps(q_tt), _sign_eps(q_rr)))
 
     # candidates: local minima of |grad|^2, with periodic wrap in theta
-    g2w = np.concatenate([g2[:, -1:], g2, g2[:, :1]], axis=1)
-    interior = g2w[1:-1, 1:-1]
-    neigh = np.minimum.reduce([g2w[:-2, 1:-1], g2w[2:, 1:-1],
-                               g2w[1:-1, :-2], g2w[1:-1, 2:]])
-    mask = (interior <= neigh) & (interior < 1e-2)
-    for i, j in zip(*np.nonzero(mask)):
-        res = refine(rhos[i + 1], thetas[j])
-        if res is None:
-            continue
-        r0, t0 = res
-        if all(_sigma_dist(r0, t0, r1, t1) > 1e-4 for r1, t1, *_ in found):
-            eps = 1e-5
-            d2r = (rf.eval(r0 + eps, t0) - 2 * rf.eval(r0, t0)
-                   + rf.eval(r0 - eps, t0)) / eps ** 2
-            d2t = (rf.eval(r0, t0 + eps) - 2 * rf.eval(r0, t0)
-                   + rf.eval(r0, t0 - eps)) / eps ** 2
-            found.append((r0, t0, _sign_eps(d2t), _sign_eps(d2r)))
+    for i, j in _grid_minima(np.concatenate([g2[:, -1:], g2, g2[:, :1]],
+                                            axis=1)):
+        x = _newton_2d(rf.grad, rf.hess, (rhos[i + 1], thetas[j]), 1e-13,
+                       0.3, 60, lambda x: 1e-6 < x[0] < 1 - 1e-6)
+        if x is not None:
+            add(x[0], x[1] % (2 * np.pi))
     # pole chart around rho = 0: covers the region the (rho, theta) grid
     # resolves poorly; by the exact rho <-> 1-rho symmetry of <q>, every
     # chart finding is mirrored to the opposite hemisphere
-    def chart_grad(u, v):
-        return np.array(rf.grad_pole_chart(u, v))
-
-    m = 90
-    uu = np.linspace(-0.32, 0.32, m)
-    U, V = np.meshgrid(uu, uu, indexing="ij")
-    GU, GV = rf.grad_pole_chart(U, V)
-    C2 = GU * GU + GV * GV
-    interior = C2[1:-1, 1:-1]
-    neigh = np.minimum.reduce([C2[:-2, 1:-1], C2[2:, 1:-1],
-                               C2[1:-1, :-2], C2[1:-1, 2:]])
-    cmask = (interior <= neigh) & (interior < 1e-2)
+    uu = np.linspace(-0.32, 0.32, 90)
+    gu, gv = rf.grad_pole_chart(uu[:, None], uu[None, :])
     chart_pts = []
-    for i, j in zip(*np.nonzero(cmask)):
-        x = np.array([U[i + 1, j + 1], V[i + 1, j + 1]])
-        okc = False
-        for _ in range(80):
-            g = chart_grad(*x)
-            if np.linalg.norm(g) < 1e-12:
-                okc = True
-                break
-            J = np.empty((2, 2))
-            for jj, dx in enumerate(np.eye(2) * 1e-6):
-                J[:, jj] = (chart_grad(*(x + dx)) - chart_grad(*(x - dx))) / 2e-6
-            try:
-                step = np.linalg.solve(J, g)
-            except np.linalg.LinAlgError:
-                break
-            if np.linalg.norm(step) > 0.1:
-                step *= 0.1 / np.linalg.norm(step)
-            x = x - step
-            if np.linalg.norm(x) > 0.4:
-                break
-        if okc and np.linalg.norm(x) <= 0.33:
-            if all(np.hypot(x[0] - w[0], x[1] - w[1]) > 1e-6
-                   for w in chart_pts):
-                chart_pts.append((x[0], x[1]))
+    for i, j in _grid_minima(gu * gu + gv * gv):
+        x = _newton_2d(rf.grad_pole_chart, rf.hess_pole_chart,
+                       (uu[i + 1], uu[j + 1]), 1e-12, 0.1, 80,
+                       lambda x: np.linalg.norm(x) <= 0.4)
+        if x is not None and np.linalg.norm(x) <= 0.33 and all(
+                np.hypot(x[0] - w[0], x[1] - w[1]) > 1e-6 for w in chart_pts):
+            chart_pts.append((x[0], x[1]))
     for u, v in chart_pts:
         s = u * u + v * v
         if s < 1e-12:
             # the pole itself; chart axes are the vertical-circle and
             # transverse directions
-            e = 1e-5
-            d2u = (rf.eval_pole_chart(e, 0) - 2 * rf.eval_pole_chart(0, 0)
-                   + rf.eval_pole_chart(-e, 0)) / e ** 2
-            d2v = (rf.eval_pole_chart(0, e) - 2 * rf.eval_pole_chart(0, 0)
-                   + rf.eval_pole_chart(0, -e)) / e ** 2
-            for pole_rho in (0.0, 1.0):
-                found.append((pole_rho, 0.0, _sign_eps(d2u), _sign_eps(d2v)))
+            (q_uu, _), (_, q_vv) = rf.hess_pole_chart(0.0, 0.0)
+            signs = _sign_eps(q_uu), _sign_eps(q_vv)
+            found += [(0.0, 0.0, *signs), (1.0, 0.0, *signs)]
             continue
-        rho0 = s
         th0 = np.arctan2(-v, u) % (2 * np.pi)
-        for r0 in (rho0, 1.0 - rho0):
-            if any(_sigma_dist(r0, th0, r1, t1) <= 1e-4
-                   for r1, t1, *_ in found):
-                continue
-            e = min(1e-5, r0 / 3, (1 - r0) / 3)
-            d2r = (rf.eval(r0 + e, th0) - 2 * rf.eval(r0, th0)
-                   + rf.eval(r0 - e, th0)) / e ** 2
-            d2t = (rf.eval(r0, th0 + 1e-5) - 2 * rf.eval(r0, th0)
-                   + rf.eval(r0, th0 - 1e-5)) / 1e-10
-            found.append((r0, th0, _sign_eps(d2t), _sign_eps(d2r)))
+        for r0 in (s, 1.0 - s):
+            add(r0, th0)
     return found
 
 
@@ -812,13 +796,8 @@ def action_perturbation(rf, f, loop, offset=1e-8, t_max=400.0):
     r_s, t_s = saddle.locations[0]
     f_c = float(f(r_s, t_s))
 
-    eps = 1e-7
-    H = np.empty((2, 2))
-    def grad_at(x):
-        return np.array(rf.grad(x[0], x[1]))
     x_s = np.array([r_s, t_s])
-    for j, dx in enumerate(np.eye(2) * eps):
-        H[:, j] = (grad_at(x_s + dx) - grad_at(x_s - dx)) / (2 * eps)
+    H = np.array(rf.hess(r_s, t_s))
     # linearized field J H with J = [[0, -1], [1, 0]]
     A = np.array([[-H[1, 0], -H[1, 1]], [H[0, 0], H[0, 1]]])
     evals, evecs = np.linalg.eig(A)

@@ -289,9 +289,10 @@ def _raw_actions(mu, p, am, coeffs, theta):
     return s12, s34
 
 
-def quantization_parenthesis(mu, p, am, coeffs, theta):
-    """c23 e^{2pi i(th1+th2)+i(S34+S12)/h} + c24 e^{2pi i th2 + iS12/h}
-    - c13 e^{2pi i th1 + iS34/h} - c14, as a ScaledComplex."""
+def quantization_residual(mu, p, am, coeffs, theta):
+    """The quantization parenthesis c23 e^{2pi i(th1+th2)+i(S34+S12)/h}
+    + c24 e^{2pi i th2 + iS12/h} - c13 e^{2pi i th1 + iS34/h} - c14, as a
+    ScaledComplex."""
     th1, th2 = theta
     mu = complex(mu)
     s12, s34 = _raw_actions(mu, p, am, coeffs, theta)
@@ -303,9 +304,6 @@ def quantization_parenthesis(mu, p, am, coeffs, theta):
         coeffs.log_c14 + 1j * np.pi,
     ]
     return sum_exp(logs, p.h)
-
-
-quantization_residual = quantization_parenthesis
 
 
 class GrushinVariant(enum.Enum):
@@ -321,7 +319,7 @@ def det_E_minus_plus(variant, mu, p, coeffs, theta, am):
     they vanish exactly at the quasi-eigenvalues.
     """
     th1, th2 = theta
-    par = quantization_parenthesis(mu, p, am, coeffs, theta)
+    par = quantization_residual(mu, p, am, coeffs, theta)
     s12, s34 = _raw_actions(complex(mu), p, am, coeffs, theta)
     if variant is GrushinVariant.UpperGrushin:
         div = coeffs.log_c23

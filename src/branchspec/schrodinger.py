@@ -14,7 +14,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy import linalg as sla
 
 from .calibration import CALIBRATION
-from .errors import NonConvergence
+from .errors import NoConvergence
 
 
 @dataclass
@@ -100,7 +100,7 @@ def eigensolve(matrix, meta=None, backward_check=10, rng_seed=0):
     try:
         vals = sla.eigvals(matrix)
     except sla.LinAlgError as exc:  # pragma: no cover - QR failure path
-        raise NonConvergence(f"QR iteration failed: {exc}")
+        raise NoConvergence(f"QR iteration failed: {exc}")
     order = np.argsort(vals.real)
     vals = vals[order]
     if backward_check:
@@ -126,7 +126,7 @@ def eigensolve(matrix, meta=None, backward_check=10, rng_seed=0):
                 if abs(rho - lam) <= 1e-6 * (1 + abs(lam)):
                     best = min(best, sla.norm(matrix @ v - rho * v))
             if best > 1e-8 * norm:
-                raise NonConvergence(
+                raise NoConvergence(
                     f"backward error {best / norm:.2e} at eigenvalue {lam}")
     return Spectrum(eigenvalues=vals,
                     resolved=np.zeros(len(vals), dtype=bool),

@@ -236,6 +236,7 @@ SPECTRUM_CFG = {"schema_version": 1, "h": 0.05, "epsilon": 0.0,
                 "V": [0, 0, 1], "W": [0], "L": 3.0, "N": 80, "dN": 16}
 MODEL_BLOCK = {k: v for k, v in MODEL_CFG.items() if k != "rectangle"}
 BS_CFG = dict(MODEL_BLOCK, branch="leftint", k_min=-5, k_max=-4)
+CLASSIFY_CFG = {"schema_version": 1, "a": -1, "b": 1, "c": [1, 2]}
 
 
 @pytest.mark.parametrize("command,base,field,value", [
@@ -269,6 +270,16 @@ BS_CFG = dict(MODEL_BLOCK, branch="leftint", k_min=-5, k_max=-4)
     ("spectrum", SPECTRUM_CFG, "L", float("inf")),
     # an empty k-range wrote a header-only CSV and exited 0
     ("bs", BS_CFG, "k_min", -3),
+    # read as 1/2: int() of each entry of a [num, den] pair
+    ("classify", CLASSIFY_CFG, "a", [1.5, 2]),
+    ("classify", CLASSIFY_CFG, "a", [True, 2]),
+    # exited 0: the -1,0 term was dropped, true read as coefficient 1
+    ("average", {"x_poly": {"4,0": 1}}, "x_poly", {"-1,0": 3, "2,0": 1}),
+    ("average", {"x_poly": {"4,0": 1}}, "x_poly", {"2,0": True}),
+    # exited 0: a header-only region_scan.csv, and 2.7 truncated to 2 points
+    ("classify", {}, "scan", {"b_range": [0, 1, 0]}),
+    ("classify", {}, "scan", {"b_range": [0, 1, 2.7]}),
+    ("classify", {}, "scan", {"c_range": [0, 1, True]}),
 ])
 def test_malformed_config_names_its_key(tmp_path, capsys, command, base,
                                         field, value):

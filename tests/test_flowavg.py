@@ -247,7 +247,8 @@ def test_grid_verify_negative_control():
         grid_verify(rf, rep)
 
 
-def test_classification_totality_random():
+def _totality_inputs():
+    """300 random nondegenerate ReducedFunctions off the separating lines."""
     rng = np.random.default_rng(123)
     checked = 0
     while checked < 300:
@@ -262,10 +263,15 @@ def test_classification_totality_random():
                  abs(float(c - (b + d))), abs(float(c + (b + d)))]
         if min(lines) < 1e-3:
             continue
+        yield rf
+        checked += 1
+
+
+def test_classification_totality_random():
+    for rf in _totality_inputs():
         rep = classify_critical_points(rf)
         grid_verify(rf, rep, n=250)
         assert rep.saddle_count == REGION_SADDLES[rep.region]
-        checked += 1
 
 
 F_SYM = staticmethod(lambda rho, th: 1.5 * (rho ** 2 + (1 - rho) ** 2))
@@ -560,7 +566,12 @@ def test_scan_equals_per_cell_oracle(b_range, c_range, d):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "c.json")
         path.write_text(json.dumps(raw))
-        assert cli.main(["classify", "--config", str(path), "--out", tmp]) == 0
+        rc = cli.main(["classify", "--config", str(path), "--out", tmp])
+        if 0 in (b_range[2], c_range[2]):
+            # an empty range is a config error, not a header-only CSV
+            assert rc == 2 and not any(Path(tmp).glob("*.csv"))
+            return
+        assert rc == 0
         got = Path(tmp, "region_scan.csv").read_bytes()
     want = _scan_per_cell(cli._fill(raw, cli.SCHEMAS["classify"])["scan"])
     assert got == want.encode()
@@ -577,3 +588,183 @@ def test_grid_broadcast_equals_meshgrid(abc):
                            rf.grad(rhos[:, None], thetas[None, :])):
         assert mesh.shape == bcast.shape == (400, 400)
         assert mesh.tobytes() == bcast.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# closed-form derivatives against central differences, and the closed-form
+# critical-point search against the finite-difference one it replaced
+
+
+def _central_differences(f, x, steps):
+    """The Jacobian of a 2-vector field f at x, or the gradient of a
+    scalar one, by central differences with the given steps."""
+    cols = [(np.array(f(*(x + dx))) - np.array(f(*(x - dx)))) / (2 * h)
+            for h, dx in zip(steps, np.diag(steps))]
+    return np.array(cols).T
+
+
+def _assert_close(fd, exact, rtol):
+    exact = np.array(exact, dtype=float)
+    scale = max(1.0, np.abs(exact).max())
+    assert np.allclose(fd, exact, rtol=rtol, atol=rtol * scale), (fd, exact)
+
+
+RHOS = st.one_of(st.floats(1e-6, 1e-4), st.floats(1e-4, 1 - 1e-4),
+                 st.floats(1 - 1e-4, 1 - 1e-6))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(abc=st.tuples(RATIONALS, RATIONALS, RATIONALS), rho=RHOS,
+       theta=st.floats(0.0, 2 * np.pi))
+def test_hess_equals_central_differences_of_grad(abc, rho, theta):
+    rf = ReducedFunction(*abc)
+    x = np.array([rho, theta])
+    # a rho step well inside (0, 1), where g = sqrt(rho (1 - rho)) is smooth
+    steps = (1e-4 * min(rho, 1 - rho), 1e-6)
+    _assert_close(_central_differences(rf.grad, x, steps),
+                  rf.hess(rho, theta), 1e-5)
+    _assert_close(_central_differences(rf.eval, x, steps),
+                  rf.grad(rho, theta), 1e-5)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(abc=st.tuples(RATIONALS, RATIONALS, RATIONALS),
+       radius=st.floats(0.0, 0.33), angle=st.floats(0.0, 2 * np.pi))
+def test_hess_pole_chart_equals_central_differences(abc, radius, angle):
+    rf = ReducedFunction(*abc)
+    x = radius * np.array([np.cos(angle), np.sin(angle)])
+    steps = (1e-6, 1e-6)
+    _assert_close(_central_differences(rf.grad_pole_chart, x, steps),
+                  rf.hess_pole_chart(*x), 1e-6)
+    _assert_close(_central_differences(rf.eval_pole_chart, x, steps),
+                  rf.grad_pole_chart(*x), 1e-6)
+
+
+def _numeric_critical_points_fd(rf, n=400):
+    """The critical-point search with finite-difference Newton Jacobians
+    and second-difference signatures."""
+    sign_eps, sigma_dist = flowavg._sign_eps, flowavg._sigma_dist
+    rhos = np.linspace(1e-3, 1 - 1e-3, n)
+    thetas = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+    gr, gt = rf.grad(rhos[:, None], thetas[None, :])
+    g2 = gr * gr + gt * gt
+    found = []
+
+    def refine(r0, t0):
+        x = np.array([r0, t0])
+        for _ in range(60):
+            gr, gt = rf.grad(x[0], x[1])
+            g = np.array([gr, gt])
+            if np.linalg.norm(g) < 1e-13:
+                break
+            eps = 1e-7
+            J = np.empty((2, 2))
+            for j, dx in enumerate(np.eye(2) * eps):
+                gp = np.array(rf.grad(*(x + dx)))
+                gm = np.array(rf.grad(*(x - dx)))
+                J[:, j] = (gp - gm) / (2 * eps)
+            try:
+                step = np.linalg.solve(J, g)
+            except np.linalg.LinAlgError:
+                return None
+            if np.linalg.norm(step) > 0.3:
+                step *= 0.3 / np.linalg.norm(step)
+            x = x - step
+            if not (1e-6 < x[0] < 1 - 1e-6):
+                return None
+        else:
+            return None
+        return x[0], x[1] % (2 * np.pi)
+
+    g2w = np.concatenate([g2[:, -1:], g2, g2[:, :1]], axis=1)
+    interior = g2w[1:-1, 1:-1]
+    neigh = np.minimum.reduce([g2w[:-2, 1:-1], g2w[2:, 1:-1],
+                               g2w[1:-1, :-2], g2w[1:-1, 2:]])
+    mask = (interior <= neigh) & (interior < 1e-2)
+    for i, j in zip(*np.nonzero(mask)):
+        res = refine(rhos[i + 1], thetas[j])
+        if res is None:
+            continue
+        r0, t0 = res
+        if all(sigma_dist(r0, t0, r1, t1) > 1e-4 for r1, t1, *_ in found):
+            eps = 1e-5
+            d2r = (rf.eval(r0 + eps, t0) - 2 * rf.eval(r0, t0)
+                   + rf.eval(r0 - eps, t0)) / eps ** 2
+            d2t = (rf.eval(r0, t0 + eps) - 2 * rf.eval(r0, t0)
+                   + rf.eval(r0, t0 - eps)) / eps ** 2
+            found.append((r0, t0, sign_eps(d2t), sign_eps(d2r)))
+
+    def chart_grad(u, v):
+        return np.array(rf.grad_pole_chart(u, v))
+
+    m = 90
+    uu = np.linspace(-0.32, 0.32, m)
+    U, V = np.meshgrid(uu, uu, indexing="ij")
+    GU, GV = rf.grad_pole_chart(U, V)
+    C2 = GU * GU + GV * GV
+    interior = C2[1:-1, 1:-1]
+    neigh = np.minimum.reduce([C2[:-2, 1:-1], C2[2:, 1:-1],
+                               C2[1:-1, :-2], C2[1:-1, 2:]])
+    cmask = (interior <= neigh) & (interior < 1e-2)
+    chart_pts = []
+    for i, j in zip(*np.nonzero(cmask)):
+        x = np.array([U[i + 1, j + 1], V[i + 1, j + 1]])
+        okc = False
+        for _ in range(80):
+            g = chart_grad(*x)
+            if np.linalg.norm(g) < 1e-12:
+                okc = True
+                break
+            J = np.empty((2, 2))
+            for jj, dx in enumerate(np.eye(2) * 1e-6):
+                J[:, jj] = (chart_grad(*(x + dx))
+                            - chart_grad(*(x - dx))) / 2e-6
+            try:
+                step = np.linalg.solve(J, g)
+            except np.linalg.LinAlgError:
+                break
+            if np.linalg.norm(step) > 0.1:
+                step *= 0.1 / np.linalg.norm(step)
+            x = x - step
+            if np.linalg.norm(x) > 0.4:
+                break
+        if okc and np.linalg.norm(x) <= 0.33:
+            if all(np.hypot(x[0] - w[0], x[1] - w[1]) > 1e-6
+                   for w in chart_pts):
+                chart_pts.append((x[0], x[1]))
+    for u, v in chart_pts:
+        s = u * u + v * v
+        if s < 1e-12:
+            e = 1e-5
+            d2u = (rf.eval_pole_chart(e, 0) - 2 * rf.eval_pole_chart(0, 0)
+                   + rf.eval_pole_chart(-e, 0)) / e ** 2
+            d2v = (rf.eval_pole_chart(0, e) - 2 * rf.eval_pole_chart(0, 0)
+                   + rf.eval_pole_chart(0, -e)) / e ** 2
+            for pole_rho in (0.0, 1.0):
+                found.append((pole_rho, 0.0, sign_eps(d2u), sign_eps(d2v)))
+            continue
+        rho0 = s
+        th0 = np.arctan2(-v, u) % (2 * np.pi)
+        for r0 in (rho0, 1.0 - rho0):
+            if any(sigma_dist(r0, th0, r1, t1) <= 1e-4
+                   for r1, t1, *_ in found):
+                continue
+            e = min(1e-5, r0 / 3, (1 - r0) / 3)
+            d2r = (rf.eval(r0 + e, th0) - 2 * rf.eval(r0, th0)
+                   + rf.eval(r0 - e, th0)) / e ** 2
+            d2t = (rf.eval(r0, th0 + 1e-5) - 2 * rf.eval(r0, th0)
+                   + rf.eval(r0, th0 - 1e-5)) / 1e-10
+            found.append((r0, th0, sign_eps(d2t), sign_eps(d2r)))
+    return found
+
+
+def test_closed_form_search_equals_fd_oracle():
+    cases = [(rf, 250) for rf in _totality_inputs()]
+    cases += [(ReducedFunction(*abc), 400) for abc in REGION_SAMPLES.values()]
+    cases.append((ReducedFunction(F(-1), F(1), F(0)), 400))    # the poles
+    for rf, n in cases:
+        got = flowavg._numeric_critical_points(rf, n=n)
+        want = _numeric_critical_points_fd(rf, n=n)
+        assert [p[2:] for p in got] == [p[2:] for p in want]
+        for (r0, t0, *_), (r1, t1, *_) in zip(got, want):
+            assert flowavg._sigma_dist(r0, t0, r1, t1) <= 1e-9
