@@ -142,12 +142,13 @@ def _xpoly(raw):
         raise TypeError("must be an object of monomials")
     out = {}
     for mono, val in raw.items():
-        parts = tuple(int(s) for s in mono.split(","))
-        if len(parts) not in (2, 4) or min(parts) < 0:
+        parts = mono.split(",")
+        if len(parts) not in (2, 4) or not all(
+                s.isascii() and s.isdigit() for s in parts):
             raise ValueError(f"bad monomial key '{mono}'")
         if type(val) is bool:
             raise TypeError(f"coefficient of '{mono}' must be a number")
-        out[parts] = _rational(val) if type(val) is list else Fraction(val)
+        out[tuple(map(int, parts))] = _rational(val)
     return out
 
 

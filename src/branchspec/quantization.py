@@ -57,6 +57,15 @@ class SemiclassicalParams:
         return self.epsilon + self.alpha2
 
 
+def _horner(c, x):
+    """npoly.polyval(x, c) for a 1-d c and a scalar or array x, without
+    its argument checks: the same operations, so the same bits."""
+    c0 = c[-1] + x * 0
+    for ci in c[-2::-1]:
+        c0 = ci + c0 * x
+    return c0
+
+
 @dataclass
 class ActionModel:
     """Analytic actions as complex-coefficient polynomials in mu.
@@ -76,10 +85,10 @@ class ActionModel:
         self.s34 = np.atleast_1d(np.asarray(self.s34, dtype=complex))
 
     def S12(self, mu):
-        return npoly.polyval(mu, self.s12)
+        return _horner(self.s12, mu)
 
     def S34(self, mu):
-        return npoly.polyval(mu, self.s34)
+        return _horner(self.s34, mu)
 
     def dS12(self, mu):
         return npoly.polyval(mu, npoly.polyder(self.s12))
@@ -104,6 +113,11 @@ class Regime(enum.Enum):
     def is_case1(self):
         return self in (Regime.Case1Large, Regime.Case1Small)
 
+
+# (case 1 admissible, |mu| < SMALL_C1 h) -> the regime eval_G picks
+_REGIMES = {(True, False): Regime.Case1Large, (True, True): Regime.Case1Small,
+            (False, False): Regime.Case2Large,
+            (False, True): Regime.Case2Small}
 
 CASE1_LABELS = ("1", "2", "3", "4+", "4-")
 CASE2_LABELS = ("1+", "1-", "2", "3", "4")
@@ -165,44 +179,48 @@ class TermSet:
 
 
 def _log_terms(mu, p, am, regime):
-    """(k, n) array of term logs for a 1-d mu array, plus the labels."""
+    """(5, n) array of term logs for a 1-d mu array, plus the labels."""
     mu = np.atleast_1d(np.asarray(mu, dtype=complex))
     h = p.h
     i_h = 1j / h
     s12 = am.S12(mu)
     s34 = am.S34(mu)
-    l2 = i_h * s12 + np.pi * mu / (2 * h)
-    l3 = i_h * s34 + np.pi * mu / (2 * h)
+    half = np.pi * mu / (2 * h)
+    l2 = i_h * s12 + half
+    l3 = i_h * s34 + half
+    pmh = np.pi * mu / h
+    out = np.empty((5, len(mu)), dtype=complex)
     if regime is Regime.Case1Large:
         rem = _remainder(mu, h, StirlingRegime.MinusBranch)
         core = i_h * (mu * np.log(-1j * mu) - mu + np.pi * h / 4)
-        l1 = i_h * (s12 + s34) + core - rem
         l4 = -core + rem
-        return np.stack([l1, l2, l3,
-                         l4 + np.pi * mu / h,
-                         l4 - np.pi * mu / h]), CASE1_LABELS
+        out[0] = i_h * (s12 + s34) + core - rem
+        out[1], out[2] = l2, l3
+        out[3], out[4] = l4 + pmh, l4 - pmh
+        return out, CASE1_LABELS
     if regime is Regime.Case2Large:
         rem = _remainder(mu, h, StirlingRegime.PlusBranch)
         core = i_h * (mu * np.log(1j * mu) - mu + np.pi * h / 4)
         l1 = i_h * (s12 + s34) + core + rem
-        l4 = -core - rem
-        return np.stack([l1 + np.pi * mu / h,
-                         l1 - np.pi * mu / h,
-                         l2, l3, l4]), CASE2_LABELS
+        out[0], out[1] = l1 + pmh, l1 - pmh
+        out[2], out[3] = l2, l3
+        out[4] = -core - rem
+        return out, CASE2_LABELS
     if regime is Regime.Case1Small:
         lg = log_gamma(0.5 - 1j * mu / h) - LOG_SQRT_2PI
         base = 1j * (mu / h) * np.log(h) - lg + 1j * np.pi / 4
-        l1 = i_h * (s12 + s34) + base
-        return np.stack([l1, l2, l3,
-                         -base + np.pi * mu / h,
-                         -base - np.pi * mu / h]), CASE1_LABELS
+        out[0] = i_h * (s12 + s34) + base
+        out[1], out[2] = l2, l3
+        out[3], out[4] = -base + pmh, -base - pmh
+        return out, CASE1_LABELS
     if regime is Regime.Case2Small:
         lg = log_gamma(0.5 + 1j * mu / h) - LOG_SQRT_2PI
         base = lg + 1j * (mu / h) * np.log(h) + 1j * np.pi / 4
         l1 = i_h * (s12 + s34) + base
-        return np.stack([l1 + np.pi * mu / h,
-                         l1 - np.pi * mu / h,
-                         l2, l3, -base]), CASE2_LABELS
+        out[0], out[1] = l1 + pmh, l1 - pmh
+        out[2], out[3] = l2, l3
+        out[4] = -base
+        return out, CASE2_LABELS
     raise RegimeError(f"unknown regime {regime}")
 
 
@@ -226,7 +244,9 @@ def eval_G(mu, p, am, regime=None):
 
     The offset is the modulus of the largest term in action units, so
     |value| is G normalized by max_j |a_j|.  Arrays return (values,
-    offsets) with per-point regime selection.
+    offsets) with per-point regime selection; a batch in one regime is
+    evaluated without masks.  A point's bits depend only on the point and
+    on whether it is alone in its regime group (see the README).
     """
     if np.ndim(mu) == 0:
         r = regime or choose_regime(mu, p)
@@ -235,27 +255,25 @@ def eval_G(mu, p, am, regime=None):
 
     mu = np.asarray(mu, dtype=complex)
     flat = mu.ravel()
-    vals = np.empty(flat.shape, dtype=complex)
-    offs = np.empty(flat.shape, dtype=float)
-    if regime is not None:
-        masks = [(regime, np.ones(flat.shape, dtype=bool))]
-    else:
+    if regime is None:
         small = np.abs(flat) < SMALL_C1 * p.h
         c1 = (_angdist(np.angle(flat), np.pi / 2) <= np.pi - 1.0 / SECTOR_C) \
             | (flat == 0)
-        masks = [
-            (Regime.Case1Large, c1 & ~small),
-            (Regime.Case1Small, c1 & small),
-            (Regime.Case2Large, ~c1 & ~small),
-            (Regime.Case2Small, ~c1 & small),
-        ]
-    for r, mask in masks:
-        if not np.any(mask):
-            continue
-        logs, _ = _log_terms(flat[mask], p, am, r)
-        v, o = sum_exp_many(logs, p.h, axis=0)
-        vals[mask] = v
-        offs[mask] = o
+        if flat.size and (small == small[0]).all() and (c1 == c1[0]).all():
+            regime = _REGIMES[bool(c1[0]), bool(small[0])]
+    if regime is not None:
+        vals, offs = sum_exp_many(_log_terms(flat, p, am, regime)[0], p.h)
+        return vals.reshape(mu.shape), offs.reshape(mu.shape)
+
+    vals = np.empty(flat.shape, dtype=complex)
+    offs = np.empty(flat.shape, dtype=float)
+    for r, mask in [(Regime.Case1Large, c1 & ~small),
+                    (Regime.Case1Small, c1 & small),
+                    (Regime.Case2Large, ~c1 & ~small),
+                    (Regime.Case2Small, ~c1 & small)]:
+        if mask.any():
+            logs, _ = _log_terms(flat[mask], p, am, r)
+            vals[mask], offs[mask] = sum_exp_many(logs, p.h)
     return vals.reshape(mu.shape), offs.reshape(mu.shape)
 
 

@@ -47,9 +47,8 @@ def sum_exp(log_values, h):
     expressed in action units, so |value| <= number of terms.
     """
     logs = np.asarray(log_values, dtype=complex)
-    re = logs.real
-    m = float(np.max(re))
-    val = complex(np.sum(np.exp(logs - m)))
+    m = float(logs.real.max())
+    val = complex(np.exp(logs - m).sum())
     return ScaledComplex(val, m * h, h)
 
 
@@ -60,9 +59,9 @@ def sum_exp_many(log_values, h, axis=0):
     offsets are in action units (h * max Re log).
     """
     logs = np.asarray(log_values, dtype=complex)
-    m = np.max(logs.real, axis=axis, keepdims=True)
-    vals = np.sum(np.exp(logs - m), axis=axis)
-    return vals, np.squeeze(m, axis=axis) * h
+    m = logs.real.max(axis=axis, keepdims=True)
+    vals = np.exp(logs - m).sum(axis=axis)
+    return vals, m.squeeze(axis=axis) * h
 
 
 def log1p_exp(z):

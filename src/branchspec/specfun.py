@@ -116,11 +116,10 @@ def _check_regime(mu, h, regime, margin=CONIC_MARGIN):
 def _stirling_approx(mu, h, regime):
     """Stirling exponent without the remainder (no admissibility checks)."""
     mu = np.asarray(mu, dtype=complex)
+    i_muh = 1j * (mu / h)
     if regime is StirlingRegime.MinusBranch:
-        return 1j * mu / h - 1j * (mu / h) * np.log(-1j * mu) \
-            + 1j * (mu / h) * np.log(h)
-    return -1j * mu / h + 1j * (mu / h) * np.log(1j * mu) \
-        - 1j * (mu / h) * np.log(h)
+        return 1j * mu / h - i_muh * np.log(-1j * mu) + i_muh * np.log(h)
+    return -1j * mu / h + i_muh * np.log(1j * mu) - i_muh * np.log(h)
 
 
 def stirling_log_gamma(mu, h, regime):
@@ -141,7 +140,7 @@ def _remainder(mu, h, regime):
     mu = np.atleast_1d(mu)
     sign = -1.0 if regime is StirlingRegime.MinusBranch else 1.0
     exact = log_gamma(0.5 + sign * 1j * mu / h) - LOG_SQRT_2PI
-    rem = np.atleast_1d(exact - _stirling_approx(mu, h, regime))
+    rem = exact - _stirling_approx(mu, h, regime)
     # On the real axis Re(remainder) = -log1p(exp(-2 pi |mu|/h))/2 exactly
     # (reflection identity); the generic difference loses it to cancellation
     # once it drops below ~1e-15.

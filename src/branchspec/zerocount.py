@@ -27,8 +27,13 @@ NEWTON_TOL = CALIBRATION["newton_residual_tol"]
 
 
 def _as_vectorized(f):
+    """f as a function of complex arrays with complex values; one wrap."""
+    if getattr(f, "vectorized", False):
+        return f
+
     def fv(z):
         return np.asarray(f(np.asarray(z, dtype=complex)), dtype=complex)
+    fv.vectorized = True
     return fv
 
 
@@ -97,7 +102,11 @@ def _wrapped_increments(vals):
     return (d + np.pi) % (2 * np.pi) - np.pi
 
 
-def _phase_increments(f, za, zb, n0=32, max_depth=26):
+# an edge starts as 32 equal steps
+_EDGE_T = np.linspace(0.0, 1.0, 33)
+
+
+def _phase_increments(f, za, zb, max_depth=26):
     """Sum of arg increments of f along [za, zb].
 
     Refines until every wrapped step is below pi/2 AND the total is
@@ -105,31 +114,31 @@ def _phase_increments(f, za, zb, n0=32, max_depth=26):
     alone can alias a fast 2 pi k + small rotation into a small step.
     Returns (total, min |f| seen).
     """
-    fv = f
-    pts = za + (zb - za) * np.linspace(0.0, 1.0, n0 + 1)
-    vals = fv(pts)
+    pts = za + (zb - za) * _EDGE_T
+    vals = f(pts)
     for _ in range(max_depth):
         d = _wrapped_increments(vals)
         bad = np.abs(d) >= PHASE_CAP
-        if np.any(bad):
+        if bad.any():
             mids = 0.5 * (pts[:-1][bad] + pts[1:][bad])
-            fm = fv(mids)
-            pts = np.insert(pts, np.flatnonzero(bad) + 1, mids)
-            vals = np.insert(vals, np.flatnonzero(bad) + 1, fm)
+            fm = f(mids)
+            at = np.flatnonzero(bad) + 1
+            pts = np.insert(pts, at, mids)
+            vals = np.insert(vals, at, fm)
             continue
         # anti-aliasing verification: bisect everything once
         mids = 0.5 * (pts[:-1] + pts[1:])
-        fm = fv(mids)
+        fm = f(mids)
         pts2 = np.empty(len(pts) + len(mids), dtype=complex)
         vals2 = np.empty_like(pts2)
         pts2[0::2], pts2[1::2] = pts, mids
         vals2[0::2], vals2[1::2] = vals, fm
-        total_before = float(np.sum(d))
-        total_after = float(np.sum(_wrapped_increments(vals2)))
+        d2 = _wrapped_increments(vals2)
+        total_after = float(d2.sum())
         pts, vals = pts2, vals2
-        if abs(total_after - total_before) < 1e-9 \
-                and not np.any(np.abs(_wrapped_increments(vals)) >= PHASE_CAP):
-            return total_after, float(np.min(np.abs(vals)))
+        if abs(total_after - float(d.sum())) < 1e-9 \
+                and not (np.abs(d2) >= PHASE_CAP).any():
+            return total_after, float(np.abs(vals).min())
     raise OnContourZero("phase tracking did not stabilize (zero on path?)")
 
 

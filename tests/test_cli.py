@@ -280,6 +280,11 @@ CLASSIFY_CFG = {"schema_version": 1, "a": -1, "b": 1, "c": [1, 2]}
     ("classify", {}, "scan", {"b_range": [0, 1, 0]}),
     ("classify", {}, "scan", {"b_range": [0, 1, 2.7]}),
     ("classify", {}, "scan", {"c_range": [0, 1, True]}),
+    # exited 0: int() read "1_0" as 10 and took a sign or blanks
+    ("average", {"x_poly": {"4,0": 1}}, "x_poly", {"1_0,0": 1}),
+    ("average", {"x_poly": {"4,0": 1}}, "x_poly", {" 1,0": 1}),
+    ("average", {"x_poly": {"4,0": 1}}, "x_poly", {"+1,0": 1}),
+    ("average", {"x_poly": {"4,0": 1}}, "x_poly", {"1,0 ": 1}),
 ])
 def test_malformed_config_names_its_key(tmp_path, capsys, command, base,
                                         field, value):
@@ -289,6 +294,15 @@ def test_malformed_config_names_its_key(tmp_path, capsys, command, base,
     err = capsys.readouterr().err
     assert err.startswith("config error") and field in err
     assert not any(out.iterdir())
+
+
+def test_xpoly_reads_coefficients_as_written():
+    # Fraction(0.1) is the double nearest 1/10, not 1/10
+    assert cli._xpoly({"2,0": 0.1}) == {(2, 0): Fraction(1, 10)}
+    assert cli._xpoly({"2,0": 0.1})[2, 0] == cli._rational(0.1)
+    assert cli._xpoly({"1,2,0,3": "1/3", "0,0": [2, 6], "4,0": -5}) == {
+        (1, 2, 0, 3): Fraction(1, 3), (0, 0): Fraction(1, 3),
+        (4, 0): Fraction(-5)}
 
 
 def test_config_defaults_are_filled_in_at_load(tmp_path, monkeypatch):

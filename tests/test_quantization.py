@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from branchspec import quantization
 from branchspec.errors import BranchspecError, NoConvergence, SectorEscape
@@ -22,6 +23,13 @@ from branchspec.quantization import (
     exponent_geometry,
     quantization_residual,
     term_set,
+)
+from branchspec.scaled import ScaledComplex
+from branchspec.specfun import (
+    LOG_SQRT_2PI,
+    StirlingRegime,
+    _angdist,
+    log_gamma,
 )
 from branchspec.transition import exact_matrix, renormalize
 
@@ -500,3 +508,221 @@ def test_params_reject_nonpositive_and_nonfinite(h, epsilon):
     # only the constructor runs here, so a regression cannot hang
     with pytest.raises(ValueError):
         SemiclassicalParams(h=h, epsilon=epsilon)
+
+
+# --- eval_G against the masked evaluation it replaced ------------------------
+
+def _remainder_reference(mu, h, regime):
+    """specfun._remainder as it was, with its own Stirling exponent."""
+    mu = np.atleast_1d(np.asarray(mu, dtype=complex))
+    if regime is StirlingRegime.MinusBranch:
+        approx = 1j * mu / h - 1j * (mu / h) * np.log(-1j * mu) \
+            + 1j * (mu / h) * np.log(h)
+        exact = log_gamma(0.5 + -1.0 * 1j * mu / h) - LOG_SQRT_2PI
+    else:
+        approx = -1j * mu / h + 1j * (mu / h) * np.log(1j * mu) \
+            - 1j * (mu / h) * np.log(h)
+        exact = log_gamma(0.5 + 1.0 * 1j * mu / h) - LOG_SQRT_2PI
+    rem = np.atleast_1d(exact - approx)
+    real_axis = mu.imag == 0
+    if real_axis.any():
+        x = np.abs(mu.real[real_axis]) / h
+        rem[real_axis] = -0.5 * np.log1p(np.exp(-2 * np.pi * x)) \
+            + 1j * rem[real_axis].imag
+    return rem
+
+
+def _log_terms_reference(mu, p, am, regime):
+    """_log_terms as it was: polyval actions and one np.stack."""
+    mu = np.atleast_1d(np.asarray(mu, dtype=complex))
+    h = p.h
+    i_h = 1j / h
+    s12 = npoly.polyval(mu, am.s12)
+    s34 = npoly.polyval(mu, am.s34)
+    l2 = i_h * s12 + np.pi * mu / (2 * h)
+    l3 = i_h * s34 + np.pi * mu / (2 * h)
+    if regime is Regime.Case1Large:
+        rem = _remainder_reference(mu, h, StirlingRegime.MinusBranch)
+        core = i_h * (mu * np.log(-1j * mu) - mu + np.pi * h / 4)
+        l1 = i_h * (s12 + s34) + core - rem
+        l4 = -core + rem
+        return np.stack([l1, l2, l3,
+                         l4 + np.pi * mu / h, l4 - np.pi * mu / h])
+    if regime is Regime.Case2Large:
+        rem = _remainder_reference(mu, h, StirlingRegime.PlusBranch)
+        core = i_h * (mu * np.log(1j * mu) - mu + np.pi * h / 4)
+        l1 = i_h * (s12 + s34) + core + rem
+        l4 = -core - rem
+        return np.stack([l1 + np.pi * mu / h, l1 - np.pi * mu / h,
+                         l2, l3, l4])
+    if regime is Regime.Case1Small:
+        lg = log_gamma(0.5 - 1j * mu / h) - LOG_SQRT_2PI
+        base = 1j * (mu / h) * np.log(h) - lg + 1j * np.pi / 4
+        l1 = i_h * (s12 + s34) + base
+        return np.stack([l1, l2, l3,
+                         -base + np.pi * mu / h, -base - np.pi * mu / h])
+    lg = log_gamma(0.5 + 1j * mu / h) - LOG_SQRT_2PI
+    base = lg + 1j * (mu / h) * np.log(h) + 1j * np.pi / 4
+    l1 = i_h * (s12 + s34) + base
+    return np.stack([l1 + np.pi * mu / h, l1 - np.pi * mu / h,
+                     l2, l3, -base])
+
+
+def _sum_exp_reference(logs, h):
+    m = np.max(logs.real, axis=0, keepdims=True)
+    return np.sum(np.exp(logs - m), axis=0), np.squeeze(m, axis=0) * h
+
+
+def _eval_G_reference(mu, p, am, regime=None):
+    """eval_G as it was: four regime masks, each scattered back."""
+    if np.ndim(mu) == 0:
+        r = regime or choose_regime(mu, p)
+        v, o = _sum_exp_reference(
+            _log_terms_reference(np.array([complex(mu)]), p, am, r), p.h)
+        return v[0], o[0]
+    mu = np.asarray(mu, dtype=complex)
+    flat = mu.ravel()
+    vals = np.empty(flat.shape, dtype=complex)
+    offs = np.empty(flat.shape, dtype=float)
+    if regime is not None:
+        masks = [(regime, np.ones(flat.shape, dtype=bool))]
+    else:
+        small = np.abs(flat) < quantization.SMALL_C1 * p.h
+        c1 = (_angdist(np.angle(flat), np.pi / 2)
+              <= np.pi - 1.0 / quantization.SECTOR_C) | (flat == 0)
+        masks = [(Regime.Case1Large, c1 & ~small),
+                 (Regime.Case1Small, c1 & small),
+                 (Regime.Case2Large, ~c1 & ~small),
+                 (Regime.Case2Small, ~c1 & small)]
+    for r, mask in masks:
+        if not np.any(mask):
+            continue
+        v, o = _sum_exp_reference(
+            _log_terms_reference(flat[mask], p, am, r), p.h)
+        vals[mask] = v
+        offs[mask] = o
+    return vals.reshape(mu.shape), offs.reshape(mu.shape)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=complex).reshape(-1).view(np.uint64).tolist()
+
+
+def _outcome(fn):
+    """Bit patterns of (values, offsets), or the type of the error."""
+    try:
+        with np.errstate(all="ignore"):
+            out = fn()
+    except BranchspecError as exc:
+        return type(exc)
+    if isinstance(out, ScaledComplex):
+        out = (out.value, out.offset)
+    return _bits(out[0]), _bits(out[1]), np.shape(out[0])
+
+
+_EDGE = 1.0 / quantization.SECTOR_C   # case 1 excludes this cone around -i
+
+
+def _regime_points(rng, kind, h, n):
+    """n points of one kind: inside one regime, or on a boundary."""
+    rs = quantization.SMALL_C1 * h
+    case1 = rng.uniform(-np.pi / 2 + _EDGE, 3 * np.pi / 2 - _EDGE, n)
+    case2 = rng.uniform(-np.pi / 2 - _EDGE, -np.pi / 2 + _EDGE, n)
+    large = rng.uniform(1.001 * rs, 200 * rs, n)
+    small = rng.uniform(0.0, 0.999 * rs, n)
+    if kind == "boundary":
+        r = rng.choice([rs, np.nextafter(rs, 0), np.nextafter(rs, 1)], n)
+        th = rng.choice([-np.pi / 2 - _EDGE, -np.pi / 2 + _EDGE, 0.0, np.pi,
+                         rng.uniform(-np.pi, np.pi)], n)
+        pts = np.where(rng.random(n) < 0.5, r, large) * np.exp(1j * th)
+        # mu = 0 and points on the real axis, which _remainder special-cases
+        specials = [0j, rs + 0j, -rs + 0j, large[0] + 0j, -small[0] + 0j]
+        return np.where(rng.random(n) < 0.3, rng.choice(specials, n), pts)
+    if kind == "mixed":
+        kinds = rng.choice(["case1large", "case2large", "case1small",
+                            "case2small", "boundary"], n)
+        return np.array([_regime_points(rng, k, h, 1)[0] for k in kinds])
+    if kind in ("both_large", "both_small"):   # one size, both cases
+        r = large if kind == "both_large" else small
+        return r * np.exp(1j * np.where(rng.random(n) < 0.5, case1, case2))
+    r = large if kind.endswith("large") else small
+    return r * np.exp(1j * (case1 if kind.startswith("case1") else case2))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 20), h=st.sampled_from([1e-2, 1e-3, 3e-4]),
+       kind=st.sampled_from(["case1large", "case2large", "case1small",
+                             "case2small", "boundary", "mixed",
+                             "both_large", "both_small"]),
+       shape=st.sampled_from([(1,), (21,), (3, 7)]))
+def test_eval_g_bitwise_equal_to_masked_reference(seed, h, kind, shape):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(scale=0.1, size=(2, 3)) \
+        + 1j * rng.normal(scale=0.03, size=(2, 3))
+    coeffs[rng.random((2, 3)) < 0.2] = -0.0
+    am = ActionModel(coeffs[0, :rng.integers(1, 4)], coeffs[1])
+    p = params(h=h, eps=3e-2)
+    mu = _regime_points(rng, kind, h, int(np.prod(shape))).reshape(shape)
+    for regime in [None, *Regime]:
+        want = _outcome(lambda: _eval_G_reference(mu, p, am, regime))
+        assert _outcome(lambda: eval_G(mu, p, am, regime)) == want
+        want = _outcome(lambda: _eval_G_reference(mu.flat[0], p, am, regime))
+        assert _outcome(lambda: eval_G(mu.flat[0], p, am, regime)) == want
+    if not kind.startswith("case") or mu.size < 4:
+        return
+    # a one-regime batch equals its subsets of two or more points; numpy
+    # sums the terms of a one-point batch in another order (README)
+    vals, offs = eval_G(mu, p, am)
+    idx = rng.permutation(mu.size)[:rng.integers(2, mu.size)]
+    v, o = eval_G(mu.ravel()[idx], p, am)
+    assert _bits([v, o]) == _bits([vals.ravel()[idx], offs.ravel()[idx]])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 20), degree=st.integers(0, 6),
+       n=st.sampled_from([0, 1, 21]), real_x=st.booleans())
+def test_horner_bitwise_equal_to_polyval(seed, degree, n, real_x):
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+    c[rng.random(degree + 1) < 0.3] = -0.0
+    c.imag[rng.random(degree + 1) < 0.3] = -0.0
+    am = ActionModel(c, c[::-1])
+    x = rng.normal(size=n) * 0.3
+    if not real_x:
+        x = x + 1j * rng.normal(size=n) * 0.3
+    for mu in (x, x[:1].reshape(()) if n else -0.0, complex(x[0]) if n else 0j):
+        for got, coef in ((am.S12(mu), am.s12), (am.S34(mu), am.s34)):
+            want = npoly.polyval(mu, coef)
+            assert type(got) is type(want)
+            assert _bits(got) == _bits(want)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 20), h=st.sampled_from([1e-2, 1e-3, 3e-4]),
+       near=st.sampled_from(["small_C1", "sector", "real_axis"]))
+def test_regime_overlap_consistency_near_boundaries(seed, h, near):
+    # where two or more regimes are admissible they are exact rewritings
+    # of one G: their values, aligned by offset, agree to 1e-10
+    rng = np.random.default_rng(seed)
+    p = params(h=h, eps=3e-2)
+    am = _physical(seed, p.epsilon)
+    rs = quantization.SMALL_C1 * h
+    r = rs * np.exp(rng.uniform(np.log(0.5), np.log(0.2 / rs), 21))
+    if near == "small_C1":
+        r, th = rs * rng.uniform(0.9, 1.1, 21), rng.uniform(-np.pi, np.pi, 21)
+    elif near == "sector":
+        th = -np.pi / 2 + rng.choice([-1, 1], 21) * _EDGE \
+            + rng.uniform(-0.02, 0.02, 21)
+    else:
+        th = rng.choice([0.0, np.pi], 21) + rng.uniform(-0.3, 0.3, 21)
+    mu = r * np.exp(1j * th)
+    g = {rg: eval_G(mu, p, am, regime=rg) for rg in Regime}
+    case1 = quantization.case1_admissible(mu)
+    case2 = quantization.case2_admissible(mu)
+    for i in range(len(mu)):
+        regimes = [rg for rg in Regime if (case1 if rg.is_case1 else case2)[i]]
+        ref_v, ref_o = g[regimes[0]][0][i], g[regimes[0]][1][i]
+        for rg in regimes[1:]:
+            v, o = g[rg][0][i], g[rg][1][i]
+            num = v * np.exp((o - ref_o) / h)
+            assert abs(num - ref_v) <= 1e-10 * abs(ref_v), (mu[i], rg)

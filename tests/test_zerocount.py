@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 from branchspec import zerocount
 from branchspec.cli import main
-from branchspec.errors import BijectionFailure, CountNotConserved, NotAdmissible
+from branchspec.errors import (
+    BijectionFailure,
+    CountNotConserved,
+    NotAdmissible,
+    OnContourZero,
+)
 from branchspec.quantization import (
     ActionModel,
     Regime,
@@ -294,3 +299,114 @@ def test_unconserved_child_counts_raise_typed_error(tmp_path, monkeypatch):
         "S34": [[0.02, 0.02], [-0.2, 0.0]],
         "rectangle": [0.06, 0.14, -0.04, 0.04]}))
     assert main(["model", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+
+
+def _phase_increments_reference(f, za, zb, n0=32, max_depth=26):
+    """_phase_increments as it was before its verification increments
+    were computed once: the oracle of the call-sequence tests."""
+    fv = f
+    pts = za + (zb - za) * np.linspace(0.0, 1.0, n0 + 1)
+    vals = fv(pts)
+    for _ in range(max_depth):
+        d = zerocount._wrapped_increments(vals)
+        bad = np.abs(d) >= zerocount.PHASE_CAP
+        if np.any(bad):
+            mids = 0.5 * (pts[:-1][bad] + pts[1:][bad])
+            fm = fv(mids)
+            pts = np.insert(pts, np.flatnonzero(bad) + 1, mids)
+            vals = np.insert(vals, np.flatnonzero(bad) + 1, fm)
+            continue
+        mids = 0.5 * (pts[:-1] + pts[1:])
+        fm = fv(mids)
+        pts2 = np.empty(len(pts) + len(mids), dtype=complex)
+        vals2 = np.empty_like(pts2)
+        pts2[0::2], pts2[1::2] = pts, mids
+        vals2[0::2], vals2[1::2] = vals, fm
+        total_before = float(np.sum(d))
+        total_after = float(np.sum(zerocount._wrapped_increments(vals2)))
+        pts, vals = pts2, vals2
+        if abs(total_after - total_before) < 1e-9 and not np.any(
+                np.abs(zerocount._wrapped_increments(vals))
+                >= zerocount.PHASE_CAP):
+            return total_after, float(np.min(np.abs(vals)))
+    raise OnContourZero("phase tracking did not stabilize (zero on path?)")
+
+
+def _winding_once_reference(f, contour):
+    total = 0.0
+    min_abs = np.inf
+    max_abs = 0.0
+    for za, zb in contour.edges():
+        t, m = _phase_increments_reference(f, za, zb)
+        total += t
+        min_abs = min(min_abs, m)
+        v = np.abs(f(np.array([za])))[0]
+        max_abs = max(max_abs, v)
+    return total / (2 * np.pi), min_abs, max_abs
+
+
+def _bits(a):
+    return np.asarray(a, dtype=complex).view(np.uint64).tolist()
+
+
+def _recorded(run, f, reference):
+    """The point batches f sees during run(f), and run's outcome; with
+    reference=True the winding loop is the oracle copy."""
+    batches = []
+
+    def rec(z):
+        batches.append(_bits(z))
+        return f(z)
+
+    with pytest.MonkeyPatch.context() as mp:
+        if reference:
+            mp.setattr(zerocount, "_winding_once", _winding_once_reference)
+        try:
+            outcome = run(rec)
+        except OnContourZero as exc:
+            outcome = repr(exc)
+    return batches, outcome
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 20), h=st.sampled_from([1e-2, 1e-3]))
+def test_winding_loop_sees_the_same_points_as_reference(seed, h):
+    # the winding loop must make the same f calls on the same points,
+    # bit for bit, and reach the same count
+    rng = np.random.default_rng(seed)
+    p = SemiclassicalParams(h=h, epsilon=3e-2)
+    am = ActionModel([complex(*rng.uniform(-0.05, 0.05, 2)), 0.3],
+                     [complex(*rng.uniform(-0.05, 0.05, 2)), -0.2])
+    re0, im0 = rng.uniform(-20 * h, 20 * h, 2)
+    w, t = rng.uniform(h, 10 * h, 2)
+    contour = Contour.rectangle(re0, re0 + w, im0, im0 + t)
+    run = lambda f: winding_count(f, contour, h=h)
+    f = GProvider(p, am).normalized_G
+    new, n_new = _recorded(run, f, reference=False)
+    old, n_old = _recorded(run, f, reference=True)
+    assert n_new == n_old
+    assert new == old
+
+
+def test_expanded_contour_sees_the_same_points_as_reference():
+    # the zero at -i is a sample point of the bottom edge, so the count
+    # retries on contours pushed out by h/100
+    f = lambda z: (z + 1j) * (z - 0.3 - 0.2j)
+    run = lambda g: winding_count(g, Contour.rectangle(-1, 1, -1, 1))
+    new, n_new = _recorded(run, f, reference=False)
+    old, n_old = _recorded(run, f, reference=True)
+    assert n_new == n_old == 2
+    assert new == old
+    assert np.abs(np.asarray(new[-1]).view(complex).imag).max() > 1
+
+
+def test_locate_zeros_sees_the_same_points_as_reference():
+    # the whole locator: winding counts, jitters and the Newton polish
+    p = SemiclassicalParams(h=0.01, epsilon=3e-2)
+    f = GProvider(p, ActionModel([0.01 + 0.012j, 0.3],
+                                 [0.02 + 0.02j, -0.2])).normalized_G
+    run = lambda g: repr(locate_zeros(g, (0.05, 0.12, -0.03, 0.03), p))
+    new, zs_new = _recorded(run, f, reference=False)
+    old, zs_old = _recorded(run, f, reference=True)
+    assert zs_new == zs_old
+    assert new == old and len(new) > 1000
