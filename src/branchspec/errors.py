@@ -76,10 +76,6 @@ class Mismatch(BranchspecError):
         self.discrepancies = list(discrepancies)
 
 
-class NoLoop(BranchspecError):
-    """No homoclinic loop exists for the requested parameters."""
-
-
 class CountNotConserved(BranchspecError):
     """Child winding counts of a cell do not add up to the cell's count."""
 

@@ -3,8 +3,7 @@
 All symbolic computations (averages, the weighted average G0, Poisson
 brackets, correlations C) are exact over the Gaussian rationals: a
 monomial z^alpha zbar^beta is a dict key and its coefficient a pair of
-Fractions.  Floating point enters only in the numerical verifier and in
-the separatrix action integrals.
+Fractions.  Floating point enters only in the numerical verifier.
 
 The frequency ratio 1:1 is hard-wired (flow z_j(t) = e^{-it} z_j);
 general rational ratios would change only the balance condition
@@ -19,7 +18,7 @@ from math import comb
 import numpy as np
 
 from .calibration import CALIBRATION
-from .errors import DegenerateInput, Mismatch, NoLoop, NotInvariant
+from .errors import DegenerateInput, Mismatch, NotInvariant
 
 REGION_LINE_TOL = CALIBRATION["region_line_tol"]
 
@@ -255,48 +254,12 @@ def _bracket_into(out, f_terms, g_terms):
                          v.times_i(2 * sig2))
 
 
-def poisson(f, g):
-    """Exact Poisson bracket {f, g} of z-polynomials."""
-    out = BalancedLaurent()
-    _bracket_into(out, f.terms.items(), g.terms.items())
-    return out
-
-
-def hamiltonian_vector_on_p(q):
-    """H_p q for p = (|z1|^2 + |z2|^2)/2: each term times i(|b|-|a|)."""
-    out = BalancedLaurent()
-    for key, v in q.terms.items():
-        k = _frequency(key)
-        if k:
-            out._add(key, v.times_i(k))
-    return out
-
-
 def _by_frequency(q):
     """The terms of q grouped by frequency: dict k -> [(key, coeff)]."""
     groups = {}
     for key, v in q.terms.items():
         groups.setdefault(_frequency(key), []).append((key, v))
     return groups
-
-
-def correlation_Cor(q1, q2):
-    """Cor(q1, q2; s) as a dict frequency -> BalancedLaurent, where the
-    s-dependence of each piece is exp(i s k).
-
-    Piece k is the flow average of {q1_k, q2}, with q1_k the frequency-k
-    part of q1.  A bracket term's frequency is the sum of its factors'
-    frequencies, so only the frequency -k part of q2 contributes and the
-    average keeps every term it brackets.
-    """
-    by_k = _by_frequency(q2)
-    out = {}
-    for k, terms in _by_frequency(q1).items():
-        piece = BalancedLaurent()
-        _bracket_into(piece, terms, by_k.get(-k, ()))
-        if piece:
-            out[k] = piece
-    return out
 
 
 def correlation_C(q1, q2):
@@ -767,87 +730,3 @@ def grid_verify(rf, report, n=400, tol=1e-6):
     if problems:
         raise Mismatch("; ".join(problems), discrepancies=problems)
     return {"matched": len(expected), "numeric": len(numeric)}
-
-
-class Loop(enum.Enum):
-    LeftLoop = "left"    # drifts into rho < 1/2 first
-    RightLoop = "right"  # drifts into rho > 1/2 first
-
-
-def action_perturbation(rf, f, loop, offset=1e-8, t_max=400.0):
-    """int (f - f(saddle)) dt along the homoclinic separatrix of <q>.
-
-    The flow is rho' = -d<q>/dtheta, theta' = d<q>/drho on Sigma.  The
-    orbit is launched `offset` along the unstable eigenvector and
-    truncated when it re-enters the linearization zone; both tails are
-    added via the linearized flow.
-    """
-    from scipy.integrate import solve_ivp
-
-    report = classify_critical_points(rf)
-    saddle = None
-    for pt in report.points:
-        if pt.kind in (PointKind.CrossingCf, PointKind.CrossingCb) \
-                and pt.is_saddle:
-            saddle = pt
-            break
-    if saddle is None:
-        raise NoLoop("no crossing saddle for these parameters")
-    r_s, t_s = saddle.locations[0]
-    f_c = float(f(r_s, t_s))
-
-    x_s = np.array([r_s, t_s])
-    H = np.array(rf.hess(r_s, t_s))
-    # linearized field J H with J = [[0, -1], [1, 0]]
-    A = np.array([[-H[1, 0], -H[1, 1]], [H[0, 0], H[0, 1]]])
-    evals, evecs = np.linalg.eig(A)
-    if np.max(evals.real) <= 1e-10:
-        raise NoLoop("linearization has no unstable direction")
-    iu = int(np.argmax(evals.real))
-    lam = float(evals[iu].real)
-    v = np.real(evecs[:, iu])
-    v /= np.linalg.norm(v)
-    want_left = loop is Loop.LeftLoop
-    drift_left = v[0] < 0 if abs(v[0]) > 1e-12 else None
-    if drift_left is None:
-        # unstable direction purely in theta: sides by theta instead
-        drift_left = v[1] < 0
-    if drift_left != want_left:
-        v = -v
-
-    def rhs(t, s):
-        gr, gt = rf.grad(s[0], s[1])
-        return [-gt, gr, float(f(s[0], s[1])) - f_c]
-
-    x0 = x_s + offset * v
-    # the returning orbit misses the saddle by O(offset) manifold error,
-    # observed ~1e-6; capture well above that, still deep in the linear zone
-    capture = 1e-4
-
-    def back_home(t, s):
-        return np.hypot(s[0] - r_s,
-                        (s[1] - t_s + np.pi) % (2 * np.pi) - np.pi) - capture
-    back_home.terminal = True
-    back_home.direction = -1.0
-
-    sol = solve_ivp(rhs, (0.0, t_max), [x0[0], x0[1], 0.0],
-                    rtol=1e-11, atol=1e-13, events=back_home,
-                    dense_output=False, max_step=1.0, first_step=1e-6)
-    if not sol.t_events[0].size:
-        raise NoLoop("separatrix did not return to the saddle")
-    integral = float(sol.y[2, -1])
-
-    # tail corrections by the linearized flow: f - f_c ~ C e^{k lam t}
-    def tail(x_near):
-        f1 = float(f(*x_near)) - f_c
-        mid = x_s + 0.5 * (np.asarray(x_near) - x_s)
-        f2 = float(f(*mid)) - f_c
-        if f1 == 0.0 or f2 == 0.0 or f1 * f2 <= 0:
-            return 0.0
-        k = max(np.log2(abs(f1 / f2)), 0.5)
-        return f1 / (k * lam)
-
-    integral += tail(x0)
-    x_end = np.array([sol.y[0, -1], sol.y[1, -1]])
-    integral += tail(x_end)
-    return integral

@@ -11,7 +11,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .calibration import CALIBRATION
 from .errors import DegenerateError, NoConvergence, RegimeError, SectorEscape
@@ -90,12 +89,6 @@ class ActionModel:
     def S34(self, mu):
         return _horner(self.s34, mu)
 
-    def dS12(self, mu):
-        return npoly.polyval(mu, npoly.polyder(self.s12))
-
-    def dS34(self, mu):
-        return npoly.polyval(mu, npoly.polyder(self.s34))
-
     def mirrored(self):
         """Model with S_jk(mu) -> conj(S_jk(conj mu)) (conjugate coefficients)."""
         return ActionModel(np.conj(self.s12), np.conj(self.s34),
@@ -173,9 +166,6 @@ class TermSet:
             if t.label == label:
                 return t.rate
         raise KeyError(label)
-
-    def G(self, h):
-        return sum_exp([t.log_value for t in self.terms], h)
 
 
 def _log_terms(mu, p, am, regime):
@@ -275,26 +265,6 @@ def eval_G(mu, p, am, regime=None):
             logs, _ = _log_terms(flat[mask], p, am, r)
             vals[mask], offs[mask] = sum_exp_many(logs, p.h)
     return vals.reshape(mu.shape), offs.reshape(mu.shape)
-
-
-@dataclass(frozen=True)
-class ExponentGeometry:
-    """The X, Y, Ytilde exponent bookkeeping at one mu."""
-
-    mu: complex
-    X: float
-    Y: float
-    Ytilde: float
-
-
-def exponent_geometry(mu, p):
-    mu = complex(mu)
-    h = p.h
-    rm = _remainder(mu, h, StirlingRegime.MinusBranch)
-    rp = _remainder(mu, h, StirlingRegime.PlusBranch)
-    y = mu.real * np.angle(-1j * mu) - mu.imag + h * float(np.real(rm))
-    yt = mu.real * np.angle(1j * mu) - mu.imag - h * float(np.real(rp))
-    return ExponentGeometry(mu=mu, X=np.pi / 2 * mu.real + y, Y=y, Ytilde=yt)
 
 
 def _raw_actions(mu, p, am, coeffs, theta):
@@ -470,43 +440,3 @@ def bohr_sommerfeld_solve(branch, k, p, am, x_max=0.45, max_iter=60,
     f = _bs_target(branch, mu, p, am, k)
     raise NoConvergence(f"{branch.name} k={k} did not converge",
                         last=mu, residual=abs(f))
-
-
-def bs_spacing(mu, p):
-    """Leading spacing of successive interior roots, 2 pi h / ln(1/|mu|)."""
-    return 2 * np.pi * p.h / np.log(1.0 / abs(mu))
-
-
-@dataclass(frozen=True)
-class SpectrumPoint2D:
-    z: complex
-    k: int
-    mu: complex
-
-
-def assemble_2d_spectrum(k_range, g_coeffs, K_coeffs, S0, k0, p,
-                         mu_roots_provider, tau_cut=0.3):
-    """Two-dimensional spectrum from per-tau mu-roots.
-
-    tau_k = h(k - k0/4) - S0/(2 pi); each mu-root maps to
-    w = K(tau_k, mu) and z = g(tau_k) + i eps w.  g must be strictly
-    increasing over the retained tau_k.
-    """
-    g_coeffs = np.atleast_1d(np.asarray(g_coeffs, dtype=float))
-    K_coeffs = np.atleast_2d(np.asarray(K_coeffs, dtype=complex))
-    if abs(npoly.polyval(0.0, g_coeffs)) > 1e-14:
-        raise ValueError("g(0) must vanish")
-    dg = npoly.polyder(g_coeffs)
-    out = []
-    for k in range(k_range[0], k_range[1] + 1):
-        tau = p.h * (k - k0 / 4.0) - S0 / (2 * np.pi)
-        if abs(tau) > tau_cut:
-            continue
-        if npoly.polyval(tau, dg) <= 0:
-            raise ValueError(f"g not strictly increasing at tau={tau}")
-        gtau = float(npoly.polyval(tau, g_coeffs))
-        for mu in mu_roots_provider(tau):
-            w = complex(npoly.polyval2d(tau, mu, K_coeffs))
-            out.append(SpectrumPoint2D(z=gtau + 1j * p.epsilon * w,
-                                       k=k, mu=complex(mu)))
-    return out

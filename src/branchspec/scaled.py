@@ -18,26 +18,6 @@ class ScaledComplex:
     offset: float
     h: float
 
-    def abs_log(self):
-        """log |.| (natural), or -inf for an exact zero."""
-        if self.value == 0:
-            return -np.inf
-        return np.log(abs(self.value)) + self.offset / self.h
-
-    def __mul__(self, other):
-        if isinstance(other, ScaledComplex):
-            return ScaledComplex(self.value * other.value,
-                                 self.offset + other.offset, self.h)
-        return ScaledComplex(self.value * other, self.offset, self.h)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, ScaledComplex):
-            return ScaledComplex(self.value / other.value,
-                                 self.offset - other.offset, self.h)
-        return ScaledComplex(self.value / other, self.offset, self.h)
-
 
 def sum_exp(log_values, h):
     """Stable sum of exp(log_values) as a ScaledComplex.

@@ -175,9 +175,6 @@ class SkeletonCurve:
     def interp(self, x):
         return np.interp(x, self.xs, self.ys)
 
-    def covers(self, x):
-        return (x >= self.xs[0]) & (x <= self.xs[-1])
-
 
 def trace_gamma(pair, p, am, x_range):
     """Trace Gamma_pair over x_range = (x_lo, x_hi).
@@ -417,24 +414,6 @@ def assemble(p, am, C_body=CALIBRATION["body_C"], x_max=WORK_DISK - 0.02):
 
     sk = Skeleton(s_prime=pieces, gamma_vertical=gamma_vertical,
                   diamonds=diamonds, mu_A=mu_A, mu_B=mu_B,
-                  body_constant=C_body, h=p.h)
-    return sk, Body(skeleton=sk, C=C_body, p=p)
-
-
-def assemble_case2(p, am, C_body=CALIBRATION["body_C"],
-                   x_max=WORK_DISK - 0.02):
-    """Case-2 skeleton via the conjugation symmetry: the case-2 curves of
-    (S12, S34) are the reflections of the case-1 curves of the mirrored
-    model with conjugated coefficients."""
-    sk1, _ = assemble(p, am.mirrored(), C_body=C_body, x_max=x_max)
-    pieces = [CurvePiece(pc.label, pc.xs, -pc.ys) for pc in sk1.s_prime]
-    gv = None
-    if sk1.gamma_vertical is not None:
-        gv = (-sk1.gamma_vertical[1], -sk1.gamma_vertical[0])
-    diamonds = [(-c, w) for c, w in sk1.diamonds]
-    refl = lambda z: None if z is None else np.conj(z)
-    sk = Skeleton(s_prime=pieces, gamma_vertical=gv, diamonds=diamonds,
-                  mu_A=refl(sk1.mu_A), mu_B=refl(sk1.mu_B),
                   body_constant=C_body, h=p.h)
     return sk, Body(skeleton=sk, C=C_body, p=p)
 

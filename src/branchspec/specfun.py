@@ -122,17 +122,6 @@ def _stirling_approx(mu, h, regime):
     return -1j * mu / h + i_muh * np.log(1j * mu) - i_muh * np.log(h)
 
 
-def stirling_log_gamma(mu, h, regime):
-    """Stirling approximation to log(Gamma(1/2 -+ i mu/h) / sqrt(2 pi)).
-
-    MinusBranch approximates the "-" sign, PlusBranch the "+" sign.
-    The returned exponent drops the O(h/mu) remainder.
-    """
-    _check_regime(mu, h, regime)
-    out = _stirling_approx(mu, h, regime)
-    return complex(out) if np.ndim(mu) == 0 else out
-
-
 def _remainder(mu, h, regime):
     """Exact Stirling remainder, no conic-margin check (internal use)."""
     mu = np.asarray(mu, dtype=complex)

@@ -51,8 +51,6 @@ SOURCES = {
          "bs_residual_tol"),
     "assemble(C_body)":
         (lambda: _default(skeleton.assemble, "C_body"), "body_C"),
-    "assemble_case2(C_body)":
-        (lambda: _default(skeleton.assemble_case2, "C_body"), "body_C"),
     "Body.box_constant":
         (lambda: _default(skeleton.Body, "box_constant"), "box_C"),
     "spurious_filter(tol_scale)":

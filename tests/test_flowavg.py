@@ -1,4 +1,4 @@
-"""Exact flow averages, correlations, classification, separatrix actions."""
+"""Exact flow averages, correlations and classification."""
 
 import csv
 import io
@@ -18,19 +18,14 @@ from branchspec.flowavg import (
     REGION_SADDLES,
     REGION_TABLE,
     BalancedLaurent as BL,
-    Loop,
     PointKind,
     QQi,
     ReducedFunction,
     Region,
-    action_perturbation,
     classify_critical_points,
     correlation_C,
-    correlation_Cor,
     flow_average,
     grid_verify,
-    hamiltonian_vector_on_p,
-    poisson,
     to_action_angle,
     weighted_average_G0,
     zpoly_from_x,
@@ -85,15 +80,14 @@ def test_action_angle_rejects_noninvariant():
 
 
 def test_g0_defining_property_all_monomials_deg_le_6():
-    # H_p G0 = q - <q> for every x-monomial of total degree <= 6
+    # H_p G0 = {p, G0} = q - <q> for every x-monomial of total degree <= 6
     p_sym = BL({(1, 0, 1, 0): F(1, 2), (0, 1, 0, 1): F(1, 2)})
     for d1 in range(7):
         for d2 in range(7 - d1):
             q = zpoly_from_x({(d1, d2): 1})
             g0 = weighted_average_G0(q)
             want = q - flow_average(q)
-            assert hamiltonian_vector_on_p(g0) == want
-            assert poisson(p_sym, g0) == want
+            assert _poisson_all_pairs(p_sym, g0) == want
 
 
 def test_g0_zero_for_constants_and_reality():
@@ -137,18 +131,6 @@ def test_correlation_symmetry_random_pairs():
         q1 = zpoly_from_x(c1)
         q2 = zpoly_from_x(c2)
         assert correlation_C(q1, q2) == correlation_C(q2, q1)
-
-
-def test_cor_antisymmetry_coefficient_level():
-    # Cor(q1,q2;s) = -Cor(q2,q1;-s): frequency k piece of (q1,q2) equals
-    # minus the frequency -k piece of (q2,q1)
-    a = correlation_Cor(Q44, Q22)
-    b = correlation_Cor(Q22, Q44)
-    keys = set(a) | set(-k for k in b)
-    for k in keys:
-        lhs = a.get(k, BL())
-        rhs = b.get(-k, BL())
-        assert lhs == BL() - rhs if rhs else lhs == BL({})
 
 
 def test_classify_region_A_example():
@@ -272,31 +254,6 @@ def test_classification_totality_random():
         rep = classify_critical_points(rf)
         grid_verify(rf, rep, n=250)
         assert rep.saddle_count == REGION_SADDLES[rep.region]
-
-
-F_SYM = staticmethod(lambda rho, th: 1.5 * (rho ** 2 + (1 - rho) ** 2))
-
-
-def test_action_perturbation_constant_zero():
-    rf = ReducedFunction(F(-1), F(1), F(2))
-    assert action_perturbation(rf, lambda r, t: 3.7, Loop.LeftLoop) == 0.0
-
-
-def test_action_perturbation_positive_and_symmetric():
-    f = lambda rho, th: 1.5 * (rho ** 2 + (1 - rho) ** 2)
-    for region_params in [(F(-1), F(1), F(2)), (F(-1), F(1), F(-2))]:
-        rf = ReducedFunction(*region_params)
-        left = action_perturbation(rf, f, Loop.LeftLoop)
-        right = action_perturbation(rf, f, Loop.RightLoop)
-        assert left > 0 and right > 0
-        assert abs(left - right) <= 1e-8
-
-
-def test_action_perturbation_no_loop():
-    from branchspec.errors import NoLoop
-    rf = ReducedFunction(F(-1), F(1), F(4))  # region C+: no saddle
-    with pytest.raises(NoLoop):
-        action_perturbation(rf, lambda r, t: r, Loop.LeftLoop)
 
 
 def test_balanced_laurent_json_roundtrip():
@@ -458,11 +415,9 @@ def real_laurent(draw):
 @given(q1=real_laurent(), q2=real_laurent())
 def test_correlation_equals_all_pairs_oracle(q1, q2):
     assert q1.is_real() and q2.is_real()
-    assert correlation_Cor(q1, q2) == _correlation_Cor_all_pairs(q1, q2)
     c12 = correlation_C(q1, q2)
     assert c12 == _correlation_C_all_pairs(q1, q2)
     assert c12 == correlation_C(q2, q1)
-    assert poisson(q1, q2) == _poisson_all_pairs(q1, q2)
 
 
 def _quartic(coeffs):
@@ -487,17 +442,12 @@ def test_correlation_brackets_only_frequency_matched_pairs(monkeypatch):
 
     monkeypatch.setattr(flowavg, "_bracket_into", counted_bracket)
     monkeypatch.setattr(QQi, "__mul__", counted_mul)
-    cor = correlation_Cor(q1, q2)
-    assert all(k1 + k2 == 0 for k1, k2 in pairs)
-    assert len(pairs) == 5 * 5 + 8 * 8 + 9 * 9 + 8 * 8 + 5 * 5 == 259
-    pairs.clear()
-    products[0] = 0
     c = correlation_C(q1, q2)
     assert all(k1 + k2 == 0 and k1 != 0 for k1, k2 in pairs)
-    assert len(pairs) == 259 - 9 * 9 == 178
+    # the frequency-matched pairs of the nonzero frequencies
+    assert len(pairs) == 5 * 5 + 8 * 8 + 8 * 8 + 5 * 5 == 178
     assert products[0] <= 178     # one Gaussian-rational product per pair
     monkeypatch.undo()
-    assert cor == _correlation_Cor_all_pairs(q1, q2)
     assert c == _correlation_C_all_pairs(q1, q2)
 
 

@@ -12,7 +12,6 @@ from branchspec.skeleton import (
     Body,
     ImplicitCurveProblem,
     assemble,
-    assemble_case2,
     curve_residual,
     default_steps,
     find_crossings,
@@ -203,10 +202,12 @@ def test_case1_case2_skeleton_distance():
     p = params()
     am = physical_model(11)
     sk1, _ = assemble(p, am)
-    sk2, _ = assemble_case2(p, am)
+    # the case-2 curves of am are the reflections y -> -y of the case-1
+    # curves of the mirrored model
+    skm, _ = assemble(p, am.mirrored())
     for x in [0.1, 0.15, 0.2, -0.12, -0.18]:
-        y1u, y2u = sk1.upper(x), sk2.upper(x)
-        y1l, y2l = sk1.lower(x), sk2.lower(x)
+        y1u, y2u = sk1.upper(x), -skm.lower(x)
+        y1l, y2l = sk1.lower(x), -skm.upper(x)
         if np.isnan(y1u) or np.isnan(y2u):
             continue
         bound = 10 * (p.h / np.log(1.0 / mu_h_norm(x, p.h))) \

@@ -11,6 +11,7 @@ from branchspec import zerocount
 from branchspec.cli import main
 from branchspec.errors import (
     BijectionFailure,
+    CellBudgetExceeded,
     CountNotConserved,
     NotAdmissible,
     OnContourZero,
@@ -26,6 +27,7 @@ from branchspec.zerocount import (
     AdmissibleCurve,
     Contour,
     GProvider,
+    ZeroSet,
     grid_newton_count,
     locate_zeros,
     match_bijection,
@@ -62,6 +64,45 @@ def test_locate_exact_ladder():
     want = np.array([1j * (k + 0.5) * h for k in range(4)])
     assert len(got) == 4
     assert np.max(np.abs(got - want)) <= 1e-10
+
+
+def test_phase_increments_refine_steps_that_turn_a_third_at_midpoints():
+    # one full turn per coarse step of [0, 1], so every coarse increment
+    # wraps to 0 and so does the bisected total; only the bisected steps
+    # themselves, 2 pi/3 each, show that the edge is unresolved
+    def f(z):
+        t = 32 * np.real(z)
+        j = np.floor(t)
+        return np.exp(2j * np.pi * (j + (t - j) ** np.log2(3)))
+
+    total, _ = zerocount._phase_increments(f, 0j, 1 + 0j)
+    assert total == pytest.approx(32 * 2 * np.pi, abs=1e-9)
+
+
+def test_locate_zeros_raises_on_cell_budget_with_partial_zeros(monkeypatch):
+    # the zero in the lower-left quadrant is found before the one in the
+    # upper-right, so a budget one count short ends between them
+    p = SemiclassicalParams(h=0.01)
+    first, second = -0.0213 - 0.0171j, 0.0131 + 0.0072j
+    f = lambda z: (z - first) * (z - second) / 1e-3
+    region = (-0.05, 0.05, -0.05, 0.05)
+    calls = []
+    winding = zerocount.winding_count
+
+    def counted_winding(*args, **kwargs):
+        calls.append(args[1])
+        return winding(*args, **kwargs)
+
+    monkeypatch.setattr(zerocount, "winding_count", counted_winding)
+    full = locate_zeros(f, region, p)
+    assert len(full) == 2
+    monkeypatch.undo()
+    with pytest.raises(CellBudgetExceeded) as exc:
+        locate_zeros(f, region, p, cell_budget=len(calls) - 1)
+    partial = exc.value.partial
+    assert isinstance(partial, ZeroSet)
+    assert len(partial) == 1
+    assert abs(partial.zeros[0].location - first) <= 1e-12
 
 
 def test_locate_matches_grid_newton_on_G():
