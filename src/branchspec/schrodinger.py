@@ -4,9 +4,12 @@ Dirichlet truncation on [-L, L]; the differentiation matrix uses the
 standard Chebyshev-Gauss-Lobatto construction with the negative-sum
 trick on the diagonal, and D^2 = D @ D.  Eigenvalues from LAPACK's
 dense nonsymmetric solver; resolution is certified by matching two
-collocation sizes.
+collocation sizes.  The dense linear algebra runs on one BLAS thread,
+so the eigenvalue bits do not depend on the number of cores.
 """
 
+import contextlib
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +53,50 @@ class OperatorSpec:
                 "V": list(self.V), "W": list(self.W)}
 
 
+# (get, set) thread-count symbols of the OpenBLAS builds numpy and scipy ship
+_OPENBLAS_THREAD_SYMBOLS = tuple(
+    (f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
+    for prefix in ("scipy_openblas_", "openblas_") for suffix in ("64_", ""))
+
+
+def _openblas_thread_controls():
+    """(get, set) thread-count functions of each OpenBLAS in this process."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run OpenBLAS on one thread inside the block, then restore the old
+    counts.  At N ~ 400 a second thread doubles the wall time of the
+    spectrum leg and changes the bits of D @ D and of zgeev.  The counts
+    are process-wide, so concurrent callers would share them."""
+    controls = _openblas_thread_controls()
+    saved = [(set_, get()) for get, set_ in controls]
+    for set_, _ in saved:
+        set_(1)
+    try:
+        yield
+    finally:
+        for set_, count in saved:
+            set_(count)
+
+
 def cheb_nodes_and_D(N, L):
     """Chebyshev-Gauss-Lobatto nodes on [-L, L] and the collocation
     first-derivative matrix (negative-sum diagonal)."""
@@ -65,6 +112,7 @@ def cheb_nodes_and_D(N, L):
     return L * x, D / L
 
 
+@_one_blas_thread()
 def discretize(spec):
     """(N-1)x(N-1) interior matrix -h^2 D^2 + diag(V + i eps W)."""
     x, D = cheb_nodes_and_D(spec.N, spec.L)
@@ -88,6 +136,41 @@ class Spectrum:
         return len(self.eigenvalues)
 
 
+def _backward_errors(matrix, vals, count, rng_seed=0):
+    """Inverse-iteration backward errors ||A v - rho v||_2 of `count`
+    eigenvalues of `vals` drawn at random; returns (indices, errors).
+
+    An error is inf when no iterate's Rayleigh quotient rho lands within
+    1e-6 (1 + |lambda|) of its eigenvalue."""
+    n = matrix.shape[0]
+    rng = np.random.default_rng(rng_seed)
+    idx = rng.choice(n, size=min(count, n), replace=False)
+    errors = np.empty(len(idx))
+    for k, i in enumerate(idx):
+        lam = vals[i]
+        shift = lam + 1e-8 * max(abs(lam), 1.0) * (1 + 1j)
+        # a Fortran-order copy is factored in place; eigvals already
+        # checked that the matrix is finite
+        shifted = np.array(matrix, order="F")
+        shifted.flat[::n + 1] -= shift
+        lu = sla.lu_factor(shifted, overwrite_a=True, check_finite=False)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        # keep the best iterate: one solve already certifies strongly
+        # non-normal eigenvalues (further steps wander inside the fat
+        # pseudospectrum), while well-conditioned ones need 2-3 steps
+        best = np.inf
+        for _ in range(3):
+            v = sla.lu_solve(lu, v, check_finite=False)
+            v /= sla.norm(v)
+            Av = matrix @ v
+            rho = np.vdot(v, Av)
+            if abs(rho - lam) <= 1e-6 * (1 + abs(lam)):
+                best = min(best, sla.norm(Av - rho * v))
+        errors[k] = best
+    return idx, errors
+
+
+@_one_blas_thread()
 def eigensolve(matrix, meta=None, backward_check=10, rng_seed=0):
     """All eigenvalues via LAPACK zgeev (balancing + Hessenberg +
     implicitly shifted QR); backward error spot-checked by inverse
@@ -104,30 +187,12 @@ def eigensolve(matrix, meta=None, backward_check=10, rng_seed=0):
     order = np.argsort(vals.real)
     vals = vals[order]
     if backward_check:
-        rng = np.random.default_rng(rng_seed)
         norm = sla.norm(matrix, 1)
-        idx = rng.choice(n, size=min(backward_check, n), replace=False)
-        for i in idx:
-            lam = vals[i]
-            shift = lam + 1e-8 * max(abs(lam), 1.0) * (1 + 1j)
-            try:
-                lu, piv = sla.lu_factor(matrix - shift * np.eye(n))
-            except sla.LinAlgError:
-                continue
-            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            # keep the best iterate: one solve already certifies strongly
-            # non-normal eigenvalues (further steps wander inside the fat
-            # pseudospectrum), while well-conditioned ones need 2-3 steps
-            best = np.inf
-            for _ in range(3):
-                v = sla.lu_solve((lu, piv), v)
-                v /= sla.norm(v)
-                rho = np.vdot(v, matrix @ v)
-                if abs(rho - lam) <= 1e-6 * (1 + abs(lam)):
-                    best = min(best, sla.norm(matrix @ v - rho * v))
-            if best > 1e-8 * norm:
+        idx, errors = _backward_errors(matrix, vals, backward_check, rng_seed)
+        for i, err in zip(idx, errors):
+            if err > 1e-8 * norm:
                 raise NoConvergence(
-                    f"backward error {best / norm:.2e} at eigenvalue {lam}")
+                    f"backward error {err / norm:.2e} at eigenvalue {vals[i]}")
     return Spectrum(eigenvalues=vals,
                     resolved=np.zeros(len(vals), dtype=bool),
                     meta=dict(meta or {}))
@@ -144,10 +209,9 @@ def spurious_filter(s1, s2, tol_scale=CALIBRATION["spurious_match_tol"]):
     if len(s2) == 0 or s1.meta.get("N") == s2.meta.get("N"):
         resolved = np.ones(len(s1), dtype=bool)
     else:
-        v2 = s2.eigenvalues
-        resolved = np.empty(len(s1), dtype=bool)
-        for i, lam in enumerate(s1.eigenvalues):
-            resolved[i] = np.min(np.abs(v2 - lam)) <= tol_scale * (1 + abs(lam))
+        v1 = s1.eigenvalues
+        resolved = (np.abs(v1[:, None] - s2.eigenvalues).min(axis=1)
+                    <= tol_scale * (1 + np.abs(v1)))
     out = Spectrum(eigenvalues=s1.eigenvalues.copy(), resolved=resolved,
                    meta=dict(s1.meta))
     out.meta["filter"] = {"retained": int(resolved.sum()),

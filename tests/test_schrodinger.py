@@ -1,11 +1,23 @@
 """Chebyshev discretization, dense eigensolver, filtering, branch structure."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import linalg as sla
 
+from branchspec import schrodinger
+from branchspec.errors import NoConvergence
 from branchspec.schrodinger import (
     OperatorSpec,
+    Spectrum,
+    _backward_errors,
+    _one_blas_thread,
+    _openblas_thread_controls,
     branch_structure_report,
     cheb_nodes_and_D,
     discretize,
@@ -182,3 +194,145 @@ def test_operator_spec_rejects_nonpositive_and_nonfinite(key, value):
     kwargs[key] = value
     with pytest.raises(ValueError):
         OperatorSpec(**kwargs)
+
+
+def _reference_backward_errors(matrix, vals, count, rng_seed=0):
+    # the spot check as first written: a C-order shifted copy per
+    # eigenvalue, a checked LU, and A @ v twice per step
+    n = matrix.shape[0]
+    rng = np.random.default_rng(rng_seed)
+    idx = rng.choice(n, size=min(count, n), replace=False)
+    errors = []
+    for i in idx:
+        lam = vals[i]
+        shift = lam + 1e-8 * max(abs(lam), 1.0) * (1 + 1j)
+        lu, piv = sla.lu_factor(matrix - shift * np.eye(n))
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        best = np.inf
+        for _ in range(3):
+            v = sla.lu_solve((lu, piv), v)
+            v /= sla.norm(v)
+            rho = np.vdot(v, matrix @ v)
+            if abs(rho - lam) <= 1e-6 * (1 + abs(lam)):
+                best = min(best, sla.norm(matrix @ v - rho * v))
+        errors.append(best)
+    return idx, np.array(errors)
+
+
+def _double_well(W, N):
+    return discretize(OperatorSpec(V=QUARTIC, W=W, h=0.01, epsilon=0.8,
+                                   L=1.2, N=N))[0]
+
+
+@pytest.mark.parametrize("W", [[0, 0, 1], [0, 0, 0, 1], [0, 0.12, 1]])
+@pytest.mark.parametrize("N", [400, 440])
+def test_backward_errors_bitwise_equal_reference(W, N):
+    A = _double_well(W, N)
+    vals = eigensolve(A, backward_check=0).eigenvalues
+    with _one_blas_thread():
+        idx, got = _backward_errors(A, vals, 10)
+        ref_idx, want = _reference_backward_errors(A, vals, 10)
+    assert np.array_equal(idx, ref_idx)
+    assert np.isfinite(got).all()
+    assert got.tobytes() == want.tobytes()
+
+
+def test_backward_errors_bitwise_equal_reference_companion():
+    C = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
+    vals = eigensolve(C, backward_check=0).eigenvalues
+    with _one_blas_thread():
+        got = _backward_errors(C, vals, 3)[1]
+        want = _reference_backward_errors(C, vals, 3)[1]
+    assert got.tobytes() == want.tobytes()
+
+
+def test_eigensolve_names_a_wrong_eigenvalue(monkeypatch):
+    # one eigenvalue moved by 1e-3 must fail the spot check, not be skipped
+    spec = OperatorSpec(V=[0, 0, 1], W=[0.0], h=0.01, epsilon=0.0, L=3.0,
+                        N=100)
+    A, _ = discretize(spec)
+    true_eigvals = sla.eigvals
+    vals = np.sort_complex(true_eigvals(A))
+    moved = vals[20] + 1e-3j
+
+    def eigvals(matrix):
+        out = true_eigvals(matrix)
+        out[np.argmin(np.abs(out - vals[20]))] = moved
+        return out
+
+    monkeypatch.setattr(schrodinger.sla, "eigvals", eigvals)
+    with pytest.raises(NoConvergence) as err:
+        eigensolve(A, backward_check=A.shape[0])
+    assert str(err.value).endswith(f"at eigenvalue {moved}")
+
+
+def _reference_resolved(v1, v2, tol):
+    return np.array([np.min(np.abs(v2 - lam)) <= tol * (1 + abs(lam))
+                     for lam in v1], dtype=bool)
+
+
+def test_spurious_filter_matches_per_eigenvalue_loop():
+    spec = OperatorSpec(V=QUARTIC, W=[0, 0, 1], h=0.01, epsilon=0.8,
+                        L=1.2, N=120)
+    s1 = solve_operator(spec)
+    s2 = solve_operator(OperatorSpec(V=QUARTIC, W=[0, 0, 1], h=0.01,
+                                     epsilon=0.8, L=1.2, N=140))
+    rng = np.random.default_rng(3)
+    cases = [(s1.eigenvalues, s2.eigenvalues, 1e-4)]
+    for _ in range(20):
+        v1 = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+        v2 = v1[rng.permutation(30)[:20]] + 1e-3 * rng.standard_normal(20)
+        cases.append((v1, v2, 10.0 ** rng.uniform(-4, -2)))
+    for v1, v2, tol in cases:
+        out = spurious_filter(Spectrum(v1, np.zeros(len(v1), bool), {"N": 1}),
+                              Spectrum(v2, np.zeros(len(v2), bool), {"N": 2}),
+                              tol_scale=tol)
+        assert np.array_equal(out.resolved, _reference_resolved(v1, v2, tol))
+    # the double well both retains and drops
+    assert 0 < _reference_resolved(*cases[0]).sum() < len(s1)
+
+
+def _spectrum_csv(tmp_path, threads):
+    fig1 = Path(__file__).resolve().parents[1] / "examples_cli" / "fig1.json"
+    cfg = dict(json.loads(fig1.read_text()), h=0.01, N=400, dN=40)
+    config = tmp_path / "spectrum.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / f"threads{threads}"
+    src = str(Path(schrodinger.__file__).resolve().parents[1])
+    path = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join([src] + path))
+    subprocess.run([sys.executable, "-m", "branchspec.cli", "spectrum",
+                    "--config", str(config), "--out", str(out)],
+                   env=env, check=True)
+    return (out / "spectrum.csv").read_bytes()
+
+
+def test_spectrum_csv_does_not_depend_on_blas_threads(tmp_path):
+    assert _spectrum_csv(tmp_path, 1) == _spectrum_csv(tmp_path, 2)
+
+
+def _thread_counts():
+    return [get() for get, _ in _openblas_thread_controls()]
+
+
+def test_one_blas_thread_restores_counts():
+    controls = _openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded")
+    before = _thread_counts()
+    try:
+        for _, set_ in controls:
+            set_(2)
+        start = _thread_counts()
+        solve_operator(OperatorSpec(V=[0, 0, 1], W=[0.0], h=0.01,
+                                    epsilon=0.0, L=3.0, N=64))
+        assert _thread_counts() == start
+        with pytest.raises(RuntimeError):
+            with _one_blas_thread():
+                assert _thread_counts() == [1] * len(controls)
+                raise RuntimeError("inside")
+        assert _thread_counts() == start
+    finally:
+        for (_, set_), count in zip(controls, before):
+            set_(count)
