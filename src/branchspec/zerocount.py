@@ -57,12 +57,22 @@ class Contour:
 
     @classmethod
     def rectangle(cls, re0, re1, im0, im1):
-        return cls(np.array([re0 + 1j * im0, re1 + 1j * im0,
-                             re1 + 1j * im1, re0 + 1j * im1]))
+        """The rectangle's vertices as the general constructor leaves
+        them, without its checks: a rectangle is simple, and its signed
+        area has the sign of (re1 - re0)(im1 - im0)."""
+        v = np.array([re0 + 1j * im0, re1 + 1j * im0,
+                      re1 + 1j * im1, re0 + 1j * im1])
+        if abs(v[0] - v[-1]) < 1e-300:
+            v = v[:-1]
+        if (re1 - re0) * (im1 - im0) < 0:
+            v = v[::-1]
+        contour = cls.__new__(cls)
+        contour.vertices = v
+        return contour
 
     def edges(self):
-        v = self.vertices
-        return list(zip(v, np.roll(v, -1)))
+        v = list(self.vertices)
+        return list(zip(v, v[1:] + v[:1]))
 
     def expanded(self, delta):
         """Vertices pushed radially outward from the centroid by delta."""

@@ -1,5 +1,8 @@
 """Implicit-curve solver, Gamma tracing, crossings, skeleton assembly."""
 
+import csv
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,10 +13,14 @@ from branchspec.errors import NoConvergence
 from branchspec.quantization import ActionModel, SemiclassicalParams, term_set
 from branchspec.skeleton import (
     Body,
+    CurvePiece,
     ImplicitCurveProblem,
+    SkeletonCurve,
     assemble,
     curve_residual,
     default_steps,
+    export_csv,
+    export_json,
     find_crossings,
     mu_h_norm,
     solve_curve,
@@ -318,27 +325,162 @@ def test_crossings_bitwise_equal_to_full_bisection(seed, h):
     assert repr(find_crossings(p, am)) == repr(_find_crossings_reference(p, am))
 
 
+def _recording_newton(monkeypatch, fail=lambda x: False):
+    """Route skeleton._newton_y through a wrapper that records every
+    abscissa it is given and reports those with fail(x) unconverged."""
+    solved = []
+    newton = skeleton._newton_y
+
+    def recorded(residual, xs, h, **kwargs):
+        solved.extend(np.asarray(xs).tolist())
+        ys, ok = newton(residual, xs, h, **kwargs)
+        return ys, ok & ~np.array([fail(x) for x in np.asarray(xs)], bool)
+
+    monkeypatch.setattr(skeleton, "_newton_y", recorded)
+    return solved
+
+
+def _full_trace(p, am, x_max=skeleton.WORK_DISK - 0.02):
+    return trace_gamma("1,4-", p, am, (-x_max, x_max))
+
+
 def test_crossings_reuse_the_fixed_point_solve(monkeypatch):
     # the bisection ends when the midpoint equals a bracket end; the
-    # crossing reuses that end's curve point instead of solving it again
+    # crossing is that end's curve point, solved once as a midpoint, and
+    # no closing solve follows
     p = params()
     am = physical_model(0)
-    calls = []
-    solve = skeleton._curve_y_at
+    curve = _full_trace(p, am)
+    solved = _recording_newton(monkeypatch)
 
-    def counted(pair, x, p, am):
-        calls.append(x)
-        return solve(pair, x, p, am)
+    def closing(pair, x, p, am):
+        raise AssertionError(f"closing solve at x={x}")
 
-    monkeypatch.setattr(skeleton, "_curve_y_at", counted)
-    crossings = find_crossings(p, am)
+    monkeypatch.setattr(skeleton, "_curve_y_at", closing)
+    crossings = find_crossings(p, am, curve=curve)
     assert all(mu is not None for mu in crossings)
-    # each crossing abscissa is solved once, as a bracket end; solving it
-    # again as the fixed-point midpoint made it two, a closing solve three
-    assert [calls.count(mu.real) for mu in crossings] == [1, 1]
-    assert len(calls) == 96
-    monkeypatch.setattr(skeleton, "_curve_y_at", solve)
+    assert [solved.count(mu.real) for mu in crossings] == [1, 1]
+    monkeypatch.undo()
     assert repr(crossings) == repr(_find_crossings_reference(p, am))
+
+
+def test_crossings_ignore_unvisited_failures(monkeypatch):
+    # a lookahead midpoint that the walk never visits was never solved by
+    # the one-at-a-time bisection, so its failure must not raise
+    p = params()
+    am = physical_model(0)
+    curve = _full_trace(p, am)
+    want = find_crossings(p, am, curve=curve)
+    # one level per round: the batches hold exactly the visited midpoints
+    monkeypatch.setattr(skeleton, "LOOKAHEAD", 1)
+    visited = _recording_newton(monkeypatch)
+    assert repr(find_crossings(p, am, curve=curve)) == repr(want)
+    monkeypatch.undo()
+    visited = set(visited)
+    solved = _recording_newton(monkeypatch, fail=lambda x: x not in visited)
+    assert repr(find_crossings(p, am, curve=curve)) == repr(want)
+    assert len(set(solved) - visited) > len(visited)
+
+
+def test_crossings_raise_for_a_visited_failure(monkeypatch):
+    # the first midpoint of the first bracket is always visited
+    p = params()
+    am = physical_model(0)
+    curve = _full_trace(p, am)
+    first = []
+    newton = skeleton._newton_y
+
+    def first_fails(residual, xs, h, **kwargs):
+        ys, ok = newton(residual, xs, h, **kwargs)
+        if not first:
+            first.append((float(xs[0]), float(ys[0])))
+            ok[0] = False
+        return ys, ok
+
+    monkeypatch.setattr(skeleton, "_newton_y", first_fails)
+    with pytest.raises(NoConvergence) as info:
+        find_crossings(p, am, curve=curve)
+    x, y = first[0]
+    assert info.value.last == y
+    assert str(x) in str(info.value)
+    assert abs(info.value.residual) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 17, 23])
+def test_assemble_left_piece_is_its_own_trace(seed):
+    # assemble cuts the left 1,4- piece from the full trace it gives
+    # find_crossings; it must be the trace of the piece's own range
+    p = params()
+    am = physical_model(seed)
+    sk, _ = assemble(p, am)
+    xc = next((mu.real for mu in (sk.mu_A, sk.mu_B)
+               if mu is not None and mu.real <= 0), 0.0)
+    x_max = skeleton.WORK_DISK - 0.02
+    own = trace_gamma("1,4-", p, am, (-x_max, min(xc, -1e-6 * p.h)))
+    piece = next(pc for pc in sk.s_prime if pc.label == "left_1,4-")
+    assert piece.xs.tobytes() == own.xs.tobytes()
+    assert piece.ys.tobytes() == own.ys.tobytes()
+
+
+# SHA-256 of the export_csv and export_json bytes of assemble(params(h),
+# physical_model(seed)), recorded with one Gamma trace per piece and a
+# one-point solve per bisection step.  The bits rest on numpy's float64
+# log, exp and trig loops, so a different numpy build may need new values.
+EXPORT_SHA256 = {
+    (3e-4, 0): ("c3338fe8e1b78ce6c6a4024ddfea49ae3bbc2b80a50176ce9532aeeea855e82e",
+                "8678ecc2989bafc2fae0bb39eac7c2a38499094b8f67d0440a4f05cde5c53e26"),
+    (3e-4, 17): ("7f4dcb2574a26c978d8f89e7d75ca5b9d912419e59adc05bdf4831e8e7e8efd7",
+                 "cd878e6c63bad84ebc3a78fcee5d9640b466162cd8623514dbae4906d4698b2f"),
+    (3e-4, 23): ("1ef4fd12dc107c95b72d99a804306aa3126613108738143474ffe84a85282698",
+                 "3bc1ab0c334c9fc8f963915b96ccb48cdf7a961c3b14564b7a8cf7f9d0f90997"),
+    (1e-3, 0): ("38a58fc578005eb99b70022fbf03fd425dba8ee3776c9c6bdf161a7d34970ccd",
+                "775d65dfcfd2dc73cf09eeff474fa0d464bf10da718b9db658f7f3a63bcf3cb4"),
+    (1e-3, 17): ("8525a92e2e2a08b06fbe899e7d9af86a72ecf70560abf9fa965519bda1d86759",
+                 "dff02e164274039e6b758a1a1b8a6c0fe0b98a5437eab1e83baf49b1815dfe5d"),
+    (1e-3, 23): ("aaecf9898ba176ded69342b225f652fe8352d8e83e54bf898c10e7d0b2291462",
+                 "bae233010f4ab160429a3ad9a7ef75251ecb5054c4ab97be8a0ec8dff5cc59ba"),
+}
+
+
+@pytest.mark.parametrize("h, seed", sorted(EXPORT_SHA256))
+def test_assemble_export_bytes(tmp_path, h, seed):
+    sk, body = assemble(params(h=h), physical_model(seed))
+    export_csv(tmp_path / "sk.csv", sk.s_prime)
+    export_json(tmp_path / "sk.json", sk, body)
+    got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in ("sk.csv", "sk.json"))
+    assert got == EXPORT_SHA256[h, seed]
+
+
+def _export_csv_reference(path, curves):
+    """export_csv as one csv.writer row per sample."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["curve_label", "x", "y", "regime"])
+        for c in curves:
+            regs = c.regimes if hasattr(c, "regimes") else ["assembled"] * len(c.xs)
+            label = c.pair if hasattr(c, "pair") else c.label
+            for x, y, r in zip(c.xs, c.ys, regs):
+                w.writerow([label, repr(float(x)), repr(float(y)), r])
+
+
+def test_export_csv_equals_csv_writer(tmp_path):
+    rng = np.random.default_rng(4)
+    xs = np.concatenate([[-0.0, 0.0, 1e-300, 5e-324, -1.0 / 3, np.inf],
+                         rng.normal(scale=0.1, size=50)])
+    ys = np.concatenate([[0.0, -0.0, np.nan, 1e22, 2.0 ** 60, -np.inf],
+                         rng.normal(scale=0.01, size=50)])
+    regimes = np.where(np.abs(xs) <= 0.05, "small", "large")
+    curves = [CurvePiece("right_upper", xs, ys),
+              CurvePiece("left_1,4-", ys[:20], xs[:20]),
+              CurvePiece('say "a,b"', xs[:3], ys[:3]),
+              CurvePiece("empty", xs[:0], ys[:0]),
+              SkeletonCurve(pair="1,4-", xs=xs, ys=ys, regimes=regimes)]
+    export_csv(tmp_path / "got.csv", curves)
+    _export_csv_reference(tmp_path / "want.csv", curves)
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert b'\r\n"left_1,4-",' in got and b",-0.0," in got
 
 
 def _default_steps_reference(p, x_lo, x_hi):

@@ -53,6 +53,25 @@ def test_winding_stable_under_perturbation():
     assert winding_count(f, base.expanded(h / 200), h=h) == 3
 
 
+@pytest.mark.parametrize("re0, re1, im0, im1", [
+    # every sign pattern of the two sides
+    (-1.0, 2.0, -0.5, 3.0), (2.0, -1.0, -0.5, 3.0),
+    (-1.0, 2.0, 3.0, -0.5), (2.0, -1.0, 3.0, -0.5),
+    (0.0125, 0.0128125, -0.0025, -0.0021875),   # a locator cell
+    (0.5, 0.5, -1.0, 2.0), (0.5, 0.5, 2.0, -1.0),        # zero width
+    (-1.0, 2.0, 0.25, 0.25), (2.0, -1.0, 0.25, 0.25),    # zero height
+    (0.0, 0.0, 0.0, 0.0)])
+def test_rectangle_equals_general_constructor(re0, re1, im0, im1):
+    # Contour.rectangle skips the general orientation and simplicity
+    # checks; its vertices and edges must be the general constructor's
+    fast = Contour.rectangle(re0, re1, im0, im1)
+    general = Contour(np.array([re0 + 1j * im0, re1 + 1j * im0,
+                                re1 + 1j * im1, re0 + 1j * im1]))
+    assert fast.vertices.tobytes() == general.vertices.tobytes()
+    v = general.vertices
+    assert fast.edges() == list(zip(v, np.roll(v, -1)))
+
+
 def test_locate_exact_ladder():
     # a4-style function: cosh ladder times a nonvanishing analytic factor
     h = 0.01
