@@ -2,8 +2,10 @@
 
 All symbolic computations (averages, the weighted average G0, Poisson
 brackets, correlations C) are exact over the Gaussian rationals: a
-monomial z^alpha zbar^beta is a dict key and its coefficient a pair of
-Fractions.  Floating point enters only in the numerical verifier.
+monomial z^alpha zbar^beta is a dict key, and a polynomial holds its
+coefficients as Gaussian integers over one common denominator, so every
+kernel runs on Python ints.  Floating point enters only in the
+numerical verifier.
 
 The frequency ratio 1:1 is hard-wired (flow z_j(t) = e^{-it} z_j);
 general rational ratios would change only the balance condition
@@ -13,7 +15,8 @@ general rational ratios would change only the balance condition
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import chain
+from math import comb, gcd, lcm
 
 import numpy as np
 
@@ -28,152 +31,138 @@ def _fraction(x):
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+@dataclass(frozen=True)
 class QQi:
-    """Exact complex rational re + i*im."""
+    """Exact complex rational re + i*im: one coefficient as read from
+    BalancedLaurent.terms, or one given to its constructor."""
 
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = _fraction(re)
-        self.im = _fraction(im)
-
-    def __add__(self, o):
-        o = _as_qqi(o)
-        return QQi(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        o = _as_qqi(o)
-        return QQi(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, o):
-        return _as_qqi(o) - self
-
-    def __mul__(self, o):
-        o = _as_qqi(o)
-        return QQi(self.re * o.re - self.im * o.im,
-                   self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return QQi(-self.re, -self.im)
-
-    def __eq__(self, o):
-        o = _as_qqi(o)
-        return self.re == o.re and self.im == o.im
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
-
-    def conj(self):
-        return QQi(self.re, -self.im)
-
-    def times_i(self, r):
-        """self * i r for a rational r: a swap and two real products."""
-        return QQi(-self.im * r, self.re * r)
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
-    def __repr__(self):
-        if self.im == 0:
-            return f"{self.re}"
-        return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
-
-    def __hash__(self):
-        return hash((self.re, self.im))
+    re: Fraction
+    im: Fraction = Fraction(0)
 
 
-def _as_qqi(x):
-    if isinstance(x, QQi):
-        return x
-    return QQi(Fraction(x))
+def _gaussian(v):
+    """(re, im, d) of ints with v = (re + i im) / d, for an int, Fraction
+    or QQi v."""
+    re, im = (Fraction(v.re), Fraction(v.im)) if isinstance(v, QQi) \
+        else (Fraction(v), Fraction(0))
+    d = lcm(re.denominator, im.denominator)
+    return re.numerator * (d // re.denominator), \
+        im.numerator * (d // im.denominator), d
+
+
+def _add(num, key, re, im):
+    """num[key] += (re, im)."""
+    cur = num.get(key)
+    num[key] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+
+
+def _laurent(num, den):
+    """The canonical BalancedLaurent of num / den (den > 0): zero entries
+    dropped and the common factor of den and the numerators divided out."""
+    num = {k: v for k, v in num.items() if v[0] or v[1]}
+    g = gcd(den, *chain.from_iterable(num.values()))
+    if g != 1:
+        num = {k: (re // g, im // g) for k, (re, im) in num.items()}
+        den //= g
+    out = object.__new__(BalancedLaurent)
+    out.num, out.den = num, den
+    return out
+
+
+def _over_lcm(terms):
+    """num, den of the sum of the terms (key, (re, im, d)), each one
+    (re + i im) / d, over the lcm of the d."""
+    terms = list(terms)
+    den = lcm(*(d for _, (_, _, d) in terms))
+    num = {}
+    for key, (re, im, d) in terms:
+        s = den // d
+        _add(num, key, re * s, im * s)
+    return num, den
 
 
 class BalancedLaurent:
     """Exact polynomial in z1, z2, zbar1, zbar2 with |z_j|^-2 factors.
 
-    terms: dict (a1, a2, b1, b2) -> QQi for z^a zbar^b; negative
-    exponents appear only in matched pairs a_j = b_j < 0.
+    num: dict (a1, a2, b1, b2) -> (re, im) of ints, and den > 0 an int:
+    the coefficient of z^a zbar^b is (re + i im) / den.  Negative
+    exponents appear only in matched pairs a_j = b_j < 0.  The form is
+    canonical (no zero entries, and den and all numerators have gcd 1),
+    so equality is equality of num and den.
     """
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for k, v in terms.items():
-                self._add(k, _as_qqi(v))
+    __slots__ = ("num", "den")
 
-    def _add(self, key, coeff):
-        if not coeff:
-            return
-        cur = self.terms.get(key)
-        new = coeff if cur is None else cur + coeff
-        if new:
-            self.terms[key] = new
-        elif cur is not None:
-            del self.terms[key]
+    def __init__(self, terms=None):
+        """From a dict key -> int, Fraction or QQi coefficient."""
+        num, den = _over_lcm((k, _gaussian(v))
+                             for k, v in (terms or {}).items())
+        out = _laurent(num, den)
+        self.num, self.den = out.num, out.den
+
+    @property
+    def terms(self):
+        """dict key -> QQi coefficient, built on each access."""
+        return {k: QQi(Fraction(re, self.den), Fraction(im, self.den))
+                for k, (re, im) in self.num.items()}
+
+    def _combine(self, o, sign):
+        den = lcm(self.den, o.den)
+        s, t = den // self.den, sign * (den // o.den)
+        num = {k: (re * s, im * s) for k, (re, im) in self.num.items()}
+        for k, (re, im) in o.num.items():
+            _add(num, k, re * t, im * t)
+        return _laurent(num, den)
 
     def __add__(self, o):
-        out = BalancedLaurent(self.terms)
-        for k, v in o.terms.items():
-            out._add(k, v)
-        return out
+        return self._combine(o, 1)
 
     def __sub__(self, o):
-        out = BalancedLaurent(self.terms)
-        for k, v in o.terms.items():
-            out._add(k, -v)
-        return out
+        return self._combine(o, -1)
 
     def __mul__(self, o):
         if isinstance(o, (int, Fraction, QQi)):
-            c = _as_qqi(o)
-            return BalancedLaurent({k: v * c for k, v in self.terms.items()})
-        out = BalancedLaurent()
-        for k1, v1 in self.terms.items():
-            for k2, v2 in o.terms.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                out._add(key, v1 * v2)
-        return out
+            r, s, d = _gaussian(o)
+            return _laurent({k: (p * r - q * s, p * s + q * r)
+                             for k, (p, q) in self.num.items()}, self.den * d)
+        num = {}
+        for (a1, a2, b1, b2), (p, q) in self.num.items():
+            for (c1, c2, d1, d2), (r, s) in o.num.items():
+                _add(num, (a1 + c1, a2 + c2, b1 + d1, b2 + d2),
+                     p * r - q * s, p * s + q * r)
+        return _laurent(num, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __eq__(self, o):
-        return self.terms == o.terms
+        return self.num == o.num and self.den == o.den
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     def conj(self):
-        return BalancedLaurent({(k[2], k[3], k[0], k[1]): v.conj()
-                                for k, v in self.terms.items()})
-
-    def is_real(self):
-        return self == self.conj()
+        return _laurent({(k[2], k[3], k[0], k[1]): (re, -im)
+                         for k, (re, im) in self.num.items()}, self.den)
 
     def to_json_dict(self):
-        return {",".join(map(str, k)):
-                [[v.re.numerator, v.re.denominator],
-                 [v.im.numerator, v.im.denominator]]
-                for k, v in sorted(self.terms.items())}
+        out = {}
+        for k, (re, im) in sorted(self.num.items()):
+            re, im = Fraction(re, self.den), Fraction(im, self.den)
+            out[",".join(map(str, k))] = [[re.numerator, re.denominator],
+                                          [im.numerator, im.denominator]]
+        return out
 
     @classmethod
     def from_json_dict(cls, d):
-        out = cls()
-        for k, ((rn, rd), (im_n, im_d)) in d.items():
-            key = tuple(int(s) for s in k.split(","))
-            out._add(key, QQi(Fraction(rn, rd), Fraction(im_n, im_d)))
-        return out
+        # rn/rd + i im_n/im_d = (rn im_d + i im_n rd) / (rd im_d)
+        num, den = _over_lcm(
+            (tuple(int(s) for s in k.split(",")),
+             (rn * im_d, im_n * rd, rd * im_d))
+            for k, ((rn, rd), (im_n, im_d)) in d.items())
+        return _laurent(num, den)
 
     def __repr__(self):
-        return "BalancedLaurent(" + ", ".join(
-            f"z^{k[:2]}zb^{k[2:]}: {v}" for k, v in sorted(self.terms.items())
-        ) + ")"
-
-
-_I_POWERS = (QQi(1), QQi(0, -1), QQi(-1), QQi(0, 1))  # (-i)^n
+        return f"BalancedLaurent({self.num} / {self.den})"
 
 
 def zpoly_from_x(monomials):
@@ -181,17 +170,21 @@ def zpoly_from_x(monomials):
 
     monomials: dict (a1, a2) or (a1, a2, b1, b2) -> rational coefficient
     of x1^a1 x2^a2 xi1^b1 xi2^b2; conversion x = (z+zbar)/2,
-    xi = (z-zbar)/(2i).
+    xi = (z-zbar)/(2i).  A monomial of degree n with coefficient p/q
+    expands to integers over q 2^n, all over the lcm of those.
     """
-    out = BalancedLaurent()
+    parts = []
     for key, coeff in monomials.items():
-        if len(key) == 2:
-            a1, a2 = key
-            b1 = b2 = 0
-        else:
-            a1, a2, b1, b2 = key
-        base = _as_qqi(Fraction(coeff)) * _I_POWERS[(b1 + b2) % 4]
-        denom = 2 ** (a1 + a2 + b1 + b2)
+        a1, a2, b1, b2 = key if len(key) == 4 else (*key, 0, 0)
+        coeff = Fraction(coeff)
+        parts.append((a1, a2, b1, b2, coeff.numerator,
+                      coeff.denominator << (a1 + a2 + b1 + b2)))
+    den = lcm(*(d for *_, d in parts))
+    num = {}
+    for a1, a2, b1, b2, p, d in parts:
+        c0 = p * (den // d)
+        # c0 (-i)^(b1 + b2), from 1/(2i)^b = (-i)^b / 2^b
+        re, im = ((c0, 0), (0, -c0), (-c0, 0), (0, c0))[(b1 + b2) % 4]
         for i1 in range(a1 + 1):
             for i2 in range(a2 + 1):
                 for j1 in range(b1 + 1):
@@ -201,15 +194,15 @@ def zpoly_from_x(monomials):
                             * (-1) ** ((b1 - j1) + (b2 - j2))
                         k = (i1 + j1, i2 + j2,
                              (a1 - i1) + (b1 - j1), (a2 - i2) + (b2 - j2))
-                        out._add(k, base * Fraction(c, denom))
-    return out
+                        _add(num, k, c * re, c * im)
+    return _laurent(num, den)
 
 
 def flow_average(q):
     """Time average along the periodic flow: keep the |alpha| = |beta|
     (time-independent) part; exact."""
-    return BalancedLaurent({k: v for k, v in q.terms.items()
-                            if k[0] + k[1] == k[2] + k[3]})
+    return _laurent({k: v for k, v in q.num.items()
+                     if k[0] + k[1] == k[2] + k[3]}, q.den)
 
 
 def _frequency(key):
@@ -221,43 +214,50 @@ def weighted_average_G0(q):
     """G0 = (1/T) int_0^T (t - T/2) q(exp(t H_p)) dt, T = 2 pi.
 
     A term with frequency k = |beta| - |alpha| != 0 picks up the Fourier
-    factor 1/(i k); k = 0 terms drop.  Satisfies H_p G0 = q - <q>.
+    factor 1/(i k); k = 0 terms drop.  Satisfies H_p G0 = q - <q>.  Over
+    L = lcm(|k|), the term (re + i im) / den becomes
+    (im - i re) (L / k) / (L den): a swap and one integer scale.
     """
-    out = BalancedLaurent()
-    for key, v in q.terms.items():
-        k = _frequency(key)
-        if k:
-            out._add(key, v.times_i(Fraction(-1, k)))   # 1/(ik) = -i/k
-    return out
+    freq = {key: _frequency(key) for key in q.num}
+    scale = lcm(*(k for k in freq.values() if k))
+    num = {}
+    for key, (re, im) in q.num.items():
+        if freq[key]:
+            s = scale // freq[key]
+            num[key] = (im * s, -re * s)
+    return _laurent(num, q.den * scale)
 
 
-def _bracket_into(out, f_terms, g_terms):
-    """Add {f, g} to the BalancedLaurent out; f and g are re-iterable
-    collections of (key, coefficient) terms.
+def _bracket_into(num, f_terms, g_terms):
+    """Add the numerators of {f, g} over den(f) den(g) to the dict num;
+    f_terms and g_terms are re-iterable collections of (key, (re, im))
+    numerator terms.
 
     {z^a zb^at, z^b zb^bt} = 2i sum_j (a_j bt_j - at_j b_j)
     z^{a+b} zb^{at+bt} / |z_j|^2; its frequency is the sum of the two
     factors' frequencies.
     """
-    for (a1, a2, t1, t2), v1 in f_terms:
-        for (b1, b2, u1, u2), v2 in g_terms:
+    for (a1, a2, t1, t2), (p, q) in f_terms:
+        for (b1, b2, u1, u2), (r, s) in g_terms:
             sig1 = a1 * u1 - t1 * b1
             sig2 = a2 * u2 - t2 * b2
             if not (sig1 or sig2):
                 continue
-            v = v1 * v2
+            # 2i (p + i q)(r + i s)
+            re, im = -2 * (p * s + q * r), 2 * (p * r - q * s)
             if sig1:
-                out._add((a1 + b1 - 1, a2 + b2, t1 + u1 - 1, t2 + u2),
-                         v.times_i(2 * sig1))
+                _add(num, (a1 + b1 - 1, a2 + b2, t1 + u1 - 1, t2 + u2),
+                     sig1 * re, sig1 * im)
             if sig2:
-                out._add((a1 + b1, a2 + b2 - 1, t1 + u1, t2 + u2 - 1),
-                         v.times_i(2 * sig2))
+                _add(num, (a1 + b1, a2 + b2 - 1, t1 + u1, t2 + u2 - 1),
+                     sig2 * re, sig2 * im)
 
 
 def _by_frequency(q):
-    """The terms of q grouped by frequency: dict k -> [(key, coeff)]."""
+    """The numerator terms of q grouped by frequency:
+    k -> [(key, (re, im))]."""
     groups = {}
-    for key, v in q.terms.items():
+    for key, v in q.num.items():
         groups.setdefault(_frequency(key), []).append((key, v))
     return groups
 
@@ -269,11 +269,12 @@ def correlation_C(q1, q2):
     the flow average of {G0(q1), q2}; each term of G0(q1) is bracketed
     only with the terms of q2 of the opposite frequency.
     """
+    g0 = weighted_average_G0(q1)
     by_k = _by_frequency(q2)
-    out = BalancedLaurent()
-    for k, terms in _by_frequency(weighted_average_G0(q1)).items():
-        _bracket_into(out, terms, by_k.get(-k, ()))
-    return out
+    num = {}
+    for k, terms in _by_frequency(g0).items():
+        _bracket_into(num, terms, by_k.get(-k, ()))
+    return _laurent(num, g0.den * q2.den)
 
 
 def to_action_angle(avg):
@@ -284,27 +285,22 @@ def to_action_angle(avg):
     rho1^p1 rho2^p2 (cos_coeff cos(m theta) + sin_coeff sin(m theta))
     with theta = theta1 - theta2 and m >= 0; coefficients are Fractions.
     """
-    raw = {}
-    for (a1, a2, b1, b2), v in avg.terms.items():
+    # z^a zb^b carries 2^(p1 + p2) = 2^(a1 + a2); over the denominator
+    # den 2^-low, that is an integer shift by a1 + a2 - low >= 0
+    low = min([a1 + a2 for a1, a2, _, _ in avg.num] + [0])
+    out = {}
+    for (a1, a2, b1, b2), (re, im) in avg.num.items():
         if a1 + a2 != b1 + b2:
             raise NotInvariant(f"term {(a1, a2, b1, b2)} depends on theta1+theta2")
         m = a1 - b1  # = -(a2 - b2); e^{-i m theta}
-        two_p1, two_p2 = a1 + b1, a2 + b2
-        scale = Fraction(2) ** ((two_p1 + two_p2) // 2)
-        key = (two_p1, two_p2, m)
-        cur = raw.get(key, QQi())
-        raw[key] = cur + v * scale
-    out = {}
-    for (tp1, tp2, m), v in raw.items():
-        k = abs(m)
-        key = (tp1, tp2, k)
-        cos_c, sin_c = out.get(key, (Fraction(0), Fraction(0)))
+        shift = a1 + a2 - low
         # v e^{-i m theta} + (the conjugate partner handles itself):
-        # accumulate real projection: Re part -> cos, +-Im -> sin
-        cos_c += v.re
-        sin_c += v.im if m > 0 else (-v.im if m < 0 else Fraction(0))
-        out[key] = (cos_c, sin_c)
-    return {k: v for k, v in out.items() if v[0] != 0 or v[1] != 0}
+        # Re part -> cos, +-Im -> sin
+        _add(out, (a1 + b1, a2 + b2, abs(m)),
+             re << shift, ((m > 0) - (m < 0)) * im << shift)
+    den = avg.den << -low
+    return {k: (Fraction(c, den), Fraction(s, den))
+            for k, (c, s) in out.items() if c or s}
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Exact flow averages, correlations and classification."""
 
 import csv
+import hashlib
 import io
+import itertools
 import json
+import math
 import tempfile
 from fractions import Fraction as F
 from pathlib import Path
@@ -93,7 +96,7 @@ def test_g0_defining_property_all_monomials_deg_le_6():
 def test_g0_zero_for_constants_and_reality():
     assert not weighted_average_G0(mono(0, 0, 0, 0))
     g0 = weighted_average_G0(zpoly_from_x({(4, 0): 1}))
-    assert g0.is_real()
+    assert g0 == g0.conj()
 
 
 def test_correlation_goldens():
@@ -264,44 +267,128 @@ def test_balanced_laurent_json_roundtrip():
 
 
 # ---------------------------------------------------------------------------
+# golden bytes: the JSON of <q1>, G0(q1) and C(q1, q2), as `average` writes
+# it, over fixed pairs; recorded with the Fraction-pair coefficients
+
+
+XI_MONOMIALS = [m for m in itertools.product(range(7), repeat=4)
+                if sum(m) <= 6]     # x1^a1 x2^a2 xi1^b1 xi2^b2, 210 of them
+
+
+def _byte_pair(n):
+    """Fixed pair n: three monomials of degree <= 6 each, with
+    coefficients over 3, 5 and 7."""
+    def poly(shift):
+        return zpoly_from_x({
+            XI_MONOMIALS[(37 * n + 71 * i + shift) % len(XI_MONOMIALS)]:
+                F((n + i) % 7 - 3 or 1, (3, 5, 7)[(n + i) % 3])
+            for i in range(3)})
+    return poly(0), poly(101)
+
+
+BYTE_PAIRS = ([(Q44, Q44), (Q44, Q22), (Q44, Q31), (Q22, Q22), (Q22, Q31),
+               (Q31, Q31)] + [_byte_pair(n) for n in range(18)])
+BYTE_SHA256 = [
+    "403dae004150dcdc874e575b23d1892d19a9a551695c831f75717bc02d6d8eaf",
+    "98e53f3c9cd90e4f124a79c53e1cb74daf0fc6d1b282526ca81df2d7cad8fd33",
+    "785a8ee9cc2554ff061f83b561a03d0a50f8d2631da49194eef6fe6fc85b3d71",
+    "7a94ee88205953d9a7c9fdb37ea54aa6d923f93f03c53eecde43038e0f2cfe3d",
+    "0c4597f63337efea89873a6d80e38dc276588d18f6bac69c31a62aa3f2088241",
+    "7fb6a69de94717bac798a2fe118c0c6b5827dcd244dec029e910f0d5d8c2305d",
+    "9e845183bf65c6f9662d177ebe18dfcb152648d75e6c802b93de50ef8c0e2bb8",
+    "bbd2cbdbabc00f3b4d44055971618f2db8c49b8872a29673b59c59d1e70ecb1e",
+    "c8721946d72c3e6a001fcf946ba98e2e69497e198ee055d502c173e0aea7c71e",
+    "ede1d8b6b795efb8796fd128572aef6b81112b67a26ae266cf8e2fe64624b6fb",
+    "b20180a89fa596f65a9dd779fdeca052f4506bbfa11e11392a73548e404d66b2",
+    "4e7058d6c4b7fbabafef48cfac639d56f43aa79604dbab824f492f46b5a52cfe",
+    "f10afc1686e9bd736ede7892610cc0bde3bbf26cab55eb7a9305e675deb64c0e",
+    "b6245f36d9faf1e3b9f86de6d90d4dcbf9d1c8cb7573bed95eda5e0dd72b9d37",
+    "e12a2bd72b9499c45d8b81a934407ad879fa8749da3fa55a1bd971055ee6c853",
+    "1a2937514cd6a7a2f7aabd301edb9d239e8fff24c96ae4d23bb500e7c2c4caf2",
+    "745cc7b060c265c675943e322a5f5ddc6a07bceeda148fe8ffd20159a3bf4868",
+    "2971bd91f76ef78d288a30e2d425de11aba46b02650add8f8ed61106edff37f4",
+    "062c7e4a8649a904881a3e036166961abe867bd8f1a7d7a5be3d31dbdbe17906",
+    "151afae98e5917415f4c2f1d1117dda25c386a72a276476fda12d7da9a668fb0",
+    "ddf22d7c02ca875b877c1145733f0847f03338085f91e5fff5f040c67ff0db27",
+    "67cd3fe7e46790eba417b848a3b4bd94caabaa8a1325f76d5486ce998d7676b2",
+    "365a1ecd44d6c5a2f2d5aee20185fd8f03e15888d55f1878608239d76e3005f8",
+    "f0f31de96f852f99419e4b54520228191b75736f749f6456b31f967e1df63ba1",
+]
+
+
+@pytest.mark.parametrize("n", range(len(BYTE_PAIRS)))
+def test_average_json_bytes(n):
+    q1, q2 = BYTE_PAIRS[n]
+    doc = {"average": flow_average(q1).to_json_dict(),
+           "G0": weighted_average_G0(q1).to_json_dict(),
+           "C": correlation_C(q1, q2).to_json_dict()}
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == BYTE_SHA256[n]
+
+
+# ---------------------------------------------------------------------------
 # oracles: the all-pairs correlation (bracket every pair of terms, then
 # take the flow average) and the classification with every subexpression
 # written out where it is used
 
 
-def _poisson_all_pairs(f, g):
-    out = BL()
-    for (a1, a2, t1, t2), v1 in f.terms.items():
-        for (b1, b2, u1, u2), v2 in g.terms.items():
+def _fmul(x, y):
+    """Product of two Gaussian rationals given as (re, im) pairs."""
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _accumulate(out, key, v):
+    cur = out.get(key, (F(0), F(0)))
+    out[key] = (cur[0] + v[0], cur[1] + v[1])
+
+
+def _pairs(q):
+    """q's coefficients as (re, im) Fraction pairs, read through terms."""
+    return {k: (v.re, v.im) for k, v in q.terms.items()}
+
+
+def _laurent(pairs):
+    """The BalancedLaurent of a dict key -> (re, im) pair."""
+    return BL({k: QQi(F(re), F(im)) for k, (re, im) in pairs.items()})
+
+
+def _poisson_pairs(f, g):
+    """{f, g} over dicts key -> (re, im), bracketing every pair of terms."""
+    out = {}
+    for (a1, a2, t1, t2), v1 in f.items():
+        for (b1, b2, u1, u2), v2 in g.items():
             for j, sig in ((0, a1 * u1 - t1 * b1), (1, a2 * u2 - t2 * b2)):
                 if sig == 0:
                     continue
                 key = [a1 + b1, a2 + b2, t1 + u1, t2 + u2]
                 key[j] -= 1
                 key[j + 2] -= 1
-                out._add(tuple(key), v1 * v2 * QQi(0, 2 * sig))
+                _accumulate(out, tuple(key),
+                            _fmul(_fmul(v1, v2), (0, 2 * sig)))
     return out
 
 
-def _correlation_Cor_all_pairs(q1, q2):
-    out = {}
-    for (a1, a2, t1, t2), v1 in q1.terms.items():
-        k = (t1 + t2) - (a1 + a2)
-        bal = flow_average(_poisson_all_pairs(BL({(a1, a2, t1, t2): v1}), q2))
-        if not bal:
-            continue
-        out[k] = out.get(k, BL()) + bal
-        if not out[k]:
-            del out[k]
-    return out
+def _poisson_all_pairs(f, g):
+    return _laurent(_poisson_pairs(_pairs(f), _pairs(g)))
+
+
+def _balanced(key):
+    return key[0] + key[1] == key[2] + key[3]
 
 
 def _correlation_C_all_pairs(q1, q2):
-    out = BL()
-    for k, piece in _correlation_Cor_all_pairs(q1, q2).items():
-        if k:
-            out = out + piece * QQi(0, F(-1, k))
-    return out
+    """C(q1, q2) = sum_k Cor_k / (ik): each term of q1, of frequency k,
+    bracketed with every term of q2, flow-averaged and divided by ik."""
+    g = _pairs(q2)
+    out = {}
+    for (a1, a2, t1, t2), v1 in _pairs(q1).items():
+        k = (t1 + t2) - (a1 + a2)
+        if not k:
+            continue
+        for key, v in _poisson_pairs({(a1, a2, t1, t2): v1}, g).items():
+            if _balanced(key):
+                _accumulate(out, key, _fmul(v, (0, F(-1, k))))
+    return _laurent(out)
 
 
 def _sign(x):
@@ -414,7 +501,7 @@ def real_laurent(draw):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(q1=real_laurent(), q2=real_laurent())
 def test_correlation_equals_all_pairs_oracle(q1, q2):
-    assert q1.is_real() and q2.is_real()
+    assert q1 == q1.conj() and q2 == q2.conj()
     c12 = correlation_C(q1, q2)
     assert c12 == _correlation_C_all_pairs(q1, q2)
     assert c12 == correlation_C(q2, q1)
@@ -427,28 +514,173 @@ def _quartic(coeffs):
 
 def test_correlation_brackets_only_frequency_matched_pairs(monkeypatch):
     q1, q2 = _quartic([1, -2, 3, -1, 2]), _quartic([-3, 1, 2, 2, -1])
-    assert len(q1.terms) == len(q2.terms) == 35     # 1225 pairs in all
-    pairs, products = [], [0]
-    bracket, mul = flowavg._bracket_into, QQi.__mul__
+    assert len(q1.num) == len(q2.num) == 35     # 1225 pairs in all
+    pairs = []
+    bracket = flowavg._bracket_into
 
-    def counted_bracket(out, f_terms, g_terms):
-        pairs.extend((flowavg._frequency(kf), flowavg._frequency(kg))
-                     for kf, _ in f_terms for kg, _ in g_terms)
-        bracket(out, f_terms, g_terms)
+    def recorded_bracket(num, f_terms, g_terms):
+        pairs.extend((kf, kg) for kf, _ in f_terms for kg, _ in g_terms)
+        bracket(num, f_terms, g_terms)
 
-    def counted_mul(self, o):
-        products[0] += 1
-        return mul(self, o)
-
-    monkeypatch.setattr(flowavg, "_bracket_into", counted_bracket)
-    monkeypatch.setattr(QQi, "__mul__", counted_mul)
+    monkeypatch.setattr(flowavg, "_bracket_into", recorded_bracket)
     c = correlation_C(q1, q2)
-    assert all(k1 + k2 == 0 and k1 != 0 for k1, k2 in pairs)
-    # the frequency-matched pairs of the nonzero frequencies
-    assert len(pairs) == 5 * 5 + 8 * 8 + 8 * 8 + 5 * 5 == 178
-    assert products[0] <= 178     # one Gaussian-rational product per pair
     monkeypatch.undo()
+    freqs = [(flowavg._frequency(kf), flowavg._frequency(kg))
+             for kf, kg in pairs]
+    assert all(k1 + k2 == 0 and k1 != 0 for k1, k2 in freqs)
+    # the frequency-matched pairs of the nonzero frequencies, each once
+    assert len(set(pairs)) == len(pairs) == 5 * 5 + 8 * 8 + 8 * 8 + 5 * 5 \
+        == 178
+    # C is the sum of the brackets of these pairs alone ...
+    g0, g = _g0_pairs(_pairs(q1)), _pairs(q2)
+    out = {}
+    for kf, kg in pairs:
+        for key, v in _poisson_pairs({kf: g0[kf]}, {kg: g[kg]}).items():
+            _accumulate(out, key, v)
+    assert c == _laurent(out)
+    # ... and the all-pairs computation agrees
     assert c == _correlation_C_all_pairs(q1, q2)
+
+
+# ---------------------------------------------------------------------------
+# the integer representation: canonical form, ring laws and the kernels
+# against Fraction-pair oracles that read coefficients only through terms
+
+
+def _is_canonical(q):
+    """No zero entry, den > 0, and gcd(den, numerators) = 1."""
+    return q.den > 0 and all(re or im for re, im in q.num.values()) \
+        and math.gcd(q.den, *itertools.chain(*q.num.values())) == 1
+
+
+def _g0_pairs(q):
+    """G0 over a dict key -> (re, im): a term of frequency k != 0 times
+    1/(ik) = -i/k."""
+    out = {}
+    for key, v in q.items():
+        k = (key[2] + key[3]) - (key[0] + key[1])
+        if k:
+            out[key] = _fmul(v, (0, F(-1, k)))
+    return out
+
+
+# x_j = (z_j + zbar_j)/2 and xi_j = (z_j - zbar_j)/(2i) as dicts
+LINEAR_FACTORS = [
+    {(1, 0, 0, 0): (F(1, 2), 0), (0, 0, 1, 0): (F(1, 2), 0)},
+    {(0, 1, 0, 0): (F(1, 2), 0), (0, 0, 0, 1): (F(1, 2), 0)},
+    {(1, 0, 0, 0): (0, F(-1, 2)), (0, 0, 1, 0): (0, F(1, 2))},
+    {(0, 1, 0, 0): (0, F(-1, 2)), (0, 0, 0, 1): (0, F(1, 2))},
+]
+
+
+def _zpoly_pairs(monomials):
+    """x^a xi^b expanded as a product of linear factors."""
+    out = {}
+    for key, coeff in monomials.items():
+        poly = {(0, 0, 0, 0): (F(coeff), F(0))}
+        for factor, power in zip(LINEAR_FACTORS, tuple(key) + (0, 0)):
+            for _ in range(power):
+                prod = {}
+                for k1, v1 in poly.items():
+                    for k2, v2 in factor.items():
+                        _accumulate(prod, tuple(map(sum, zip(k1, k2))),
+                                    _fmul(v1, v2))
+                poly = prod
+        for k, v in poly.items():
+            _accumulate(out, k, v)
+    return out
+
+
+def _action_angle_pairs(pairs):
+    """to_action_angle over a dict key -> (re, im) of balanced terms:
+    z^a zbar^b = 2^(a1 + a2) rho1^p1 rho2^p2 e^{-i m theta}, m = a1 - b1."""
+    out = {}
+    for (a1, a2, b1, b2), (re, im) in pairs.items():
+        scale, m = F(2) ** (a1 + a2), a1 - b1
+        _accumulate(out, (a1 + b1, a2 + b2, abs(m)),
+                    (re * scale, _sign(m) * im * scale))
+    return {k: v for k, v in out.items() if v != (0, 0)}
+
+
+@st.composite
+def laurent_key(draw):
+    """(a1, a2, b1, b2), sometimes with a matched pair a_j = b_j < 0."""
+    key = list(draw(st.tuples(*[st.integers(0, 4)] * 4)))
+    j = draw(st.sampled_from([None, None, 0, 1]))
+    if j is not None:
+        key[j] = key[j + 2] = -draw(st.integers(1, 2))
+    return tuple(key)
+
+
+GAUSSIAN_RATIONALS = st.builds(QQi, RATIONALS, RATIONALS)
+LAURENTS = st.builds(BL, st.dictionaries(laurent_key(), GAUSSIAN_RATIONALS,
+                                         max_size=6))
+
+
+def test_canonical_form():
+    k, k2 = (1, 0, 1, 0), (0, 1, 0, 1)
+    assert BL({k: F(2, 4)}) == BL({k: F(1, 2)}) == BL({k: QQi(F(1, 2))})
+    q = BL({k: F(1, 2), k2: F(1, 3)})
+    assert q.den == 6 and (q - BL({k2: F(1, 3)})).den == 2
+    assert q - q == BL() and not (q - q).terms and (q - q).den == 1
+    assert BL({k: 0, k2: QQi(0, 0)}) == BL()
+    assert BL({k: F(1, 2)}) != BL({k: F(1, 3)})
+    # an unreduced JSON coefficient, 2/2 + 0i/5
+    assert BL.from_json_dict({"1,0,1,0": [[2, 2], [0, 5]]}) == BL({k: 1})
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(q=LAURENTS, r=LAURENTS, s=LAURENTS, c=GAUSSIAN_RATIONALS)
+def test_laurent_ring_laws(q, r, s, c):
+    for x in (q, q + r, q - r, q * r, q * c, q.conj()):
+        assert _is_canonical(x)
+    assert (q + r) - r == q
+    assert q - q == BL() and not (q - q).terms
+    assert q * (r + s) == q * r + q * s
+    assert (q + r) * c == q * c + c * r
+    assert q.conj().conj() == q
+    assert BL.from_json_dict(q.to_json_dict()) == q
+    # + and * against Fraction pairs
+    total, prod = dict(_pairs(q)), {}
+    for k, v in _pairs(r).items():
+        _accumulate(total, k, v)
+    for k1, v1 in _pairs(q).items():
+        for k2, v2 in _pairs(r).items():
+            _accumulate(prod, tuple(map(sum, zip(k1, k2))), _fmul(v1, v2))
+    assert q + r == _laurent(total) and q * r == _laurent(prod)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(q=LAURENTS)
+def test_g0_bracket_identity(q):
+    # {|z|^2, G0(q)} = 2 (q - <q>)
+    zsq = BL({(1, 0, 1, 0): 1, (0, 1, 0, 1): 1})
+    assert _poisson_all_pairs(zsq, weighted_average_G0(q)) \
+        == 2 * (q - flow_average(q))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(monomials=st.dictionaries(
+    st.one_of(X_MONOMIALS, st.tuples(st.integers(0, 6), st.integers(0, 6))),
+    RATIONALS, max_size=4))
+def test_zpoly_equals_product_of_linear_factors(monomials):
+    q = zpoly_from_x(monomials)
+    assert _is_canonical(q) and q == _laurent(_zpoly_pairs(monomials))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(q1=LAURENTS, q2=LAURENTS)
+def test_kernels_equal_fraction_oracles(q1, q2):
+    pairs = _pairs(q1)
+    g0 = weighted_average_G0(q1)
+    assert _is_canonical(g0) and g0 == _laurent(_g0_pairs(pairs))
+    avg = flow_average(q1)
+    assert _is_canonical(avg)
+    balanced = {k: v for k, v in pairs.items() if _balanced(k)}
+    assert avg == _laurent(balanced)
+    assert to_action_angle(avg) == _action_angle_pairs(balanced)
+    c = correlation_C(q1, q2)
+    assert _is_canonical(c) and c == _correlation_C_all_pairs(q1, q2)
 
 
 # small denominators, so that d = 0, b = 0, b + d = 0, c = 0 and the
