@@ -8,6 +8,7 @@ The config keys of each command, with their defaults, are in SCHEMAS.
 
 import argparse
 import csv
+import ctypes
 import json
 import math
 import sys
@@ -496,13 +497,15 @@ def cmd_classify(cfg, out, svg, check):
     if scan is not None:
         regions = scan_regions([bq for _, bq in scan["b_range"]],
                                [cq for _, cq in scan["c_range"]], scan["d"])
+        # the bytes of csv.writer rows: no field needs quoting
+        cols = [f",{c!r}," for c, _ in scan["c_range"]]
+        tails = {r: f"{r.value},{REGION_SADDLES.get(r, -1)}\r\n"
+                 for r in set(regions.flat)}
         with open(out / "region_scan.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["b", "c", "region", "saddles"])
+            fh.write("b,c,region,saddles\r\n")
             for (b, _), row in zip(scan["b_range"], regions):
-                for (c, _), region in zip(scan["c_range"], row):
-                    w.writerow([repr(b), repr(c), region.value,
-                                REGION_SADDLES.get(region, -1)])
+                b = repr(b)
+                fh.writelines(b + col + tails[r] for col, r in zip(cols, row))
         return 0
 
     rf = ReducedFunction(cfg["a"], cfg["b"], cfg["c"])
@@ -534,6 +537,19 @@ COMMANDS = {
 }
 
 
+def _reuse_freed_arrays():
+    """Have glibc keep freed blocks of up to 8 MiB for reuse.  By default
+    it maps blocks above its mmap threshold afresh and gives freed memory
+    back past its trim threshold (both 128 KiB at start, raised only by
+    the largest mapped block freed so far), so mid-size numpy temporaries
+    (a 400 x 400 grid is 1.25 MiB) keep paying a page fault per 4 KiB."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int
+        mallopt(-3, 8 << 20)    # M_MMAP_THRESHOLD
+        mallopt(-1, 16 << 20)   # M_TRIM_THRESHOLD: free top memory kept
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="branchspec")
     parser.add_argument("command", choices=sorted(COMMANDS))
@@ -542,6 +558,7 @@ def main(argv=None):
     parser.add_argument("--out", default=".")
     parser.add_argument("--svg", action="store_true")
     args = parser.parse_args(argv)
+    _reuse_freed_arrays()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:

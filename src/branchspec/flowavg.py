@@ -390,8 +390,11 @@ class ReducedFunction:
         g = np.sqrt(np.maximum(g2, 1e-300))
         y = np.cos(theta)
         dgdr = (1.0 - 2.0 * rho) / (2.0 * g)
-        dq_drho = (d + b * y * y) * (1.0 - 2.0 * rho) + c * y * dgdr
-        dq_dth = -np.sin(theta) * (2.0 * b * g2 * y + c * g)
+        dq_drho = (d + b * y * y) * (1.0 - 2.0 * rho)
+        dq_drho += c * y * dgdr
+        dq_dth = 2.0 * b * g2 * y
+        dq_dth += c * g
+        dq_dth *= -np.sin(theta)
         return dq_drho, dq_dth
 
     def hess(self, rho, theta):
@@ -593,33 +596,58 @@ def scan_regions(bs, cs, d):
 
 
 def _newton_2d(grad, hess, x, tol, cap, max_iter, inside):
-    """Newton's method for grad = 0 from x, each step capped at length
-    cap; the root, or None on a singular Hessian, on leaving the domain
-    (inside(x) false) or after max_iter steps."""
-    x = np.asarray(x, dtype=float)
+    """Newton's method for grad = 0 from every row of the (m, 2) array x
+    in lockstep, each step capped at length cap.  Returns (roots, ok): a
+    row is ok once |grad| < tol, and is dropped on a singular Hessian, on
+    leaving the domain (inside false on the (k, 2) iterates) or after
+    max_iter steps."""
+    x = np.array(x, dtype=float)
+    ok = np.zeros(len(x), dtype=bool)
+    live = np.arange(len(x))
     for _ in range(max_iter):
-        g = np.array(grad(*x))
-        if np.linalg.norm(g) < tol:
-            return x
-        try:
-            step = np.linalg.solve(np.array(hess(*x)), g)
-        except np.linalg.LinAlgError:
-            return None
-        norm = np.linalg.norm(step)
-        if norm > cap:
-            step *= cap / norm
-        x = x - step
-        if not inside(x):
-            return None
-    return None
+        if not live.size:
+            break
+        r, t = x[live].T
+        g0, g1 = grad(r, t)
+        (h00, h01), (h10, h11) = hess(r, t)
+        det = h00 * h11 - h01 * h10
+        done = np.hypot(g0, g1) < tol
+        ok[live[done]] = True
+        go = ~done & (det != 0)
+        live = live[go]
+        step = np.stack([h11 * g0 - h01 * g1, h00 * g1 - h10 * g0],
+                        axis=1)[go] / det[go, None]
+        norm = np.hypot(step[:, 0], step[:, 1])
+        long = norm > cap
+        step[long] *= (cap / norm[long])[:, None]
+        x[live] -= step
+        live = live[inside(x[live])]
+    return x, ok
 
 
-def _grid_minima(g2):
-    """Indices (i, j) of the interior local minima of |grad|^2 below 1e-2."""
-    interior = g2[1:-1, 1:-1]
-    neigh = np.minimum.reduce([g2[:-2, 1:-1], g2[2:, 1:-1],
-                               g2[1:-1, :-2], g2[1:-1, 2:]])
-    return zip(*np.nonzero((interior <= neigh) & (interior < 1e-2)))
+def _grid_minima(g2, periodic):
+    """Indices (i, j), in row-major order, of the cells of g2 = |grad|^2
+    below 1e-2 that are no larger than their four neighbours: interior
+    rows, and interior columns unless periodic, when columns wrap."""
+    n = g2.shape[1]
+    i, j = np.nonzero(g2 < 1e-2)
+    keep = (0 < i) & (i < len(g2) - 1)
+    if not periodic:
+        keep &= (0 < j) & (j < n - 1)
+    i, j = i[keep], j[keep]
+    v = g2[i, j]
+    low = ((v <= g2[i - 1, j]) & (v <= g2[i + 1, j])
+           & (v <= g2[i, (j - 1) % n]) & (v <= g2[i, (j + 1) % n]))
+    return i[low], j[low]
+
+
+def _grad_sq(grad, x, y):
+    """|grad|^2 on the grid x[:, None], y[None, :], built in place."""
+    g0, g1 = grad(x[:, None], y[None, :])
+    g0 *= g0
+    g1 *= g1
+    g0 += g1
+    return g0
 
 
 def _numeric_critical_points(rf, n=400):
@@ -629,8 +657,6 @@ def _numeric_critical_points(rf, n=400):
     the closed-form Hessian's diagonal."""
     rhos = np.linspace(1e-3, 1 - 1e-3, n)
     thetas = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-    gr, gt = rf.grad(rhos[:, None], thetas[None, :])
-    g2 = gr * gr + gt * gt
     found = []
 
     def add(r0, t0):
@@ -640,23 +666,23 @@ def _numeric_critical_points(rf, n=400):
             found.append((r0, t0, _sign_eps(q_tt), _sign_eps(q_rr)))
 
     # candidates: local minima of |grad|^2, with periodic wrap in theta
-    for i, j in _grid_minima(np.concatenate([g2[:, -1:], g2, g2[:, :1]],
-                                            axis=1)):
-        x = _newton_2d(rf.grad, rf.hess, (rhos[i + 1], thetas[j]), 1e-13,
-                       0.3, 60, lambda x: 1e-6 < x[0] < 1 - 1e-6)
-        if x is not None:
-            add(x[0], x[1] % (2 * np.pi))
+    i, j = _grid_minima(_grad_sq(rf.grad, rhos, thetas), periodic=True)
+    roots, ok = _newton_2d(
+        rf.grad, rf.hess, np.stack([rhos[i], thetas[j]], axis=1), 1e-13, 0.3,
+        60, lambda x: (1e-6 < x[:, 0]) & (x[:, 0] < 1 - 1e-6))
+    for r0, t0 in roots[ok]:
+        add(r0, t0 % (2 * np.pi))
     # pole chart around rho = 0: covers the region the (rho, theta) grid
     # resolves poorly; by the exact rho <-> 1-rho symmetry of <q>, every
     # chart finding is mirrored to the opposite hemisphere
     uu = np.linspace(-0.32, 0.32, 90)
-    gu, gv = rf.grad_pole_chart(uu[:, None], uu[None, :])
+    i, j = _grid_minima(_grad_sq(rf.grad_pole_chart, uu, uu), periodic=False)
+    roots, ok = _newton_2d(rf.grad_pole_chart, rf.hess_pole_chart,
+                           np.stack([uu[i], uu[j]], axis=1), 1e-12, 0.1, 80,
+                           lambda x: np.linalg.norm(x, axis=1) <= 0.4)
     chart_pts = []
-    for i, j in _grid_minima(gu * gu + gv * gv):
-        x = _newton_2d(rf.grad_pole_chart, rf.hess_pole_chart,
-                       (uu[i + 1], uu[j + 1]), 1e-12, 0.1, 80,
-                       lambda x: np.linalg.norm(x) <= 0.4)
-        if x is not None and np.linalg.norm(x) <= 0.33 and all(
+    for x in roots[ok]:
+        if np.linalg.norm(x) <= 0.33 and all(
                 np.hypot(x[0] - w[0], x[1] - w[1]) > 1e-6 for w in chart_pts):
             chart_pts.append((x[0], x[1]))
     for u, v in chart_pts:
@@ -690,39 +716,31 @@ def grid_verify(rf, report, n=400, tol=1e-6):
     missing, an extra point is found, or a signature disagrees.
     """
     numeric = _numeric_critical_points(rf, n=n)
-    expected = [(r, t, pt.sig_theta, pt.sig_rho, pt)
-                for pt in report.points for (r, t) in pt.locations]
+    expected = [(r, t, pt) for pt in report.points for (r, t) in pt.locations]
     problems = []
     used = [False] * len(numeric)
-    for (r, t, st, sr, pt) in expected:
-        best, best_d = None, np.inf
-        for i, (rn, tn, snt, snr) in enumerate(numeric):
-            if used[i]:
-                continue
-            d = _sigma_dist(r, t, rn, tn) if r not in (0.0, 1.0) \
-                else abs(r - rn)
-            if d < best_d:
-                best, best_d = i, d
-        if best is None or best_d > tol:
+    for r, t, pt in expected:
+        # poles are matched by rho alone
+        pole = r in (0.0, 1.0)
+        best_d, best = min(
+            ((abs(r - rn) if pole else _sigma_dist(r, t, rn, tn), i)
+             for i, (rn, tn, *_) in enumerate(numeric) if not used[i]),
+            default=(np.inf, None))
+        if best_d > tol:
             problems.append(f"missing {pt.kind.value} at rho={r}, th={t}")
             continue
         used[best] = True
         rn, tn, snt, snr = numeric[best]
-        if r in (0.0, 1.0):
-            # pole chart signs: (u, v) directions correspond to the
-            # vertical-circle and transverse directions
-            if (snt, snr) != (pt.sig_theta, pt.sig_rho):
-                problems.append(
-                    f"pole signature {snt, snr} != {pt.sig_theta, pt.sig_rho}")
-        else:
-            if snt != st or snr != sr:
-                problems.append(
-                    f"{pt.kind.value} signature ({snt},{snr}) != ({st},{sr})"
-                    f" at rho={rn:.4f}, th={tn:.4f}")
-    extras = [numeric[i] for i in range(len(numeric)) if not used[i]]
-    for e in extras:
-        problems.append(f"unreported critical point at rho={e[0]:.4f}, "
-                        f"th={e[1]:.4f}")
+        st, sr = pt.sig_theta, pt.sig_rho
+        # pole chart signs: (u, v) directions correspond to the
+        # vertical-circle and transverse directions
+        if (snt, snr) != (st, sr):
+            problems.append(
+                f"pole signature {snt, snr} != {st, sr}" if pole else
+                f"{pt.kind.value} signature ({snt},{snr}) != ({st},{sr})"
+                f" at rho={rn:.4f}, th={tn:.4f}")
+    problems += [f"unreported critical point at rho={rn:.4f}, th={tn:.4f}"
+                 for (rn, tn, *_), u in zip(numeric, used) if not u]
     if problems:
         raise Mismatch("; ".join(problems), discrepancies=problems)
     return {"matched": len(expected), "numeric": len(numeric)}

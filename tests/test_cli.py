@@ -1,7 +1,11 @@
 """CLI: configs, exit codes, output files, determinism."""
 
+import ctypes
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -430,3 +434,33 @@ def test_bs_job_phase_call_budget(tmp_path, monkeypatch):
     assert main(["bs", "--config", path, "--out", str(tmp_path),
                  "--check"]) == 0
     assert len(calls) < 700
+
+
+# 20 rounds of four live 400 x 400 grids (313 pages each), as a grid
+# search makes them; prints the minor page faults of the rounds
+_GRID_ROUNDS = """
+import resource, sys
+import numpy as np
+from branchspec import cli
+if sys.argv[1] == "on":
+    cli._reuse_freed_arrays()
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    grids = [np.ones((400, 400)) for _ in range(4)]
+    del grids
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
+"""
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"),
+                    reason="this libc has no mallopt")
+def test_freed_grids_are_reused():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    faults = {mode: int(subprocess.run(
+        [sys.executable, "-c", _GRID_ROUNDS, mode], env=env, check=True,
+        capture_output=True, text=True).stdout) for mode in ("off", "on")}
+    # glibc's defaults return the freed grids to the system, so most
+    # rounds fault their pages in again; with the setting only the first
+    assert faults["off"] > 10 * 4 * 313
+    assert faults["on"] < 2 * 4 * 313

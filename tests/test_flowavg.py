@@ -1,5 +1,6 @@
 """Exact flow averages, correlations and classification."""
 
+import copy
 import csv
 import hashlib
 import io
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from branchspec import cli, flowavg
 from branchspec.errors import DegenerateInput, Mismatch, NotInvariant
@@ -772,6 +774,26 @@ def test_grid_broadcast_equals_meshgrid(abc):
         assert mesh.tobytes() == bcast.tobytes()
 
 
+@pytest.mark.parametrize("abc", list(REGION_SAMPLES.values())
+                         + [(F(1), F(1), F(1, 2)), (F(1, 2), F(-3), F(5, 4))])
+def test_grid_equals_out_of_place_expressions(abc):
+    rf = ReducedFunction(*abc)
+    a, b, c, d = rf.floats
+    rho = np.linspace(1e-3, 1 - 1e-3, 400)[:, None]
+    theta = np.linspace(0.0, 2 * np.pi, 400, endpoint=False)[None, :]
+    g2 = rho * (1.0 - rho)
+    g = np.sqrt(np.maximum(g2, 1e-300))
+    y = np.cos(theta)
+    dgdr = (1.0 - 2.0 * rho) / (2.0 * g)
+    gr = (d + b * y * y) * (1.0 - 2.0 * rho) + c * y * dgdr
+    gt = -np.sin(theta) * (2.0 * b * g2 * y + c * g)
+    got = rf.grad(rho, theta)
+    assert got[0].tobytes() == gr.tobytes()
+    assert got[1].tobytes() == gt.tobytes()
+    assert flowavg._grad_sq(rf.grad, rho[:, 0], theta[0]).tobytes() == \
+        (gr * gr + gt * gt).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # closed-form derivatives against central differences, and the closed-form
 # critical-point search against the finite-difference one it replaced
@@ -950,3 +972,858 @@ def test_closed_form_search_equals_fd_oracle():
         assert [p[2:] for p in got] == [p[2:] for p in want]
         for (r0, t0, *_), (r1, t1, *_) in zip(got, want):
             assert flowavg._sigma_dist(r0, t0, r1, t1) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the array critical-point search against the scalar one it replaced: its
+# recorded answers, its Newton loop and its stacked-minimum formula
+
+# The 9 REGION_SAMPLES, the pole case and 50 seeded random (a, b, c) off the
+# separating lines: grid_verify's return dict and _numeric_critical_points'
+# [(rho, theta, sig_theta, sig_rho)], recorded on the scalar Newton search.
+PINNED_SEARCH = [
+    (('-1', '1', '1/2'), {'matched': 6, 'numeric': 6}, [
+        (0.005128340694606488, 3.141592653589793, 1, 1),
+        (0.5, 0.0, -1, -1),
+        (0.5, 2.0943951023931957, 1, -1),
+        (0.5, 3.141592653589793, -1, -1),
+        (0.5, 4.188790204786391, 1, -1),
+        (0.9948716593053936, 3.141592653589793, 1, 1),
+    ]),
+    (('-1', '1', '2'), {'matched': 4, 'numeric': 4}, [
+        (0.08967409667585508, 3.141592653589793, 1, 1),
+        (0.5, 0.0, -1, -1),
+        (0.5, 3.141592653589793, 1, -1),
+        (0.910325903324145, 3.141592653589793, 1, 1),
+    ]),
+    (('-1', '1', '-2'), {'matched': 4, 'numeric': 4}, [
+        (0.08967409667585508, 0.0, 1, 1),
+        (0.5, 0.0, 1, -1),
+        (0.5, 3.141592653589793, -1, -1),
+        (0.910325903324145, 0.0, 1, 1),
+    ]),
+    (('-1', '1', '4'), {'matched': 2, 'numeric': 2}, [
+        (0.5, 0.0, -1, -1),
+        (0.5, 3.141592653589793, 1, 1),
+    ]),
+    (('-1', '1', '-4'), {'matched': 2, 'numeric': 2}, [
+        (0.5, 0.0, 1, 1),
+        (0.5, 3.141592653589793, -1, -1),
+    ]),
+    (('-1', '-1', '1/4'), {'matched': 6, 'numeric': 6}, [
+        (0.06698729810776492, 3.1415926535898357, 1, 1),
+        (0.5, 0.0, 1, -1),
+        (0.5, 1.318116071652818, -1, -1),
+        (0.5, 3.141592653589793, 1, -1),
+        (0.5, 4.9650692355267685, -1, -1),
+        (0.9330127018922194, 3.141592653589793, 1, 1),
+    ]),
+    (('-1', '-1', '7/8'), {'matched': 4, 'numeric': 4}, [
+        (0.5, 0.0, 1, -1),
+        (0.5, 0.5053605102841573, -1, -1),
+        (0.5, 3.141592653589793, 1, 1),
+        (0.5, 5.7778247968954295, -1, -1),
+    ]),
+    (('-1', '-1', '-7/8'), {'matched': 4, 'numeric': 4}, [
+        (0.5, 0.0, 1, 1),
+        (0.5, 2.636232143305636, -1, -1),
+        (0.5, 3.141592653589793, 1, -1),
+        (0.5, 3.6469531638739507, -1, -1),
+    ]),
+    (('-1', '-3', '1/4'), {'matched': 6, 'numeric': 6}, [
+        (0.0025062814466900226, 6.283185307179586, 1, -1),
+        (0.4999999999999473, 1.4873662401843166, -1, -1),
+        (0.4999999999999473, 4.79581906699527, -1, -1),
+        (0.5, 0.0, 1, 1),
+        (0.5, 3.141592653589793, 1, 1),
+        (0.9974937185533099, 6.283185307179586, 1, -1),
+    ]),
+    (('-1', '1', '0'), {'matched': 6, 'numeric': 6}, [
+        (0.5, 0.0, -1, -1),
+        (0.5, 1.5707963267948966, 1, -1),
+        (0.5, 3.141592653589793, -1, -1),
+        (0.5, 4.71238898038469, 1, -1),
+        (0.0, 0.0, 1, 1),
+        (1.0, 0.0, 1, 1),
+    ]),
+    (('-23/24', '13/12', '1/4'), {'matched': 6, 'numeric': 6}, [
+        (0.5, 0.0, -1, -1),
+        (0.5, 1.803664505052979, 1, -1),
+        (0.5, 3.141592653589793, -1, -1),
+        (0.5, 4.479520802126608, 1, -1),
+        (0.0012472303239654482, 3.141592653589793, 1, 1),
+        (0.9987527696760345, 3.141592653589793, 1, 1),
+    ]),
+    (('-1/12', '7/3', '3/2'), {'matched': 6, 'numeric': 6}, [
+        (0.043753184093528845, 3.141592653589793, 1, 1),
+        (0.5, 0.0, -1, -1),
+        (0.5, 2.2690188001574567, 1, -1),
+        (0.5, 3.141592653589793, -1, -1),
+        (0.5, 4.01416650702213, 1, -1),
+        (0.9562468159064712, 3.141592653589793, 1, 1),
+    ]),
+    (('0', '47/24', '-29/24'), {'matched': 6, 'numeric': 6}, [
+        (0.04426070510187537, 0.0, 1, 1),
+        (0.5, 0.0, -1, -1),
+        (0.5, 0.9058444327942561, 1, -1),
+        (0.5, 3.141592653589793, -1, -1),
+        (0.5, 5.377340874385331, 1, -1),
+        (0.9557392948981246, 1.1732947770543552e-17, 1, 1),
+    ]),
+    (('-29/12', '-59/24', '11/24'), {'matched': 6, 'numeric': 6}, [
+        (0.041742430504416034, 3.141592653589793, 1, 1),
+        (0.5, 0.0, 1, -1),
+        (0.5, 1.3832582785972845, -1, -1),
+        (0.5, 3.141592653589793, 1, -1),
+        (0.5, 4.899927028582302, -1, -1),
+        (0.958257569495584, 3.141592653589793, 1, 1),
+    ]),
+    (('7/8', '-35/24', '-5/2'), {'matched': 4, 'numeric': 4}, [
+        (0.11371131670990613, 3.141592653589793, -1, -1),
+        (0.5, 0.0, 1, 1),
+        (0.5, 3.141592653589793, -1, 1),
+        (0.8862886832900939, 3.141592653589793, -1, -1),
+    ]),
+    (('13/6', '-3/4', '7/4'), {'matched': 4, 'numeric': 4}, [
+        (0.02639447127205547, 6.283185307179586, -1, -1),
+        (0.5, 0.0, -1, 1),
+        (0.5, 3.141592653589793, 1, 1),
+        (0.9736055287279445, 6.283185307179586, -1, -1),
+    ]),
+    (('13/12', '-19/8', '-5/24'), {'matched': 6, 'numeric': 6}, [
+        (0.5, 0.0, 1, 1),
+        (0.5, 1.6586285116132005, -1, 1),
+        (0.5, 3.141592653589793, 1, 1),
+        (0.5, 4.624556795566386, -1, 1),
+        (0.000330687866861784, 3.1415926535899197, -1, -1),
+        (0.9996693121331383, 3.1415926535899197, -1, -1),
+    ]),
+    (('17/24', '11/24', '-11/8'), {'matched': 2, 'numeric': 2}, [
+        (0.5, 0.0, 1, 1),
+        (0.5, 3.141592653589793, -1, -1),
+    ]),
+    (('19/24', '7/6', '2'), {'matched': 2, 'numeric': 2}, [
+        (0.5, 0.0, -1, -1),
+        (0.5, 3.141592653589793, 1, 1),
+    ]),
+    (('-15/8', '5/6', '-19/12'), {'matched': 4, 'numeric': 4}, [
+        (0.02573155749559347, 3.735256386221491e-28, 1, 1),
+        (0.5, 0.0, 1, -1),
+        (0.5, 3.141592653589793, -1, -1),
+        (0.9742684425044066, 0.0, 1, 1),
+    ]),
+    (('-37/24', '7/6', '53/24'), {'matched': 4, 'numeric': 4}, [
+        (0.05524008132965932, 3.141592653589793, 1, 1),
+        (0.5, 0.0, -1, -1),
+        (0.5, 3.141592653589793, 1, -1),
+        (0.9447599186703407, 3.141592653589793, 1, 1),
+    ]),
+    (('-13/8', '3/2', '-7/12'), {'matched': 6, 'numeric': 6}, [
+        (0.5, 0.0, -1, -1),
+        (0.5, 1.171371086914302, 1, -1),
+        (0.5, 3.141592653589793, -1, -1),
+        (0.5, 5.111814220265285, 1, -1),
+        (0.0028201663778847194, 6.283185307179586, 1, 1),
+        (0.9971798336221153, 6.283185307179586, 1, 1),
+    ]),
+    (('-7/4', '13/24', '-5/8'), {'matched': 4, 'numeric': 4}, [
+        (0.005278864095701909, 6.283185307179586, 1, 1),
+        (0.5, 0.0, 1, -1),
+        (0.5, 3.141592653589793, -1, -1),
+        (0.9947211359042981, 6.283185307179586, 1, 1),
+    ]),
+    (('-3/4', '-19/24', '7/8'), {'matched': 2, 'numeric': 2}, [
+        (0.5, 0.0, -1, -1),
+        (0.5, 3.141592653589793, 1, 1),
+    ]),
+    (('29/24', '25/24', '3/8'), {'matched': 6, 'numeric': 6}, [
+        (0.05076242789283265, 3.002172869491653e-22, -1, -1),
+        (0.5, 0.0, -1, 1),
+        (0.5, 1.9390642202315365, 1, 1),
+        (0.5, 3.141592653589793, -1, 1),
+        (0.5, 4.34412108694805, 1, 1),
+        (0.9492375721071674, 0.0, -1, -1),
+    ]),
+    (('-37/24', '-2/3', '17/12'), {'matched': 4, 'numeric': 4}, [
+        (0.13339394440353283, 3.141592653589793, 1, 1),
+        (0.5, 0.0, -1, -1),
+        (0.5, 3.141592653589793, 1, -1),
+        (0.8666060555964672, 3.141592653589793, 1, 1),
+    ]),
+    (('-49/24', '13/6', '13/12'), {'matched': 6, 'numeric': 6}, [
+        (0.005485932229283786, 3.141592653589793, 1, 1),
+        (0.5, 0.0, -1, -1),
+        (0.5, 2.0943951023931953, 1, -1),
+        (0.5, 3.141592653589793, -1, -1),
+        (0.5, 4.188790204786391, 1, -1),
+        (0.9945140677707162, 3.141592653589793, 1, 1),
+    ]),
+    (('-23/24', '-3/2', '13/24'), {'matched': 4, 'numeric': 4}, [
+        (0.5, 0.0, 1, -1),
+        (0.5, 1.2013371968951267, -1, -1),
+        (0.5, 3.141592653589793, 1, 1),
+        (0.5, 5.08184811028446, -1, -1),
+    ]),
+    (('-13/24', '23/12', '-47/24'), {'matched': 4, 'numeric': 4}, [
+        (0.06547858019894119, 0.0, 1, 1),
+        (0.5, 0.0, 1, -1),
+        (0.5, 3.141592653589793, -1, -1),
+        (0.9345214198010587, 0.0, 1, 1),
+    ]),
+    (('5/8', '-41/24', '-47/24'), {'matched': 4, 'numeric': 4}, [
+        (0.0710034471673885, 3.141592653589793, -1, -1),
+        (0.5, 0.0, 1, 1),
+        (0.5, 3.141592653589793, -1, 1),
+        (0.9289965528326115, 3.141592653589793, -1, -1),
+    ]),
+    (('59/24', '-2', '-13/24'), {'matched': 6, 'numeric': 6}, [
+        (0.5, 0.0, 1, 1),
+        (0.5, 1.8450549402835268, -1, 1),
+        (0.5, 3.141592653589793, 1, 1),
+        (0.5, 4.438130366896059, -1, 1),
+        (0.0011717330691887549, 3.141592653589793, -1, -1),
+        (0.9988282669308113, 3.141592653589793, -1, -1),
+    ]),
+    (('-19/12', '15/8', '25/24'), {'matched': 6, 'numeric': 6}, [
+        (0.007646271560880485, 3.141592653589793, 1, 1),
+        (0.5, 0.0, -1, -1),
+        (0.5, 2.1598272970111707, 1, -1),
+        (0.5, 3.141592653589793, -1, -1),
+        (0.5, 4.123358010168416, 1, -1),
+        (0.9923537284391195, 3.141592653589793, 1, 1),
+    ]),
+    (('-31/24', '59/24', '-5/3'), {'matched': 6, 'numeric': 6}, [
+        (0.017983246379378603, 9.129435670021688e-18, 1, 1),
+        (0.5, 0.0, -1, -1),
+        (0.5, 0.8258040928597936, 1, -1),
+        (0.5, 3.141592653589793, -1, -1),
+        (0.5, 5.457381214319793, 1, -1),
+        (0.9820167536206214, 0.0, 1, 1),
+    ]),
+    (('2/3', '-5/12', '-17/8'), {'matched': 2, 'numeric': 2}, [
+        (0.5, 0.0, 1, 1),
+        (0.5, 3.141592653589793, -1, -1),
+    ]),
+    (('-25/24', '5/4', '55/24'), {'matched': 4, 'numeric': 4}, [
+        (0.09231754250448233, 3.141592653589793, 1, 1),
+        (0.5, 0.0, -1, -1),
+        (0.5, 3.141592653589793, 1, -1),
+        (0.9076824574955177, 3.141592653589793, 1, 1),
+    ]),
+    (('-13/24', '-2', '-59/24'), {'matched': 2, 'numeric': 2}, [
+        (0.5, 0.0, 1, 1),
+        (0.5, 3.141592653589793, -1, -1),
+    ]),
+    (('-23/24', '2/3', '13/24'), {'matched': 6, 'numeric': 6}, [
+        (0.008698106028067339, 3.141592653589793, 1, 1),
+        (0.5, 0.0, -1, -1),
+        (0.5, 2.519224165034772, 1, -1),
+        (0.5, 3.141592653589793, -1, -1),
+        (0.5, 3.7639611421448143, 1, -1),
+        (0.9913018939719328, 3.1415926535897936, 1, 1),
+    ]),
+    (('-1/4', '-1/24', '-13/6'), {'matched': 2, 'numeric': 2}, [
+        (0.5, 0.0, 1, 1),
+        (0.5, 3.141592653589793, -1, -1),
+    ]),
+    (('-13/24', '5/4', '3/2'), {'matched': 4, 'numeric': 4}, [
+        (0.06903940054100725, 3.141592653589793, 1, 1),
+        (0.5, 0.0, -1, -1),
+        (0.5, 3.141592653589793, 1, -1),
+        (0.9309605994589927, 3.141592653589793, 1, 1),
+    ]),
+    (('9/4', '-17/12', '19/24'), {'matched': 6, 'numeric': 6}, [
+        (0.003582710423368079, 6.283185307179586, -1, -1),
+        (0.5, 0.0, 1, 1),
+        (0.5, 0.9778298598226777, -1, 1),
+        (0.5, 3.141592653589793, 1, 1),
+        (0.5, 5.305355447356909, -1, 1),
+        (0.9964172895766319, 6.283185307179586, -1, -1),
+    ]),
+    (('23/12', '-9/8', '-2/3'), {'matched': 6, 'numeric': 6}, [
+        (0.0036588123259347375, 3.141592653589793, -1, -1),
+        (0.5, 0.0, 1, 1),
+        (0.5, 2.2050699749173925, -1, 1),
+        (0.5, 3.141592653589793, 1, 1),
+        (0.5, 4.078115332262194, -1, 1),
+        (0.9963411876740652, 3.141592653589793, -1, -1),
+    ]),
+    (('-2', '7/8', '19/8'), {'matched': 4, 'numeric': 4}, [
+        (0.052747719875991445, 3.141592653589793, 1, 1),
+        (0.5, 0.0, -1, -1),
+        (0.5, 3.141592653589793, 1, -1),
+        (0.9472522801240085, 3.141592653589793, 1, 1),
+    ]),
+    (('9/4', '13/24', '17/24'), {'matched': 4, 'numeric': 4}, [
+        (0.009311381840721115, 5.175097304145867e-19, -1, -1),
+        (0.5, 0.0, -1, 1),
+        (0.5, 3.141592653589793, 1, 1),
+        (0.9906886181592789, 4.476817797410626e-20, -1, -1),
+    ]),
+    (('-19/12', '11/12', '9/4'), {'matched': 4, 'numeric': 4}, [
+        (0.0656711746949464, 3.141592653589793, 1, 1),
+        (0.5, 0.0, -1, -1),
+        (0.5, 3.141592653589793, 1, -1),
+        (0.9343288253050536, 3.141592653589793, 1, 1),
+    ]),
+    (('3/8', '-53/24', '11/6'), {'matched': 6, 'numeric': 6}, [
+        (0.05380931481297593, 0.0, -1, -1),
+        (0.5, 0.0, 1, 1),
+        (0.5, 0.5913502789460475, -1, 1),
+        (0.5, 3.141592653589793, 1, 1),
+        (0.5, 5.691835028233539, -1, 1),
+        (0.9461906851870241, 0.0, -1, -1),
+    ]),
+    (('4/3', '3/4', '47/24'), {'matched': 2, 'numeric': 2}, [
+        (0.5, 0.0, -1, -1),
+        (0.5, 3.141592653589793, 1, 1),
+    ]),
+    (('-19/12', '2/3', '1/6'), {'matched': 6, 'numeric': 6}, [
+        (0.5, 0.0, -1, -1),
+        (0.5, 1.8234765819369754, 1, -1),
+        (0.5, 3.141592653589793, -1, -1),
+        (0.5, 4.459708725242611, 1, -1),
+        (0.0004001601281268526, 3.1415926535893917, 1, 1),
+        (0.9995998398718732, 3.1415926535893917, 1, 1),
+    ]),
+    (('19/12', '2', '-17/24'), {'matched': 4, 'numeric': 4}, [
+        (0.5, 0.0, -1, 1),
+        (0.5, 1.2087735018894243, 1, 1),
+        (0.5, 3.141592653589793, -1, -1),
+        (0.5, 5.074411805290162, 1, 1),
+    ]),
+    (('-13/24', '-1/24', '-35/24'), {'matched': 2, 'numeric': 2}, [
+        (0.5, 0.0, 1, 1),
+        (0.5, 3.141592653589793, -1, -1),
+    ]),
+    (('-1/6', '-23/24', '11/24'), {'matched': 6, 'numeric': 6}, [
+        (0.04511081316070587, 1.259442371017729e-13, -1, -1),
+        (0.5, 0.0, 1, 1),
+        (0.5, 1.0721229797330063, -1, 1),
+        (0.5, 3.141592653589793, 1, 1),
+        (0.5, 5.21106232744658, -1, 1),
+        (0.9548891868392904, 3.781804620119204e-19, -1, -1),
+    ]),
+    (('-31/24', '-1/3', '1/24'), {'matched': 6, 'numeric': 6}, [
+        (0.5, 0.0, 1, -1),
+        (0.5, 1.4454684956268646, -1, -1),
+        (0.5, 3.141592653589793, 1, -1),
+        (0.5, 4.837716811552722, -1, -1),
+        (0.0001000100020004001, 3.14159265359002, 1, 1),
+        (0.9998999899979996, 3.14159265359002, 1, 1),
+    ]),
+    (('5/4', '-1/6', '-1/24'), {'matched': 6, 'numeric': 6}, [
+        (0.5, 0.0, 1, 1),
+        (0.4999999999999994, 1.8234765819361087, -1, 1),
+        (0.5, 3.141592653589793, 1, 1),
+        (0.4999999999999994, 4.459708725243478, -1, 1),
+        (5.739539707787389e-05, 3.1415926535912555, -1, -1),
+        (0.9999426046029222, 3.1415926535912555, -1, -1),
+    ]),
+    (('-23/24', '5/4', '-43/24'), {'matched': 4, 'numeric': 4}, [
+        (0.05934202954366103, 0.0, 1, 1),
+        (0.5, 0.0, 1, -1),
+        (0.5, 3.141592653589793, -1, -1),
+        (0.9406579704563389, 0.0, 1, 1),
+    ]),
+    (('-5/12', '25/12', '47/24'), {'matched': 6, 'numeric': 6}, [
+        (0.06547858019894118, 3.141592653589793, 1, 1),
+        (0.5, 0.0, -1, -1),
+        (0.5, 2.793426632316832, 1, -1),
+        (0.5, 3.141592653589793, -1, -1),
+        (0.5, 3.4897586748627547, 1, -1),
+        (0.9345214198010589, 3.141592653589793, 1, 1),
+    ]),
+    (('-11/6', '-4/3', '17/24'), {'matched': 6, 'numeric': 6}, [
+        (0.04740332524420819, 3.141592653589793, 1, 1),
+        (0.5, 0.0, 1, -1),
+        (0.5, 1.0107210205683146, -1, -1),
+        (0.5, 3.141592653589793, 1, -1),
+        (0.5, 5.272464286611272, -1, -1),
+        (0.9525966747557936, 3.141592653589793, 1, 1),
+    ]),
+    (('-17/8', '-17/24', '-9/8'), {'matched': 4, 'numeric': 4}, [
+        (0.03217724351215098, 6.283185307179586, 1, 1),
+        (0.5, 0.0, 1, -1),
+        (0.5, 3.141592653589793, -1, -1),
+        (0.967822756487849, 8.298816722925044e-28, 1, 1),
+    ]),
+    (('-2/3', '-1/2', '-13/6'), {'matched': 2, 'numeric': 2}, [
+        (0.5, 0.0, 1, 1),
+        (0.5, 3.141592653589793, -1, -1),
+    ]),
+    (('-37/24', '31/24', '-1/24'), {'matched': 6, 'numeric': 6}, [
+        (0.5, 0.0, -1, -1),
+        (0.5, 1.5385326651266504, 1, -1),
+        (0.5, 3.141592653589793, -1, -1),
+        (0.5, 4.7446526420529365, 1, -1),
+        (1.721763085909721e-05, 6.2831853071795605, 1, 1),
+        (0.999982782369141, 6.2831853071795605, 1, 1),
+    ]),
+    (('2/3', '-15/8', '5/12'), {'matched': 6, 'numeric': 6}, [
+        (0.5, 0.0, 1, 1),
+        (0.5, 1.3467032344935257, -1, 1),
+        (0.5, 3.141592653589793, 1, 1),
+        (0.5, 4.9364820726860605, -1, 1),
+        (0.0025315977450021507, 1.2891949197336227e-23, -1, -1),
+        (0.9974684022549979, 1.2891949197336227e-23, -1, -1),
+    ]),
+    (('-1/3', '13/8', '-17/8'), {'matched': 4, 'numeric': 4}, [
+        (0.13552350531894083, 0.0, 1, 1),
+        (0.5, 0.0, 1, -1),
+        (0.5, 3.141592653589793, -1, -1),
+        (0.8644764946810591, 0.0, 1, 1),
+    ]),
+]
+
+# grid_verify's discrepancy list on each REGION_SAMPLES report and the pole
+# case, with each point record's signature flipped in turn, with each
+# location removed in turn and with each location's theta moved by 0.01
+# in turn (None: no discrepancy, as for a pole, matched by rho alone)
+PINNED_DISCREPANCIES = {
+    ('-1', '1', '1/2'): (
+        [
+            ['Cf signature (-1,-1) != (1,1) at rho=0.5000, th=0.0000'],
+            ['Cb signature (-1,-1) != (1,1) at rho=0.5000, th=3.1416'],
+            ['horizontal signature (1,-1) != (-1,1) at rho=0.5000, th=2.0944',
+             'horizontal signature (1,-1) != (-1,1) at rho=0.5000, th=4.1888'],
+            ['vertical signature (1,1) != (-1,-1) at rho=0.0051, th=3.1416',
+             'vertical signature (1,1) != (-1,-1) at rho=0.9949, th=3.1416'],
+        ],
+        [
+            ['unreported critical point at rho=0.5000, th=0.0000'],
+            ['unreported critical point at rho=0.5000, th=3.1416'],
+            ['unreported critical point at rho=0.5000, th=2.0944'],
+            ['unreported critical point at rho=0.5000, th=4.1888'],
+            ['unreported critical point at rho=0.0051, th=3.1416'],
+            ['unreported critical point at rho=0.9949, th=3.1416'],
+        ],
+        [
+            ['missing Cf at rho=0.5, th=0.01',
+             'unreported critical point at rho=0.5000, th=0.0000'],
+            ['missing Cb at rho=0.5, th=3.151592653589793',
+             'unreported critical point at rho=0.5000, th=3.1416'],
+            ['missing horizontal at rho=0.5, th=2.1043951023931955',
+             'unreported critical point at rho=0.5000, th=2.0944'],
+            ['missing horizontal at rho=0.5, th=4.19879020478639',
+             'unreported critical point at rho=0.5000, th=4.1888'],
+            ['missing vertical at rho=0.0051283406946064924, '
+             'th=3.151592653589793',
+             'unreported critical point at rho=0.0051, th=3.1416'],
+            ['missing vertical at rho=0.9948716593053935, '
+             'th=3.151592653589793',
+             'unreported critical point at rho=0.9949, th=3.1416'],
+        ],
+    ),
+    ('-1', '1', '2'): (
+        [
+            ['Cf signature (-1,-1) != (1,1) at rho=0.5000, th=0.0000'],
+            ['Cb signature (1,-1) != (-1,1) at rho=0.5000, th=3.1416'],
+            ['vertical signature (1,1) != (-1,-1) at rho=0.0897, th=3.1416',
+             'vertical signature (1,1) != (-1,-1) at rho=0.9103, th=3.1416'],
+        ],
+        [
+            ['unreported critical point at rho=0.5000, th=0.0000'],
+            ['unreported critical point at rho=0.5000, th=3.1416'],
+            ['unreported critical point at rho=0.0897, th=3.1416'],
+            ['unreported critical point at rho=0.9103, th=3.1416'],
+        ],
+        [
+            ['missing Cf at rho=0.5, th=0.01',
+             'unreported critical point at rho=0.5000, th=0.0000'],
+            ['missing Cb at rho=0.5, th=3.151592653589793',
+             'unreported critical point at rho=0.5000, th=3.1416'],
+            ['missing vertical at rho=0.08967409667585513, '
+             'th=3.151592653589793',
+             'unreported critical point at rho=0.0897, th=3.1416'],
+            ['missing vertical at rho=0.9103259033241449, '
+             'th=3.151592653589793',
+             'unreported critical point at rho=0.9103, th=3.1416'],
+        ],
+    ),
+    ('-1', '1', '-2'): (
+        [
+            ['Cf signature (1,-1) != (-1,1) at rho=0.5000, th=0.0000'],
+            ['Cb signature (-1,-1) != (1,1) at rho=0.5000, th=3.1416'],
+            ['vertical signature (1,1) != (-1,-1) at rho=0.0897, th=0.0000',
+             'vertical signature (1,1) != (-1,-1) at rho=0.9103, th=0.0000'],
+        ],
+        [
+            ['unreported critical point at rho=0.5000, th=0.0000'],
+            ['unreported critical point at rho=0.5000, th=3.1416'],
+            ['unreported critical point at rho=0.0897, th=0.0000'],
+            ['unreported critical point at rho=0.9103, th=0.0000'],
+        ],
+        [
+            ['missing Cf at rho=0.5, th=0.01',
+             'unreported critical point at rho=0.5000, th=0.0000'],
+            ['missing Cb at rho=0.5, th=3.151592653589793',
+             'unreported critical point at rho=0.5000, th=3.1416'],
+            ['missing vertical at rho=0.08967409667585513, th=0.01',
+             'unreported critical point at rho=0.0897, th=0.0000'],
+            ['missing vertical at rho=0.9103259033241449, th=0.01',
+             'unreported critical point at rho=0.9103, th=0.0000'],
+        ],
+    ),
+    ('-1', '1', '4'): (
+        [
+            ['Cf signature (-1,-1) != (1,1) at rho=0.5000, th=0.0000'],
+            ['Cb signature (1,1) != (-1,-1) at rho=0.5000, th=3.1416'],
+        ],
+        [
+            ['unreported critical point at rho=0.5000, th=0.0000'],
+            ['unreported critical point at rho=0.5000, th=3.1416'],
+        ],
+        [
+            ['missing Cf at rho=0.5, th=0.01',
+             'unreported critical point at rho=0.5000, th=0.0000'],
+            ['missing Cb at rho=0.5, th=3.151592653589793',
+             'unreported critical point at rho=0.5000, th=3.1416'],
+        ],
+    ),
+    ('-1', '1', '-4'): (
+        [
+            ['Cf signature (1,1) != (-1,-1) at rho=0.5000, th=0.0000'],
+            ['Cb signature (-1,-1) != (1,1) at rho=0.5000, th=3.1416'],
+        ],
+        [
+            ['unreported critical point at rho=0.5000, th=0.0000'],
+            ['unreported critical point at rho=0.5000, th=3.1416'],
+        ],
+        [
+            ['missing Cf at rho=0.5, th=0.01',
+             'unreported critical point at rho=0.5000, th=0.0000'],
+            ['missing Cb at rho=0.5, th=3.151592653589793',
+             'unreported critical point at rho=0.5000, th=3.1416'],
+        ],
+    ),
+    ('-1', '-1', '1/4'): (
+        [
+            ['Cf signature (1,-1) != (-1,1) at rho=0.5000, th=0.0000'],
+            ['Cb signature (1,-1) != (-1,1) at rho=0.5000, th=3.1416'],
+            ['horizontal signature (-1,-1) != (1,1) at rho=0.5000, th=1.3181',
+             'horizontal signature (-1,-1) != (1,1) at rho=0.5000, th=4.9651'],
+            ['vertical signature (1,1) != (-1,-1) at rho=0.0670, th=3.1416',
+             'vertical signature (1,1) != (-1,-1) at rho=0.9330, th=3.1416'],
+        ],
+        [
+            ['unreported critical point at rho=0.5000, th=0.0000'],
+            ['unreported critical point at rho=0.5000, th=3.1416'],
+            ['unreported critical point at rho=0.5000, th=1.3181'],
+            ['unreported critical point at rho=0.5000, th=4.9651'],
+            ['unreported critical point at rho=0.0670, th=3.1416'],
+            ['unreported critical point at rho=0.9330, th=3.1416'],
+        ],
+        [
+            ['missing Cf at rho=0.5, th=0.01',
+             'unreported critical point at rho=0.5000, th=0.0000'],
+            ['missing Cb at rho=0.5, th=3.151592653589793',
+             'unreported critical point at rho=0.5000, th=3.1416'],
+            ['missing horizontal at rho=0.5, th=1.328116071652818',
+             'unreported critical point at rho=0.5000, th=1.3181'],
+            ['missing horizontal at rho=0.5, th=4.975069235526768',
+             'unreported critical point at rho=0.5000, th=4.9651'],
+            ['missing vertical at rho=0.0669872981077807, '
+             'th=3.151592653589793',
+             'unreported critical point at rho=0.0670, th=3.1416'],
+            ['missing vertical at rho=0.9330127018922193, '
+             'th=3.151592653589793',
+             'unreported critical point at rho=0.9330, th=3.1416'],
+        ],
+    ),
+    ('-1', '-1', '7/8'): (
+        [
+            ['Cf signature (1,-1) != (-1,1) at rho=0.5000, th=0.0000'],
+            ['Cb signature (1,1) != (-1,-1) at rho=0.5000, th=3.1416'],
+            ['horizontal signature (-1,-1) != (1,1) at rho=0.5000, th=0.5054',
+             'horizontal signature (-1,-1) != (1,1) at rho=0.5000, th=5.7778'],
+        ],
+        [
+            ['unreported critical point at rho=0.5000, th=0.0000'],
+            ['unreported critical point at rho=0.5000, th=3.1416'],
+            ['unreported critical point at rho=0.5000, th=0.5054'],
+            ['unreported critical point at rho=0.5000, th=5.7778'],
+        ],
+        [
+            ['missing Cf at rho=0.5, th=0.01',
+             'unreported critical point at rho=0.5000, th=0.0000'],
+            ['missing Cb at rho=0.5, th=3.151592653589793',
+             'unreported critical point at rho=0.5000, th=3.1416'],
+            ['missing horizontal at rho=0.5, th=0.5153605102841573',
+             'unreported critical point at rho=0.5000, th=0.5054'],
+            ['missing horizontal at rho=0.5, th=5.787824796895428',
+             'unreported critical point at rho=0.5000, th=5.7778'],
+        ],
+    ),
+    ('-1', '-1', '-7/8'): (
+        [
+            ['Cf signature (1,1) != (-1,-1) at rho=0.5000, th=0.0000'],
+            ['Cb signature (1,-1) != (-1,1) at rho=0.5000, th=3.1416'],
+            ['horizontal signature (-1,-1) != (1,1) at rho=0.5000, th=2.6362',
+             'horizontal signature (-1,-1) != (1,1) at rho=0.5000, th=3.6470'],
+        ],
+        [
+            ['unreported critical point at rho=0.5000, th=0.0000'],
+            ['unreported critical point at rho=0.5000, th=3.1416'],
+            ['unreported critical point at rho=0.5000, th=2.6362'],
+            ['unreported critical point at rho=0.5000, th=3.6470'],
+        ],
+        [
+            ['missing Cf at rho=0.5, th=0.01',
+             'unreported critical point at rho=0.5000, th=0.0000'],
+            ['missing Cb at rho=0.5, th=3.151592653589793',
+             'unreported critical point at rho=0.5000, th=3.1416'],
+            ['missing horizontal at rho=0.5, th=2.6462321433056357',
+             'unreported critical point at rho=0.5000, th=2.6362'],
+            ['missing horizontal at rho=0.5, th=3.65695316387395',
+             'unreported critical point at rho=0.5000, th=3.6470'],
+        ],
+    ),
+    ('-1', '-3', '1/4'): (
+        [
+            ['Cf signature (1,1) != (-1,-1) at rho=0.5000, th=0.0000'],
+            ['Cb signature (1,1) != (-1,-1) at rho=0.5000, th=3.1416'],
+            ['horizontal signature (-1,-1) != (1,1) at rho=0.5000, th=1.4874',
+             'horizontal signature (-1,-1) != (1,1) at rho=0.5000, th=4.7958'],
+            ['vertical signature (1,-1) != (-1,1) at rho=0.0025, th=6.2832',
+             'vertical signature (1,-1) != (-1,1) at rho=0.9975, th=6.2832'],
+        ],
+        [
+            ['unreported critical point at rho=0.5000, th=0.0000'],
+            ['unreported critical point at rho=0.5000, th=3.1416'],
+            ['unreported critical point at rho=0.5000, th=1.4874'],
+            ['unreported critical point at rho=0.5000, th=4.7958'],
+            ['unreported critical point at rho=0.0025, th=6.2832'],
+            ['unreported critical point at rho=0.9975, th=6.2832'],
+        ],
+        [
+            ['missing Cf at rho=0.5, th=0.01',
+             'unreported critical point at rho=0.5000, th=0.0000'],
+            ['missing Cb at rho=0.5, th=3.151592653589793',
+             'unreported critical point at rho=0.5000, th=3.1416'],
+            ['missing horizontal at rho=0.5, th=1.4973662401842815',
+             'unreported critical point at rho=0.5000, th=1.4874'],
+            ['missing horizontal at rho=0.5, th=4.805819066995305',
+             'unreported critical point at rho=0.5000, th=4.7958'],
+            ['missing vertical at rho=0.0025062814466900174, th=0.01',
+             'unreported critical point at rho=0.0025, th=6.2832'],
+            ['missing vertical at rho=0.9974937185533099, th=0.01',
+             'unreported critical point at rho=0.9975, th=6.2832'],
+        ],
+    ),
+    ('-1', '1', '0'): (
+        [
+            ['Cf signature (-1,-1) != (1,1) at rho=0.5000, th=0.0000'],
+            ['Cb signature (-1,-1) != (1,1) at rho=0.5000, th=3.1416'],
+            ['horizontal signature (1,-1) != (-1,1) at rho=0.5000, th=1.5708',
+             'horizontal signature (1,-1) != (-1,1) at rho=0.5000, th=4.7124'],
+            ['pole signature (1, 1) != (-1, -1)',
+             'pole signature (1, 1) != (-1, -1)'],
+        ],
+        [
+            ['unreported critical point at rho=0.5000, th=0.0000'],
+            ['unreported critical point at rho=0.5000, th=3.1416'],
+            ['unreported critical point at rho=0.5000, th=1.5708'],
+            ['unreported critical point at rho=0.5000, th=4.7124'],
+            ['unreported critical point at rho=0.0000, th=0.0000'],
+            ['unreported critical point at rho=1.0000, th=0.0000'],
+        ],
+        [
+            ['missing Cf at rho=0.5, th=0.01',
+             'unreported critical point at rho=0.5000, th=0.0000'],
+            ['missing Cb at rho=0.5, th=3.151592653589793',
+             'unreported critical point at rho=0.5000, th=3.1416'],
+            ['missing horizontal at rho=0.5, th=1.5807963267948966',
+             'unreported critical point at rho=0.5000, th=1.5708'],
+            ['missing horizontal at rho=0.5, th=4.7223889803846895',
+             'unreported critical point at rho=0.5000, th=4.7124'],
+            None,
+            None,
+        ],
+    ),
+}
+
+
+def _discrepancies(rf, rep):
+    """grid_verify's discrepancy list on rep, or None when it passes."""
+    try:
+        grid_verify(rf, rep)
+    except Mismatch as exc:
+        return exc.discrepancies
+    return None
+
+
+@pytest.mark.parametrize("abc, verdict, points", PINNED_SEARCH,
+                         ids=[" ".join(abc) for abc, *_ in PINNED_SEARCH])
+def test_numeric_search_equals_pinned(abc, verdict, points):
+    rf = ReducedFunction(*map(F, abc))
+    got = flowavg._numeric_critical_points(rf)
+    assert [p[2:] for p in got] == [p[2:] for p in points]
+    for (r0, t0, *_), (r1, t1, *_) in zip(got, points):
+        assert flowavg._sigma_dist(r0, t0, r1, t1) <= 1e-12
+    assert grid_verify(rf, classify_critical_points(rf)) == verdict
+
+
+@pytest.mark.parametrize("abc", list(PINNED_DISCREPANCIES))
+def test_grid_verify_discrepancies_pinned(abc):
+    rf = ReducedFunction(*map(F, abc))
+    report = classify_critical_points(rf)
+    flips, drops, moves = [], [], []
+    for k, pt in enumerate(report.points):
+        rep = copy.deepcopy(report)
+        flip = rep.points[k]
+        flip.sig_theta, flip.sig_rho = -flip.sig_theta, -flip.sig_rho
+        flips.append(_discrepancies(rf, rep))
+        for m, (r, t) in enumerate(pt.locations):
+            rep = copy.deepcopy(report)
+            del rep.points[k].locations[m]
+            drops.append(_discrepancies(rf, rep))
+            rep = copy.deepcopy(report)
+            rep.points[k].locations[m] = (r, t + 0.01)
+            moves.append(_discrepancies(rf, rep))
+    assert (flips, drops, moves) == PINNED_DISCREPANCIES[abc]
+
+
+def _newton_2d_scalar(grad, hess, x, tol, cap, max_iter, inside):
+    """Newton's method for grad = 0 from x, each step capped at length
+    cap; the root, or None on a singular Hessian, on leaving the domain
+    (inside(x) false) or after max_iter steps."""
+    x = np.asarray(x, dtype=float)
+    for _ in range(max_iter):
+        g = np.array(grad(*x))
+        if np.linalg.norm(g) < tol:
+            return x
+        try:
+            step = np.linalg.solve(np.array(hess(*x)), g)
+        except np.linalg.LinAlgError:
+            return None
+        norm = np.linalg.norm(step)
+        if norm > cap:
+            step *= cap / norm
+        x = x - step
+        if not inside(x):
+            return None
+    return None
+
+
+def _newton_outcome(grad, hess, x, tol, cap, max_iter, inside):
+    """The scalar root from x and how the run ended: "start", "steps",
+    "left", "singular" or "max_iter"."""
+    seen = {"grad": 0, "inside": 0, "left": False}
+
+    def counted_grad(*x):
+        seen["grad"] += 1
+        return grad(*x)
+
+    def counted_inside(x):
+        seen["inside"] += 1
+        seen["left"] |= not inside(x)
+        return inside(x)
+
+    root = _newton_2d_scalar(counted_grad, hess, x, tol, cap, max_iter,
+                             counted_inside)
+    if root is not None:
+        return root, "start" if seen["grad"] == 1 else "steps"
+    if seen["left"]:
+        return root, "left"
+    # a singular Hessian ends a step before its inside test
+    return root, "max_iter" if seen["inside"] == max_iter else "singular"
+
+
+def _inside_rho(x):
+    return (1e-6 < x[..., 0]) & (x[..., 0] < 1 - 1e-6)
+
+
+def _inside_pole(x):
+    return np.linalg.norm(x, axis=-1) <= 0.4
+
+
+def _outside_band(x):
+    """A domain without the band around the rho = 1/2 roots, so that rows
+    which would converge there leave it instead."""
+    return _inside_rho(x) & (np.abs(x[..., 0] - 0.5) > 0.05)
+
+
+NEWTON_CHARTS = {
+    # b = 1/2, c = -0.4 (the float): at rho = 0.2, theta = 0 the float g is
+    # 0.4, so q_rt = 0 and q_tt = -g^2 - c g = 0 exactly, while q_r != 0
+    "rho": (ReducedFunction(F(0), F(1, 2), F(-0.4)), "grad", "hess",
+            [(0.2, 0.0), (0.5, 0.0), (2e-6, 0.1), (1 - 2e-6, 3.0)],
+            np.linspace(0.01, 0.99, 11),
+            np.linspace(0, 2 * np.pi, 12, endpoint=False),
+            (1e-13, 0.3, 8, _inside_rho)),
+    "rho without a band": (ReducedFunction(F(0), F(1, 2), F(-0.4)), "grad",
+                           "hess", [(0.2, 0.0), (0.5, 0.0)],
+                           np.linspace(0.01, 0.99, 11),
+                           np.linspace(0, 2 * np.pi, 12, endpoint=False),
+                           (1e-13, 0.3, 8, _outside_band)),
+    # d = 1, b = 14, c = 0: at (1/4, 0) q_uv = q_vv = 0 exactly, q_u != 0
+    "pole": (ReducedFunction(F(3), F(14), F(0)), "grad_pole_chart",
+             "hess_pole_chart", [(0.25, 0.0), (0.0, 0.0), (0.39, 0.1)],
+             np.linspace(-0.38, 0.38, 11), np.linspace(-0.38, 0.38, 11),
+             (1e-12, 0.1, 6, _inside_pole)),
+}
+
+
+@pytest.mark.parametrize("chart", list(NEWTON_CHARTS))
+def test_lockstep_newton_equals_scalar_oracle(chart):
+    rf, grad, hess, rows, xs, ys, args = NEWTON_CHARTS[chart]
+    grad, hess = getattr(rf, grad), getattr(rf, hess)
+    starts = np.array(rows + [(x, y) for x in xs for y in ys])
+    want = [_newton_outcome(grad, hess, x, *args) for x in starts]
+    # every way a row can end occurs in the batch
+    assert {why for _, why in want} == {"start", "steps", "left",
+                                        "singular", "max_iter"}
+    # the whole batch, and each row in a batch of one
+    batches = [(starts, want)] + [(x[None, :], [w])
+                                  for x, w in zip(starts, want)]
+    for batch, expect in batches:
+        roots, ok = flowavg._newton_2d(grad, hess, batch, *args)
+        assert ok.tolist() == [root is not None for root, _ in expect]
+        for x, (root, _) in zip(roots[ok],
+                                [w for w in expect if w[0] is not None]):
+            assert np.abs(x - root).max() <= 1e-12
+
+
+def _grid_minima_stacked(g2, periodic):
+    """Interior local minima of |grad|^2 below 1e-2 as (i, j) index
+    arrays into g2, from the stacked minimum of the four neighbours; a
+    periodic grid wraps its columns."""
+    if periodic:
+        g2 = np.concatenate([g2[:, -1:], g2, g2[:, :1]], axis=1)
+    interior = g2[1:-1, 1:-1]
+    neigh = np.minimum.reduce([g2[:-2, 1:-1], g2[2:, 1:-1],
+                               g2[1:-1, :-2], g2[1:-1, 2:]])
+    i, j = np.nonzero((interior <= neigh) & (interior < 1e-2))
+    return i + 1, j + (0 if periodic else 1)
+
+
+def _assert_same_minima(g2):
+    for periodic in (True, False):
+        got = flowavg._grid_minima(g2, periodic)
+        want = _grid_minima_stacked(g2, periodic)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert all(a.dtype.kind == "i" for a in got)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(hnp.arrays(np.int8, hnp.array_shapes(min_dims=2, max_dims=2,
+                                            max_side=9),
+                  elements=st.integers(0, 3)))
+def test_grid_minima_equals_stacked_oracle(levels):
+    # multiples of 1/200: ties everywhere, and some cells at 1e-2 itself
+    _assert_same_minima(levels / 200)
+
+
+@pytest.mark.parametrize("abc", list(REGION_SAMPLES.values()))
+def test_grid_minima_equals_stacked_oracle_on_region_grids(abc):
+    rf = ReducedFunction(*abc)
+    rhos = np.linspace(1e-3, 1 - 1e-3, 400)
+    thetas = np.linspace(0.0, 2 * np.pi, 400, endpoint=False)
+    uu = np.linspace(-0.32, 0.32, 90)
+    for grad, x, y in [(rf.grad, rhos, thetas),
+                       (rf.grad_pole_chart, uu, uu)]:
+        g0, g1 = grad(x[:, None], y[None, :])
+        g2 = flowavg._grad_sq(grad, x, y)
+        assert np.array_equal(g2, g0 * g0 + g1 * g1)
+        _assert_same_minima(g2)
