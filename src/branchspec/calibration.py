@@ -1,11 +1,12 @@
 """Pinned constants. The source papers leave most constants existential;
 these are the calibrated values used throughout, embedded into every
-output file for reproducibility."""
+output file for reproducibility.  Each key is read by the code that runs
+with it (tests/test_calibration.py checks both directions), so the block
+is what ran."""
 
 SCHEMA_VERSION = 1
 
 CALIBRATION = {
-    "schema_version": SCHEMA_VERSION,
     # regime selection for the quantization function
     "sector_C": 8.0,          # case 1/2 split: |arg mu -+ pi/2| <= pi - 1/C
     "small_C1": 10.0,         # |mu| <= C1 h switches to the small-mu forms
@@ -16,11 +17,6 @@ CALIBRATION = {
     "body_C": 10.0,           # disc radius C h / ln(1/<mu>_h)
     "box_C": 1.0,             # exceptional box C (eps + h^2/eps); C=1
     # contains mu_A, mu_B (|Re mu_A| <= width/pi) with a factor-pi margin
-    "slope_C": 10.0,          # measured curve-slope constant
-    "curve_small_F_C": 5.0,   # measured constant, regularized small-F estimate
-    "curve_large_F_C": 5.0,   # measured constant, log-inverted large-F estimate
-    # measured Stirling remainder constant: |O-+| * |mu|/h over the sweep
-    "remainder_C": 1.0,
     # zero counting
     "winding_phase_cap_rad": 1.5707963267948966,
     "cell_budget": 100000,
@@ -34,9 +30,6 @@ CALIBRATION = {
     "region_line_tol": 1e-9,
     # direct numerics
     "spurious_match_tol": 1e-6,
-    "fig_run_L": 1.2,         # measured-necessary deviation from L = 2.5
-    "fig_run_N": 1000,
-    "fig_run_dN": 100,
 }
 
 

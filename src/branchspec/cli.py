@@ -20,6 +20,7 @@ import numpy as np
 from . import calibration
 from .errors import BranchspecError
 from .quantization import (
+    BS_RESIDUAL_TOL,
     ActionModel,
     BSBranch,
     SemiclassicalParams,
@@ -116,6 +117,12 @@ def _reals(n=None):
     return parse
 
 
+def _rectangle(raw):
+    """[re0, re1, im0, im1] as written, with re0 < re1 and im0 < im1."""
+    Contour.rectangle(*_reals(4)(raw))
+    return raw
+
+
 def _version(raw):
     if raw != calibration.SCHEMA_VERSION:
         raise ValueError(f"only {calibration.SCHEMA_VERSION} is supported")
@@ -177,11 +184,11 @@ SCHEMAS = {
                  "L": (_real, 2.5), "N": (_integer, 800),
                  "dN": (_integer, lambda cfg: max(8, cfg["N"] // 10)),
                  "window": (_reals(2), [-0.2, 0.2])},
-    "model": {**_MODEL, "rectangle": (_reals(4), [-0.2, 0.2, -0.05, 0.05]),
+    "model": {**_MODEL, "rectangle": (_rectangle, [-0.2, 0.2, -0.05, 0.05]),
               "cell_budget": (_integer, lambda cfg:
                               calibration.CALIBRATION["cell_budget"])},
     "skeleton": _MODEL,
-    "count": {**_MODEL, "rectangle": (_reals(4), REQUIRED)},
+    "count": {**_MODEL, "rectangle": (_rectangle, REQUIRED)},
     "bs": {**_MODEL, "branch": (_branch, "leftint"),
            "k_min": (_integer, REQUIRED), "k_max": (_integer, REQUIRED)},
     "average": {**_VERSION, "golden_check": (_flag, False),
@@ -408,8 +415,7 @@ def cmd_bs(cfg, out, svg, check):
         if failures:
             raise CheckFailure(f"{len(failures)} Bohr-Sommerfeld roots did "
                                f"not converge, first {failures[0]}")
-        if any(r[3] > calibration.CALIBRATION["bs_residual_tol"]
-               for r in rows if r[4]):
+        if any(r[3] > BS_RESIDUAL_TOL for r in rows if r[4]):
             raise CheckFailure("Bohr-Sommerfeld residual above tolerance")
     return 0
 

@@ -700,8 +700,8 @@ def _numeric_critical_points(rf, n=400):
     return found
 
 
-def _sign_eps(x, tol=1e-7):
-    return 1 if x > tol else (-1 if x < -tol else 0)
+def _sign_eps(x):
+    return 1 if x > 1e-7 else (-1 if x < -1e-7 else 0)
 
 
 def _sigma_dist(r0, t0, r1, t1):

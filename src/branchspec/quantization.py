@@ -27,6 +27,8 @@ from .specfun import (
 SECTOR_C = CALIBRATION["sector_C"]
 # |mu| <= C1 h switches to the small-mu representations
 SMALL_C1 = CALIBRATION["small_C1"]
+# Bohr-Sommerfeld Newton stops at this residual
+BS_RESIDUAL_TOL = CALIBRATION["bs_residual_tol"]
 
 
 @dataclass(frozen=True)
@@ -362,23 +364,23 @@ def _bs_target(branch, mu, p, am, k):
     return _bs_phase(branch, mu, p, am) - _bs_rhs(p, k)
 
 
-def _in_sector(branch, mu, p, c=1.0):
+def _in_sector(branch, mu, p):
     if branch is BSBranch.Ext:
-        return mu.real <= -1.5 * p.h and abs(mu.imag) <= c * abs(mu.real)
-    return mu.real >= 1.5 * p.h and abs(mu.imag) <= c * abs(mu.real)
+        return mu.real <= -1.5 * p.h and abs(mu.imag) <= abs(mu.real)
+    return mu.real >= 1.5 * p.h and abs(mu.imag) <= abs(mu.real)
 
 
-def bs_seeds(branch, ks, p, am, x_max=0.45):
+def bs_seeds(branch, ks, p, am):
     """Real-axis Newton seeds of the leading equation for every k in ks.
 
-    One 400-point grid of the phase serves all k: each k bisects the
-    first sign change of phase - rhs_k, all k in lockstep as one array,
-    until its bracket is two adjacent doubles (or after 60 steps).  A k
-    with no sign change gets NaN.
+    One 400-point grid of the phase on 1.8 h <= |x| <= 0.45 serves all
+    k: each k bisects the first sign change of phase - rhs_k, all k in
+    lockstep as one array, until its bracket is two adjacent doubles (or
+    after 60 steps).  A k with no sign change gets NaN.
     """
     rhs = _bs_rhs(p, np.asarray(ks))
     sgn = -1.0 if branch is BSBranch.Ext else 1.0
-    xs = sgn * np.geomspace(1.8 * p.h, x_max, 400)
+    xs = sgn * np.geomspace(1.8 * p.h, 0.45, 400)
     phase = np.real(_bs_phase(branch, xs + 0j, p, am))
     signs = np.sign(phase - rhs[:, None])
     change = np.diff(signs, axis=1) != 0
@@ -403,27 +405,26 @@ def bs_seeds(branch, ks, p, am, x_max=0.45):
     return np.where(found, 0.5 * (lo + hi), np.nan)
 
 
-def bohr_sommerfeld_solve(branch, k, p, am, x_max=0.45, max_iter=60,
-                          tol=CALIBRATION["bs_residual_tol"], seed=None):
+def bohr_sommerfeld_solve(branch, k, p, am, seed=None):
     """Newton solution of the branch quantization condition for index k.
 
     Seeds from bs_seeds unless given its real seed for this k (NaN for
     none); raises SectorEscape if the iterate leaves the branch's
     truncated sector and NoConvergence (carrying the last iterate) after
-    max_iter steps.
+    60 steps.
     """
     h = p.h
     if seed is None:
-        seed, = bs_seeds(branch, [k], p, am, x_max)
+        seed, = bs_seeds(branch, [k], p, am)
     if np.isnan(seed):
         raise NoConvergence(
             f"no real seed for {branch.name} k={k}", last=None)
     mu = complex(seed)
 
     delta = h * 1e-3
-    for it in range(max_iter):
+    for it in range(60):
         f = _bs_target(branch, mu, p, am, k)
-        if abs(f) <= tol:
+        if abs(f) <= BS_RESIDUAL_TOL:
             return BSRoot(mu=mu, branch=branch, k=k, residual=abs(f),
                           iterations=it, converged=True)
         df = (_bs_target(branch, mu + delta, p, am, k)

@@ -32,16 +32,16 @@ def sum_exp(log_values, h):
     return ScaledComplex(val, m * h, h)
 
 
-def sum_exp_many(log_values, h, axis=0):
-    """Vectorized sum_exp over one axis: returns (values, offsets).
+def sum_exp_many(log_values, h):
+    """Vectorized sum_exp over the first axis: returns (values, offsets).
 
-    log_values: (k, ...) complex array of term logs; reduction over `axis`.
+    log_values: (k, ...) complex array of term logs, k terms per point.
     offsets are in action units (h * max Re log).
     """
     logs = np.asarray(log_values, dtype=complex)
-    m = logs.real.max(axis=axis, keepdims=True)
-    vals = np.exp(logs - m).sum(axis=axis)
-    return vals, m.squeeze(axis=axis) * h
+    m = logs.real.max(axis=0, keepdims=True)
+    vals = np.exp(logs - m).sum(axis=0)
+    return vals, m.squeeze(axis=0) * h
 
 
 def log1p_exp(z):

@@ -28,8 +28,8 @@ class OperatorSpec:
     W: np.ndarray
     h: float
     epsilon: float
-    L: float = 2.5
-    N: int = 800
+    L: float
+    N: int
 
     def __post_init__(self):
         self.V = np.atleast_1d(np.asarray(self.V, dtype=float))
@@ -136,14 +136,15 @@ class Spectrum:
         return len(self.eigenvalues)
 
 
-def _backward_errors(matrix, vals, count, rng_seed=0):
+def _backward_errors(matrix, vals, count):
     """Inverse-iteration backward errors ||A v - rho v||_2 of `count`
-    eigenvalues of `vals` drawn at random; returns (indices, errors).
+    eigenvalues of `vals` drawn at random (seed 0); returns (indices,
+    errors).
 
     An error is inf when no iterate's Rayleigh quotient rho lands within
     1e-6 (1 + |lambda|) of its eigenvalue."""
     n = matrix.shape[0]
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(0)
     idx = rng.choice(n, size=min(count, n), replace=False)
     errors = np.empty(len(idx))
     for k, i in enumerate(idx):
@@ -171,7 +172,7 @@ def _backward_errors(matrix, vals, count, rng_seed=0):
 
 
 @_one_blas_thread()
-def eigensolve(matrix, meta=None, backward_check=10, rng_seed=0):
+def eigensolve(matrix, meta=None, backward_check=10):
     """All eigenvalues via LAPACK zgeev (balancing + Hessenberg +
     implicitly shifted QR); backward error spot-checked by inverse
     iteration on `backward_check` random eigenvalues."""
@@ -188,7 +189,7 @@ def eigensolve(matrix, meta=None, backward_check=10, rng_seed=0):
     vals = vals[order]
     if backward_check:
         norm = sla.norm(matrix, 1)
-        idx, errors = _backward_errors(matrix, vals, backward_check, rng_seed)
+        idx, errors = _backward_errors(matrix, vals, backward_check)
         for i, err in zip(idx, errors):
             if err > 1e-8 * norm:
                 raise NoConvergence(
@@ -220,10 +221,8 @@ def spurious_filter(s1, s2, tol_scale=CALIBRATION["spurious_match_tol"]):
     return out
 
 
-def resolved_spectrum(spec, dN=None):
+def resolved_spectrum(spec, dN):
     """Run at N and N + dN and keep the matching eigenvalues."""
-    if dN is None:
-        dN = max(int(spec.N * 0.1), 8)
     s1 = solve_operator(spec)
     spec2 = OperatorSpec(V=spec.V, W=spec.W, h=spec.h, epsilon=spec.epsilon,
                          L=spec.L, N=spec.N + dN)

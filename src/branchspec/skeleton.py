@@ -21,6 +21,7 @@ from .quantization import SECTOR_C, SMALL_C1, SemiclassicalParams
 from .specfun import LOG_SQRT_2PI, StirlingRegime, _remainder, log_gamma
 
 WORK_DISK = 0.3     # |mu| radius where the curve machinery is trusted
+X_MAX = WORK_DISK - 0.02   # the skeleton is traced over |Re mu| <= X_MAX
 Y_CLAMP = 0.45
 # bisection levels find_crossings solves per batch; 5 measured faster than
 # 3 and 4, and no slower than 6 and 7
@@ -89,9 +90,10 @@ def curve_residual(pair, mu, p, am):
     return float(out[0]) if mu.shape == () else out.reshape(mu.shape)
 
 
-def _newton_y(residual, xs, h, tol=1e-12, max_iter=80):
+def _newton_y(residual, xs, h):
     """Damped Newton in y for residual(x + iy) = 0 at all abscissas at
-    once; returns ys and the converged mask.
+    once, to |residual| <= 1e-12 in at most 80 steps; returns ys and the
+    converged mask.
 
     residual is vectorized and has the y ln(1/|mu|) - F(mu) form, so its
     value at y = 0 is -F(x), which seeds the two Appendix-B regimes.
@@ -109,13 +111,13 @@ def _newton_y(residual, xs, h, tol=1e-12, max_iter=80):
         alt = np.sign(F0) * z / np.maximum(bigz + np.log(np.maximum(bigz, 2.0)), 1.0)
         ys = np.where(~reg & (z > 0), alt, ys)
     active = np.ones(xs.shape, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(80):
         idx = np.flatnonzero(active)
         if len(idx) == 0:
             break
         xa, ya = xs[idx], ys[idx]
         r = residual(xa + 1j * ya)
-        done = np.abs(r) <= tol
+        done = np.abs(r) <= 1e-12
         active[idx[done]] = False
         idx = idx[~done]
         if len(idx) == 0:
@@ -147,12 +149,13 @@ def _solve_one(residual, x, h):
     return y
 
 
-def solve_curve(prob, x, h=1e-3):
-    """Solve the implicit curve problem at abscissa x (Appendix-B form)."""
+def solve_curve(prob, x):
+    """Solve the implicit curve problem at abscissa x (Appendix-B form)
+    with the Newton step scales of h = 1e-3."""
     def residual(mu):
         return mu.imag * np.log(1.0 / np.maximum(np.abs(mu), 1e-300)) \
             - prob.F(mu)
-    return _solve_one(residual, x, h)
+    return _solve_one(residual, x, h=1e-3)
 
 
 def default_steps(p, x_lo, x_hi):
@@ -238,18 +241,18 @@ def _midpoints(lo, hi, depth):
         + _midpoints(mid, hi, depth - 1)
 
 
-def find_crossings(p, am, x_max=WORK_DISK - 0.02, curve=None):
+def find_crossings(p, am, curve=None):
     """Crossing points mu_A, mu_B of Gamma_{1,4-} with the lines
     A: -2 pi Re mu = Im S12 - Im S34 and B: the sign-swapped line.
     Returns None for a crossing hidden outside the working range.
 
-    curve is Gamma_{1,4-} traced over (-x_max, x_max), traced here when
+    curve is Gamma_{1,4-} traced over (-X_MAX, X_MAX), traced here when
     None.  Both crossings are bisected in lockstep: each round solves
     the midpoints of the next LOOKAHEAD levels of every open bracket in
     one _newton_y batch, and each bisection then walks its own.
     """
     if curve is None:
-        curve = trace_gamma("1,4-", p, am, (-x_max, x_max))
+        curve = trace_gamma("1,4-", p, am, (-X_MAX, X_MAX))
     mu = curve.xs + 1j * curve.ys
 
     def residual(m):
@@ -428,13 +431,13 @@ class Body:
         return abs(mu.real) <= a and abs(mu.imag) <= b
 
 
-def assemble(p, am, C_body=CALIBRATION["body_C"], x_max=WORK_DISK - 0.02):
+def assemble(p, am, C_body=CALIBRATION["body_C"]):
     """Assemble the Case-1 skeleton S' (both half-planes), the vertical
     segment with its diamonds, and the body."""
     eps_x = 1e-6 * p.h
     # right half-plane: upper = max(g12, g13), lower = min(g24+, g34+)
-    steps = default_steps(p, eps_x, x_max)
-    g12, g13, g24p, g34p = (trace_gamma(pair, p, am, (eps_x, x_max), steps)
+    steps = default_steps(p, eps_x, X_MAX)
+    g12, g13, g24p, g34p = (trace_gamma(pair, p, am, (eps_x, X_MAX), steps)
                             for pair in ("1,2", "1,3", "2,4+", "3,4+"))
     xs_r = g12.xs
     up = np.maximum(g12.ys, np.interp(xs_r, g13.xs, g13.ys))
@@ -443,8 +446,8 @@ def assemble(p, am, C_body=CALIBRATION["body_C"], x_max=WORK_DISK - 0.02):
     pieces = [CurvePiece("right_upper", xs_r, up),
               CurvePiece("right_lower", xs_r, lo)]
 
-    g14m = trace_gamma("1,4-", p, am, (-x_max, x_max))
-    mu_A, mu_B = find_crossings(p, am, x_max=x_max, curve=g14m)
+    g14m = trace_gamma("1,4-", p, am, (-X_MAX, X_MAX))
+    mu_A, mu_B = find_crossings(p, am, curve=g14m)
     # left half-plane: follow the branch whose crossing has Re <= 0;
     # with both crossings to the right, gamma_{1,4-} covers the whole half
     use_A = True
@@ -454,7 +457,7 @@ def assemble(p, am, C_body=CALIBRATION["body_C"], x_max=WORK_DISK - 0.02):
     elif mu_B is not None and mu_B.real <= 0:
         use_A = False
         xc = mu_B.real
-    # the piece is g14m up to x_end: both step from -x_max, so the samples
+    # the piece is g14m up to x_end: both step from -X_MAX, so the samples
     # below x_end are g14m's and only x_end itself is new
     x_end = min(xc, -eps_x)
     k = np.searchsorted(g14m.xs, x_end)

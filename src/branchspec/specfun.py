@@ -103,14 +103,14 @@ def _angdist(a, b):
     return np.minimum(d, 2.0 * np.pi - d)
 
 
-def _check_regime(mu, h, regime, margin=CONIC_MARGIN):
+def _check_regime(mu, h, regime):
     mu = np.asarray(mu, dtype=complex)
     if np.any(np.abs(mu) / h < 2.0):
         raise RegimeError(f"|mu|/h < 2 (mu={mu.flat[0]}, h={h})")
     axis = -np.pi / 2 if regime is StirlingRegime.MinusBranch else np.pi / 2
-    if np.any(_angdist(np.angle(mu), axis) < margin):
-        raise RegimeError(
-            f"mu within {margin} rad of the forbidden axis for {regime.name}")
+    if np.any(_angdist(np.angle(mu), axis) < CONIC_MARGIN):
+        raise RegimeError(f"mu within {CONIC_MARGIN} rad of the forbidden "
+                          f"axis for {regime.name}")
 
 
 def _stirling_approx(mu, h, regime):

@@ -3,9 +3,9 @@
 _COLORS = ("#1f6fb2", "#d1495b", "#3c8d53", "#8d6fb2", "#c98a2b")
 
 
-def scatter_svg(path, groups, width=720, height=480, margin=56,
-                title="", xlabel="", ylabel=""):
-    """Write a scatter plot; groups: list of (label, xs, ys)."""
+def scatter_svg(path, groups, title="", xlabel="", ylabel=""):
+    """Write a 720 x 480 scatter plot; groups: list of (label, xs, ys)."""
+    width, height, margin = 720, 480, 56
     xs_all = [x for _, xs, _ in groups for x in xs]
     ys_all = [y for _, _, ys in groups for y in ys]
     if not xs_all:

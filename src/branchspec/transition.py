@@ -99,15 +99,15 @@ class Entry(enum.Enum):
     A14 = "a14"
 
 
-def _sector_ok(mu, sector, margin=SECTOR_MARGIN):
+def _sector_ok(mu, sector):
     th = np.angle(mu)
     if sector is Sector.RightReal:
-        return _angdist(th, 0.0) <= np.pi / 2 - margin
+        return _angdist(th, 0.0) <= np.pi / 2 - SECTOR_MARGIN
     if sector is Sector.LeftReal:
-        return _angdist(th, np.pi) <= np.pi / 2 - margin
+        return _angdist(th, np.pi) <= np.pi / 2 - SECTOR_MARGIN
     if sector is Sector.UpperHalf:
-        return _angdist(th, -np.pi / 2) >= margin
-    return _angdist(th, np.pi / 2) >= margin
+        return _angdist(th, -np.pi / 2) >= SECTOR_MARGIN
+    return _angdist(th, np.pi / 2) >= SECTOR_MARGIN
 
 
 def asymptotic_entry(entry, mu, h, sector):
@@ -156,22 +156,6 @@ class RenormalizedCoeffs:
     log_c14: complex
     log_c24: complex
     log_c13: complex
-
-    @property
-    def c23(self):
-        return _safe_exp(self.log_c23)
-
-    @property
-    def c24(self):
-        return _safe_exp(self.log_c24)
-
-    @property
-    def c13(self):
-        return _safe_exp(self.log_c13)
-
-    @property
-    def c14(self):
-        return _safe_exp(self.log_c14)
 
     def theta(self, j, k):
         """theta_{j,k} = d_j - d_k (1-based indices)."""

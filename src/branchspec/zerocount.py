@@ -24,6 +24,8 @@ from .errors import (
 
 PHASE_CAP = CALIBRATION["winding_phase_cap_rad"]   # pi/2
 NEWTON_TOL = CALIBRATION["newton_residual_tol"]
+# length cap C h / ln(1/<mu>_h) of an admissible curve's I intervals
+ADMISSIBLE_C = 10.0
 
 
 def _as_vectorized(f):
@@ -39,36 +41,19 @@ def _as_vectorized(f):
 
 @dataclass
 class Contour:
-    """Closed positively oriented simple polyline."""
+    """Closed positively oriented rectangle: its four vertices,
+    counter-clockwise.  rectangle and expanded are its constructors."""
 
     vertices: np.ndarray
 
-    def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=complex)
-        if abs(v[0] - v[-1]) < 1e-300:
-            v = v[:-1]
-        if len(v) < 3:
-            raise ValueError("contour needs at least 3 distinct vertices")
-        if _signed_area(v) < 0:
-            v = v[::-1]
-        if not _is_simple(v):
-            raise ValueError("contour is self-intersecting")
-        self.vertices = v
-
     @classmethod
     def rectangle(cls, re0, re1, im0, im1):
-        """The rectangle's vertices as the general constructor leaves
-        them, without its checks: a rectangle is simple, and its signed
-        area has the sign of (re1 - re0)(im1 - im0)."""
-        v = np.array([re0 + 1j * im0, re1 + 1j * im0,
-                      re1 + 1j * im1, re0 + 1j * im1])
-        if abs(v[0] - v[-1]) < 1e-300:
-            v = v[:-1]
-        if (re1 - re0) * (im1 - im0) < 0:
-            v = v[::-1]
-        contour = cls.__new__(cls)
-        contour.vertices = v
-        return contour
+        """[re0, re1] x [im0, im1]; raises ValueError unless re0 < re1 and
+        im0 < im1 (written so that NaN fails too)."""
+        if not (re0 < re1 and im0 < im1):
+            raise ValueError("rectangle must have re0 < re1 and im0 < im1")
+        return cls(np.array([re0 + 1j * im0, re1 + 1j * im0,
+                             re1 + 1j * im1, re0 + 1j * im1]))
 
     def edges(self):
         v = list(self.vertices)
@@ -81,42 +66,19 @@ class Contour:
         return Contour(c + d * (1.0 + delta / np.abs(d)))
 
 
-def _signed_area(v):
-    x, y = v.real, v.imag
-    return 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
-
-
-def _segs_intersect(a, b, c, d):
-    def cross(o, p, q):
-        return (p - o).real * (q - o).imag - (p - o).imag * (q - o).real
-    d1, d2 = cross(c, d, a), cross(c, d, b)
-    d3, d4 = cross(a, b, c), cross(a, b, d)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
-
-
-def _is_simple(v):
-    n = len(v)
-    for i in range(n):
-        a, b = v[i], v[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            c, d = v[j], v[(j + 1) % n]
-            if _segs_intersect(a, b, c, d):
-                return False
-    return True
-
-
 def _wrapped_increments(vals):
     d = np.diff(np.angle(vals))
     return (d + np.pi) % (2 * np.pi) - np.pi
 
 
-# an edge starts as 32 equal steps
+# an edge starts as 32 equal steps, and is refined at most 26 times
 _EDGE_T = np.linspace(0.0, 1.0, 33)
+_MAX_DEPTH = 26
+# times winding_count pushes a contour outward before giving up
+_RETRIES = 3
 
 
-def _phase_increments(f, za, zb, max_depth=26):
+def _phase_increments(f, za, zb):
     """Sum of arg increments of f along [za, zb].
 
     Refines until every wrapped step is below pi/2 AND the total is
@@ -126,7 +88,7 @@ def _phase_increments(f, za, zb, max_depth=26):
     """
     pts = za + (zb - za) * _EDGE_T
     vals = f(pts)
-    for _ in range(max_depth):
+    for _ in range(_MAX_DEPTH):
         d = _wrapped_increments(vals)
         bad = np.abs(d) >= PHASE_CAP
         if bad.any():
@@ -165,31 +127,31 @@ def _winding_once(f, contour):
     return total / (2 * np.pi), min_abs, max_abs
 
 
-def winding_count(f, contour, h=1e-3, retries=3):
+def winding_count(f, contour, h=1e-3):
     """Exact number of zeros inside the contour by phase tracking.
 
     The count must be stable under one extra refinement level; contours
-    running through a zero are pushed outward by h/100 up to `retries`
+    running through a zero are pushed outward by h/100 up to _RETRIES
     times before OnContourZero is raised.
     """
     fv = _as_vectorized(f)
     c = contour
-    for attempt in range(retries + 1):
+    for attempt in range(_RETRIES + 1):
         try:
             w, min_abs, max_abs = _winding_once(fv, c)
         except OnContourZero:
-            if attempt == retries:
+            if attempt == _RETRIES:
                 raise
             c = c.expanded(h / 100.0)
             continue
         if min_abs <= 1e-12 * max(max_abs, 1.0):
-            if attempt == retries:
+            if attempt == _RETRIES:
                 raise OnContourZero("contour passes through a zero")
             c = c.expanded(h / 100.0)
             continue
         n = int(np.round(w))
         if abs(w - n) > 0.25:
-            if attempt == retries:
+            if attempt == _RETRIES:
                 raise OnContourZero(f"unstable winding {w}")
             c = c.expanded(h / 100.0)
             continue
@@ -201,7 +163,6 @@ def winding_count(f, contour, h=1e-3, retries=3):
 class Zero:
     location: complex
     residual: float
-    simple: bool
 
 
 @dataclass
@@ -216,13 +177,13 @@ class ZeroSet:
         return len(self.zeros)
 
 
-def _newton_polish(f, z0, h, tol=NEWTON_TOL, max_iter=50):
+def _newton_polish(f, z0, h):
     """Newton with central-difference derivative, step h*1e-3."""
     fv = _as_vectorized(f)
     z = complex(z0)
     delta = h * 1e-3
     fz = complex(fv(np.array([z]))[0])
-    for _ in range(max_iter):
+    for _ in range(50):
         if abs(fz) <= 0.0:
             return z, abs(fz)
         d = complex((fv(np.array([z + delta])) - fv(np.array([z - delta])))[0]) \
@@ -234,7 +195,7 @@ def _newton_polish(f, z0, h, tol=NEWTON_TOL, max_iter=50):
             step *= h / abs(step)
         z_new = z - step
         f_new = complex(fv(np.array([z_new]))[0])
-        if abs(f_new) >= abs(fz) and abs(fz) <= tol:
+        if abs(f_new) >= abs(fz) and abs(fz) <= NEWTON_TOL:
             return z, abs(fz)
         z, fz = z_new, f_new
         if abs(step) < 1e-17 * max(1.0, abs(z)):
@@ -242,13 +203,12 @@ def _newton_polish(f, z0, h, tol=NEWTON_TOL, max_iter=50):
     return z, abs(fz)
 
 
-def locate_zeros(f, region, p, cell_budget=CALIBRATION["cell_budget"],
-                 residual_tol=NEWTON_TOL):
+def locate_zeros(f, region, p, cell_budget=CALIBRATION["cell_budget"]):
     """All zeros of f in a rectangle by quadrisection + Newton polish.
 
     region: (re0, re1, im0, im1).  f must be normalized so that |f| = 1
     is the local term scale (eval_G values qualify); polished zeros
-    satisfy |f| <= residual_tol.  Child winding counts must add up to
+    satisfy |f| <= NEWTON_TOL.  Child winding counts must add up to
     the parent count at every subdivision.
     """
     fv = _as_vectorized(f)
@@ -272,8 +232,8 @@ def locate_zeros(f, region, p, cell_budget=CALIBRATION["cell_budget"],
             return
         if max(a1 - a0, b1 - b0) <= min_cell:
             z0 = complex(0.5 * (a0 + a1), 0.5 * (b0 + b1))
-            z, res = _newton_polish(fv, z0, h, tol=residual_tol)
-            zeros.append(Zero(location=z, residual=res, simple=(n == 1)))
+            z, res = _newton_polish(fv, z0, h)
+            zeros.append(Zero(location=z, residual=res))
             return
         am, bm = 0.5 * (a0 + a1), 0.5 * (b0 + b1)
         kids = [(a0, am, b0, bm), (am, a1, b0, bm),
@@ -300,11 +260,11 @@ def locate_zeros(f, region, p, cell_budget=CALIBRATION["cell_budget"],
     for z in sorted(zeros, key=lambda w: w.residual):
         if all(abs(z.location - u.location) > 1e-3 * h for u in uniq):
             uniq.append(z)
-    uniq = [z for z in uniq if z.residual <= residual_tol]
+    uniq = [z for z in uniq if z.residual <= NEWTON_TOL]
     return ZeroSet(zeros=uniq, method="Winding")
 
 
-def grid_newton_count(f, region, p, refine=6):
+def grid_newton_count(f, region, p):
     """Independent zero counter: dense |f| grid minima + Newton polish.
 
     Used as the oracle against winding_count; shares no code path with
@@ -313,8 +273,8 @@ def grid_newton_count(f, region, p, refine=6):
     fv = _as_vectorized(f)
     re0, re1, im0, im1 = region
     h = p.h
-    nx = max(40, int((re1 - re0) / (h / refine)))
-    ny = max(40, int((im1 - im0) / (h / refine)))
+    nx = max(40, int((re1 - re0) / (h / 6)))
+    ny = max(40, int((im1 - im0) / (h / 6)))
     nx, ny = min(nx, 1200), min(ny, 1200)
     # pad the scan beyond the rectangle so boundary-hugging zeros still
     # produce interior grid minima; roots are filtered to the rectangle
@@ -379,7 +339,7 @@ class AdmissibleCurve:
         return float(np.sum(np.abs(np.diff(seg))))
 
 
-def _check_admissible(curve, p, C=10.0):
+def _check_admissible(curve, p):
     from .skeleton import mu_h_norm
     kinds = [s[0] for s in curve.segments]
     if kinds and (kinds[0] == "I" or kinds[-1] == "I"):
@@ -394,7 +354,7 @@ def _check_admissible(curve, p, C=10.0):
         ln = np.log(1.0 / n)
         touches = curve.touches_Be[it] if it < len(curve.touches_Be) else False
         it += 1
-        cap = C * p.h * (np.log(max(ln, np.e)) / ln if touches else 1.0 / ln)
+        cap = ADMISSIBLE_C * p.h * (np.log(max(ln, np.e)) / ln if touches else 1.0 / ln)
         if length > cap:
             raise NotAdmissible(
                 f"I segment of length {length:.3g} exceeds cap {cap:.3g}")
@@ -423,7 +383,7 @@ def _combined_log(ts, l1, l2):
     return m + np.log(np.exp(a - m) + np.exp(b - m))
 
 
-def phase_sum_count(curve, provider, C=10.0, dominance_slack=None):
+def phase_sum_count(curve, provider):
     """Dominant-phase sum along an admissible curve vs the direct
     winding integral.
 
@@ -434,9 +394,8 @@ def phase_sum_count(curve, provider, C=10.0, dominance_slack=None):
     the whole open curve.  Returns (estimate, direct, discrepancy).
     """
     p = provider.p
-    _check_admissible(curve, p, C=C)
-    if dominance_slack is None:
-        dominance_slack = p.h * np.log(np.log(1.0 / p.h))
+    _check_admissible(curve, p)
+    dominance_slack = p.h * np.log(np.log(1.0 / p.h))
 
     def log_term(mu, label):
         ts = provider(mu)

@@ -13,6 +13,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from branchspec.calibration import CALIBRATION
 from branchspec.quantization import (
     ActionModel,
     BSBranch,
@@ -44,6 +45,11 @@ from branchspec.zerocount import (
     phase_sum_count,
     winding_count,
 )
+
+
+# criterion 11's Fig runs at h = 1e-3: L = 1.2 is a measured-necessary
+# deviation from L = 2.5, with N and the resolution step dN
+FIG_RUN = {"L": 1.2, "N": 1000, "dN": 100}
 
 
 def report(num, ok, detail=""):
@@ -272,7 +278,7 @@ def test_criterion_08_bijection_strip():
     # numerical position floor: the BS-branch Newton stops at residual
     # 1e-12, i.e. position error ~1e-12/|phi'|; the analytic bound dips
     # far below double precision for Re mu >~ 0.12 (README)
-    floor = 5e-12
+    floor = CALIBRATION["bs_position_floor"]
 
     def rate(mu):
         return max(10 * (h / np.log(1.0 / abs(mu)))
@@ -470,10 +476,10 @@ def test_criterion_11_direct_numerics_attainable():
     lam = np.sort(solve_operator(spec).eigenvalues.real)
     harm_ok = all(abs(lam[k] - spec.h * (2 * k + 1)) <= 1e-8 * spec.h * (2 * k + 1)
                   for k in range(11))
-    # Fig-1 containment at h = 1e-3 (L, N per measured calibration)
+    # Fig-1 containment at h = 1e-3 (L, N and dN of FIG_RUN)
     fig1 = OperatorSpec(V=[0, 0, -1, 0, 1], W=[0, 0, 1], h=1e-3, epsilon=0.8,
-                        L=1.2, N=1000)
-    s1 = resolved_spectrum(fig1, dN=100)
+                        L=FIG_RUN["L"], N=FIG_RUN["N"])
+    s1 = resolved_spectrum(fig1, dN=FIG_RUN["dN"])
     all_lam = s1.eigenvalues
     contain_ok = all_lam.imag.min() >= -1e-6 and \
         all_lam.imag.max() <= fig1.epsilon * fig1.w_at(fig1.L) + 1e-6
@@ -523,8 +529,8 @@ def test_criterion_11_fig_runs_literal():
         resolved_spectrum,
     )
     fig1 = OperatorSpec(V=[0, 0, -1, 0, 1], W=[0, 0, 1], h=1e-3, epsilon=0.8,
-                        L=1.2, N=1000)
-    s1 = resolved_spectrum(fig1, dN=100)
+                        L=FIG_RUN["L"], N=FIG_RUN["N"])
+    s1 = resolved_spectrum(fig1, dN=FIG_RUN["dN"])
     lam = s1.resolved_values()
     below = lam[(lam.real >= -0.2) & (lam.real <= -0.02)]
     below = below[np.argsort(below.real)]
@@ -536,8 +542,8 @@ def test_criterion_11_fig_runs_literal():
     raw_win = raw[(raw.real >= -0.2) & (raw.real <= 0.2)]
     count_ok = abs(len(win) - heur) <= 0.15 * heur
     fig2 = OperatorSpec(V=[0, 0, -1, 0, 1], W=[0, 0, 0, 1], h=1e-3,
-                        epsilon=0.8, L=1.2, N=1000)
-    s2 = resolved_spectrum(fig2, dN=100)
+                        epsilon=0.8, L=FIG_RUN["L"], N=FIG_RUN["N"])
+    s2 = resolved_spectrum(fig2, dN=FIG_RUN["dN"])
     lam2 = s2.resolved_values()
     bb = lam2[lam2.real < 0]
     neg, pos = int(np.sum(bb.imag < 0)), int(np.sum(bb.imag > 0))

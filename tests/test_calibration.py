@@ -1,9 +1,11 @@
 """Every module constant and default that has a calibrated value reads it
-from calibration.CALIBRATION, so the block embedded in each output is
-what actually ran."""
+from calibration.CALIBRATION, and every key of CALIBRATION is read by the
+code, so the block embedded in each output is what actually ran."""
 
+import ast
 import inspect
 import json
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,8 @@ SOURCES = {
         (lambda: flowavg.REGION_LINE_TOL, "region_line_tol"),
     "quantization.SECTOR_C": (lambda: quantization.SECTOR_C, "sector_C"),
     "quantization.SMALL_C1": (lambda: quantization.SMALL_C1, "small_C1"),
+    "quantization.BS_RESIDUAL_TOL":
+        (lambda: quantization.BS_RESIDUAL_TOL, "bs_residual_tol"),
     "specfun.CONIC_MARGIN":
         (lambda: specfun.CONIC_MARGIN, "stirling_conic_margin"),
     "transition.SECTOR_MARGIN":
@@ -40,15 +44,6 @@ SOURCES = {
     "locate_zeros(cell_budget)":
         (lambda: _default(zerocount.locate_zeros, "cell_budget"),
          "cell_budget"),
-    "locate_zeros(residual_tol)":
-        (lambda: _default(zerocount.locate_zeros, "residual_tol"),
-         "newton_residual_tol"),
-    "_newton_polish(tol)":
-        (lambda: _default(zerocount._newton_polish, "tol"),
-         "newton_residual_tol"),
-    "bohr_sommerfeld_solve(tol)":
-        (lambda: _default(quantization.bohr_sommerfeld_solve, "tol"),
-         "bs_residual_tol"),
     "assemble(C_body)":
         (lambda: _default(skeleton.assemble, "C_body"), "body_C"),
     "Body.box_constant":
@@ -64,6 +59,27 @@ def test_constant_is_read_from_calibration(name):
     get, key = SOURCES[name]
     # the same object, not an equal copy: a literal would be a shadow
     assert get() is CALIBRATION[key]
+
+
+def _keys_read(path):
+    """The keys k of every CALIBRATION["k"] or x.CALIBRATION["k"] read."""
+    keys = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Subscript) \
+                and isinstance(node.slice, ast.Constant) \
+                and getattr(node.value, "id",
+                            getattr(node.value, "attr", None)) == "CALIBRATION":
+            keys.add(node.slice.value)
+    return keys
+
+
+def test_every_calibration_key_is_read():
+    package = Path(cli.__file__).parent
+    read = set()
+    for path in package.glob("*.py"):
+        if path.name != "calibration.py":
+            read |= _keys_read(path)
+    assert sorted(set(CALIBRATION) - read) == []
 
 
 def test_model_cell_budget_default(tmp_path, monkeypatch):

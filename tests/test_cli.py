@@ -289,6 +289,10 @@ CLASSIFY_CFG = {"schema_version": 1, "a": -1, "b": 1, "c": [1, 2]}
     ("average", {"x_poly": {"4,0": 1}}, "x_poly", {" 1,0": 1}),
     ("average", {"x_poly": {"4,0": 1}}, "x_poly", {"+1,0": 1}),
     ("average", {"x_poly": {"4,0": 1}}, "x_poly", {"1,0 ": 1}),
+    # exited 0: an empty rectangle counted 0 zeros, and an inverted one
+    # left the Bohr-Sommerfeld strip empty, so the bijection passed
+    ("count", MODEL_CFG, "rectangle", [0.06, 0.06, -0.04, 0.04]),
+    ("model", MODEL_CFG, "rectangle", [0.14, 0.06, -0.04, 0.04]),
 ])
 def test_malformed_config_names_its_key(tmp_path, capsys, command, base,
                                         field, value):

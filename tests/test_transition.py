@@ -7,6 +7,7 @@ from branchspec.errors import SectorError
 from branchspec.transition import (
     Entry,
     Sector,
+    _safe_exp,
     asymptotic_entry,
     exact_matrix,
     renormalize,
@@ -86,12 +87,12 @@ def test_sector_preconditions():
 def test_renormalize_identity_and_common_phase():
     tm = exact_matrix(0.07 - 0.01j, 0.02)
     base = renormalize(tm, (0, 0, 0, 0))
-    assert base.c23 == pytest.approx(tm.a23, rel=1e-13)
-    assert base.c24 == pytest.approx(tm.a24, rel=1e-13)
+    assert _safe_exp(base.log_c23) == pytest.approx(tm.a23, rel=1e-13)
+    assert _safe_exp(base.log_c24) == pytest.approx(tm.a24, rel=1e-13)
     s = 0.3 + 0.001j
     shifted = renormalize(tm, (s, s, s, s))
-    assert shifted.c23 == pytest.approx(tm.a23, rel=1e-12)
-    assert shifted.c13 == pytest.approx(tm.a13, rel=1e-12)
+    assert _safe_exp(shifted.log_c23) == pytest.approx(tm.a23, rel=1e-12)
+    assert _safe_exp(shifted.log_c13) == pytest.approx(tm.a13, rel=1e-12)
 
 
 def test_theta_identity():
@@ -114,5 +115,7 @@ def test_renormalized_det_factor():
     d = (0.2, -0.1, 0.05 + 0.001j, 0.3)
     rc = renormalize(tm, d)
     factor = np.exp(-1j * (d[0] + d[1] - d[2] - d[3]) / h)
-    det_c = rc.c23 * rc.c14 - rc.c24 * rc.c13
+    c23, c24, c13, c14 = (_safe_exp(rc.log_c23), _safe_exp(rc.log_c24),
+                          _safe_exp(rc.log_c13), _safe_exp(rc.log_c14))
+    det_c = c23 * c14 - c24 * c13
     assert det_c == pytest.approx(factor, rel=1e-10)

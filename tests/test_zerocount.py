@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from branchspec import zerocount
@@ -53,6 +53,18 @@ def test_winding_stable_under_perturbation():
     assert winding_count(f, base.expanded(h / 200), h=h) == 3
 
 
+def _general_polygon(v):
+    """The vertices the former general-polygon constructor stored: a
+    repeated closing vertex dropped and clockwise input reversed."""
+    v = np.asarray(v, dtype=complex)
+    if abs(v[0] - v[-1]) < 1e-300:
+        v = v[:-1]
+    x, y = v.real, v.imag
+    if np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) < 0:
+        v = v[::-1]
+    return v
+
+
 @pytest.mark.parametrize("re0, re1, im0, im1", [
     # every sign pattern of the two sides
     (-1.0, 2.0, -0.5, 3.0), (2.0, -1.0, -0.5, 3.0),
@@ -62,14 +74,58 @@ def test_winding_stable_under_perturbation():
     (-1.0, 2.0, 0.25, 0.25), (2.0, -1.0, 0.25, 0.25),    # zero height
     (0.0, 0.0, 0.0, 0.0)])
 def test_rectangle_equals_general_constructor(re0, re1, im0, im1):
-    # Contour.rectangle skips the general orientation and simplicity
-    # checks; its vertices and edges must be the general constructor's
+    # an increasing rectangle keeps the vertices, bit for bit, that the
+    # general-polygon constructor stored; any other rectangle is refused
+    if not (re0 < re1 and im0 < im1):
+        with pytest.raises(ValueError):
+            Contour.rectangle(re0, re1, im0, im1)
+        return
     fast = Contour.rectangle(re0, re1, im0, im1)
-    general = Contour(np.array([re0 + 1j * im0, re1 + 1j * im0,
-                                re1 + 1j * im1, re0 + 1j * im1]))
-    assert fast.vertices.tobytes() == general.vertices.tobytes()
-    v = general.vertices
-    assert fast.edges() == list(zip(v, np.roll(v, -1)))
+    general = _general_polygon([re0 + 1j * im0, re1 + 1j * im0,
+                                re1 + 1j * im1, re0 + 1j * im1])
+    assert fast.vertices.tobytes() == general.tobytes()
+    assert fast.edges() == list(zip(general, np.roll(general, -1)))
+
+
+# a quintic with its roots spread over [-1, 1]^2
+ROOTS = np.array([0.31 + 0.22j, -0.53 - 0.11j, 0.12 - 0.64j,
+                  -0.27 + 0.71j, 0.83 + 0.05j])
+
+
+def _quintic(z):
+    return np.prod(z[..., None] - ROOTS, axis=-1)
+
+
+def _inside(re0, re1, im0, im1):
+    return int(np.sum((re0 < ROOTS.real) & (ROOTS.real < re1)
+                      & (im0 < ROOTS.imag) & (ROOTS.imag < im1)))
+
+
+def _clear_of_roots(lines_re, lines_im, gap=1e-3):
+    return (np.abs(ROOTS.real[:, None] - lines_re).min() > gap
+            and np.abs(ROOTS.imag[:, None] - lines_im).min() > gap)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(re0=st.floats(-1.2, 1.0), im0=st.floats(-1.2, 1.0),
+       w=st.floats(0.05, 2.0), t=st.floats(0.05, 2.0),
+       s=st.floats(0.1, 0.9), u=st.floats(0.1, 0.9))
+def test_rectangle_count_is_roots_inside_and_additive(re0, im0, w, t, s, u):
+    re1, im1 = re0 + w, im0 + t
+    re_m, im_m = re0 + s * w, im0 + u * t
+    assume(_clear_of_roots([re0, re_m, re1], [im0, im_m, im1]))
+    n = winding_count(_quintic, Contour.rectangle(re0, re1, im0, im1))
+    assert n == _inside(re0, re1, im0, im1)
+    # winding additivity over the four sub-rectangles of an interior split
+    kids = [(re0, re_m, im0, im_m), (re_m, re1, im0, im_m),
+            (re0, re_m, im_m, im1), (re_m, re1, im_m, im1)]
+    assert sum(winding_count(_quintic, Contour.rectangle(*k))
+               for k in kids) == n
+    for bad in [(re1, re0, im0, im1), (re0, re0, im0, im1),
+                (re0, re1, im1, im0), (re0, re1, im0, im0),
+                (re0, re1, np.nan, im1)]:
+        with pytest.raises(ValueError):
+            Contour.rectangle(*bad)
 
 
 def test_locate_exact_ladder():
