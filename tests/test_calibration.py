@@ -26,6 +26,21 @@ def _default(fn, name):
     return inspect.signature(fn).parameters[name].default
 
 
+def _names(code):
+    """Names read by a code object and the comprehensions nested in it."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            names |= _names(const)
+    return names
+
+
+def _global_read(fn, name):
+    """The module global `name` that fn reads (fails if fn does not)."""
+    assert name in _names(fn.__code__)
+    return fn.__globals__[name]
+
+
 SOURCES = {
     "flowavg.REGION_LINE_TOL":
         (lambda: flowavg.REGION_LINE_TOL, "region_line_tol"),
@@ -44,6 +59,12 @@ SOURCES = {
     "locate_zeros(cell_budget)":
         (lambda: _default(zerocount.locate_zeros, "cell_budget"),
          "cell_budget"),
+    "locate_zeros(residual_tol)":
+        (lambda: _global_read(zerocount.locate_zeros, "NEWTON_TOL"),
+         "newton_residual_tol"),
+    "_newton_polish(tol)":
+        (lambda: _global_read(zerocount._newton_polish, "NEWTON_TOL"),
+         "newton_residual_tol"),
     "assemble(C_body)":
         (lambda: _default(skeleton.assemble, "C_body"), "body_C"),
     "Body.box_constant":
