@@ -224,8 +224,7 @@ def _checked(cls, **kwargs):
 def _model(cfg):
     """The semiclassical parameters and action model of a model block."""
     p = _checked(SemiclassicalParams, h=cfg["h"], epsilon=cfg["epsilon"])
-    return p, ActionModel(cfg["S12"], cfg["S34"],
-                          description=cfg["description"])
+    return p, ActionModel(cfg["S12"], cfg["S34"])
 
 
 def _write_json(path, doc):
@@ -342,6 +341,10 @@ def cmd_model(cfg, out, svg, check):
     if check:
         if not all(doc["in_body"]):
             raise CheckFailure("a zero escaped the body")
+        if x_hi <= x_lo:
+            raise CheckFailure(
+                f"empty Bohr-Sommerfeld strip max(5h, re0) <= Re mu <= re1: "
+                f"{x_lo!r} > {x_hi!r}")
         if not rep["ok"]:
             raise CheckFailure("bijection violated in the strip")
         w = p.width
@@ -401,16 +404,16 @@ def cmd_bs(cfg, out, svg, check):
     for k, seed in zip(ks, bs_seeds(branch, ks, p, am)):
         try:
             r = bohr_sommerfeld_solve(branch, k, p, am, seed=seed)
-            rows.append((k, r.mu.real, r.mu.imag, r.residual, r.converged))
+            rows.append((k, r.mu.real, r.mu.imag, r.residual, 1))
         except BranchspecError as exc:
-            rows.append((k, float("nan"), float("nan"), float("nan"), False))
+            rows.append((k, float("nan"), float("nan"), float("nan"), 0))
             failures.append(f"k={k}: {type(exc).__name__}: {exc}")
     with open(out / "bs_roots.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "re", "im", "residual", "converged"])
         for row in rows:
             w.writerow([row[0], repr(float(row[1])), repr(float(row[2])),
-                        repr(float(row[3])), int(row[4])])
+                        repr(float(row[3])), row[4]])
     if check:
         if failures:
             raise CheckFailure(f"{len(failures)} Bohr-Sommerfeld roots did "

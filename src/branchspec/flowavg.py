@@ -31,25 +31,6 @@ def _fraction(x):
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
-class QQi:
-    """Exact complex rational re + i*im: one coefficient as read from
-    BalancedLaurent.terms, or one given to its constructor."""
-
-    re: Fraction
-    im: Fraction = Fraction(0)
-
-
-def _gaussian(v):
-    """(re, im, d) of ints with v = (re + i im) / d, for an int, Fraction
-    or QQi v."""
-    re, im = (Fraction(v.re), Fraction(v.im)) if isinstance(v, QQi) \
-        else (Fraction(v), Fraction(0))
-    d = lcm(re.denominator, im.denominator)
-    return re.numerator * (d // re.denominator), \
-        im.numerator * (d // im.denominator), d
-
-
 def _add(num, key, re, im):
     """num[key] += (re, im)."""
     cur = num.get(key)
@@ -94,17 +75,11 @@ class BalancedLaurent:
     __slots__ = ("num", "den")
 
     def __init__(self, terms=None):
-        """From a dict key -> int, Fraction or QQi coefficient."""
-        num, den = _over_lcm((k, _gaussian(v))
+        """From a dict key -> int or Fraction coefficient."""
+        num, den = _over_lcm((k, (v.numerator, 0, v.denominator))
                              for k, v in (terms or {}).items())
         out = _laurent(num, den)
         self.num, self.den = out.num, out.den
-
-    @property
-    def terms(self):
-        """dict key -> QQi coefficient, built on each access."""
-        return {k: QQi(Fraction(re, self.den), Fraction(im, self.den))
-                for k, (re, im) in self.num.items()}
 
     def _combine(self, o, sign):
         den = lcm(self.den, o.den)
@@ -121,10 +96,11 @@ class BalancedLaurent:
         return self._combine(o, -1)
 
     def __mul__(self, o):
-        if isinstance(o, (int, Fraction, QQi)):
-            r, s, d = _gaussian(o)
-            return _laurent({k: (p * r - q * s, p * s + q * r)
-                             for k, (p, q) in self.num.items()}, self.den * d)
+        if isinstance(o, (int, Fraction)):
+            r = o.numerator
+            return _laurent({k: (p * r, q * r)
+                             for k, (p, q) in self.num.items()},
+                            self.den * o.denominator)
         num = {}
         for (a1, a2, b1, b2), (p, q) in self.num.items():
             for (c1, c2, d1, d2), (r, s) in o.num.items():
@@ -346,7 +322,6 @@ class CriticalPoint:
 class CriticalPointReport:
     region: Region
     points: list
-    params: dict
 
     @property
     def saddles(self):
@@ -546,9 +521,7 @@ def classify_critical_points(rf):
             sig_theta=s_bd, sig_rho=s_d,
             value=a,
             locations=[(0.0, 0.0), (1.0, 0.0)]))
-    report = CriticalPointReport(region=region, points=pts,
-                                 params={"a": a, "b": b, "c": c, "d": d})
-    return report
+    return CriticalPointReport(region=region, points=pts)
 
 
 # region tables from the classification: paper-order signatures
@@ -709,11 +682,12 @@ def _sigma_dist(r0, t0, r1, t1):
     return np.hypot(r0 - r1, dt)
 
 
-def grid_verify(rf, report, n=400, tol=1e-6):
+def grid_verify(rf, report, n=400):
     """Numerical critical-point search; bijection against the report.
 
-    Raises Mismatch with the discrepancy list when a reported point is
-    missing, an extra point is found, or a signature disagrees.
+    Raises Mismatch with the discrepancy list when a reported point has
+    no numerical point within 1e-6, an extra point is found, or a
+    signature disagrees.
     """
     numeric = _numeric_critical_points(rf, n=n)
     expected = [(r, t, pt) for pt in report.points for (r, t) in pt.locations]
@@ -726,7 +700,7 @@ def grid_verify(rf, report, n=400, tol=1e-6):
             ((abs(r - rn) if pole else _sigma_dist(r, t, rn, tn), i)
              for i, (rn, tn, *_) in enumerate(numeric) if not used[i]),
             default=(np.inf, None))
-        if best_d > tol:
+        if best_d > 1e-6:
             problems.append(f"missing {pt.kind.value} at rho={r}, th={t}")
             continue
         used[best] = True

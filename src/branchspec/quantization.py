@@ -78,8 +78,6 @@ class ActionModel:
 
     s12: np.ndarray
     s34: np.ndarray
-    description: str = ""
-    physical: bool = False
 
     def __post_init__(self):
         self.s12 = np.atleast_1d(np.asarray(self.s12, dtype=complex))
@@ -90,12 +88,6 @@ class ActionModel:
 
     def S34(self, mu):
         return _horner(self.s34, mu)
-
-    def mirrored(self):
-        """Model with S_jk(mu) -> conj(S_jk(conj mu)) (conjugate coefficients)."""
-        return ActionModel(np.conj(self.s12), np.conj(self.s34),
-                           description=self.description + " (mirrored)",
-                           physical=self.physical)
 
 
 class Regime(enum.Enum):
@@ -149,8 +141,6 @@ class Term:
 class TermSet:
     """The labeled exponential terms of G in one regime at one mu."""
 
-    mu: complex
-    regime: Regime
     terms: tuple
 
     @property
@@ -228,7 +218,7 @@ def term_set(mu, p, am, regime=None):
     logs, labels = _log_terms(np.array([mu]), p, am, regime)
     terms = tuple(Term(lab, complex(logs[i, 0]), p.h * float(logs[i, 0].real))
                   for i, lab in enumerate(labels))
-    return TermSet(mu=mu, regime=regime, terms=terms)
+    return TermSet(terms=terms)
 
 
 def eval_G(mu, p, am, regime=None):
@@ -325,7 +315,7 @@ def det_E_minus_plus(variant, mu, p, coeffs, theta, am):
         raise DegenerateError("dividing coefficient underflows in log space")
     shift = extra - div
     value = par.value * np.exp(1j * np.imag(shift))
-    return ScaledComplex(value, par.offset + p.h * float(np.real(shift)), p.h)
+    return ScaledComplex(value, par.offset + p.h * float(np.real(shift)))
 
 
 class BSBranch(enum.Enum):
@@ -337,11 +327,8 @@ class BSBranch(enum.Enum):
 @dataclass
 class BSRoot:
     mu: complex
-    branch: BSBranch
-    k: int
     residual: float
     iterations: int
-    converged: bool
 
 
 def _bs_phase(branch, mu, p, am):
@@ -425,8 +412,7 @@ def bohr_sommerfeld_solve(branch, k, p, am, seed=None):
     for it in range(60):
         f = _bs_target(branch, mu, p, am, k)
         if abs(f) <= BS_RESIDUAL_TOL:
-            return BSRoot(mu=mu, branch=branch, k=k, residual=abs(f),
-                          iterations=it, converged=True)
+            return BSRoot(mu=mu, residual=abs(f), iterations=it)
         df = (_bs_target(branch, mu + delta, p, am, k)
               - _bs_target(branch, mu - delta, p, am, k)) / (2 * delta)
         step = f / df

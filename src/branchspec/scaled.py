@@ -12,11 +12,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ScaledComplex:
-    """value * exp(offset / h); offset is real, in action units."""
+    """value * exp(offset / h) for the h of the computation; offset is
+    real, in action units."""
 
     value: complex
     offset: float
-    h: float
 
 
 def sum_exp(log_values, h):
@@ -29,7 +29,7 @@ def sum_exp(log_values, h):
     logs = np.asarray(log_values, dtype=complex)
     m = float(logs.real.max())
     val = complex(np.exp(logs - m).sum())
-    return ScaledComplex(val, m * h, h)
+    return ScaledComplex(val, m * h)
 
 
 def sum_exp_many(log_values, h):

@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,16 +176,11 @@ def default_steps(p, x_lo, x_hi):
 
 @dataclass
 class SkeletonCurve:
-    """Samples of one Gamma_{j,k}: y = gamma(x) with per-sample regime."""
+    """Samples of one Gamma_{j,k}: y = gamma(x), failed abscissas in gaps."""
 
-    pair: str
     xs: np.ndarray
     ys: np.ndarray
-    regimes: np.ndarray  # "small" / "large" strings
-    gaps: list = field(default_factory=list)
-
-    def interp(self, x):
-        return np.interp(x, self.xs, self.ys)
+    gaps: list
 
 
 def trace_gamma(pair, p, am, x_range, steps=None):
@@ -220,9 +215,7 @@ def _trace_at(pair, p, am, xs):
     forbidden = ~small & (_angdist(np.angle(mu), -np.pi / 2) < 1.0 / SECTOR_C)
     ok &= ~forbidden
     gaps = [float(x) for x in xs[~ok]]
-    xs, ys = xs[ok], ys[ok]
-    regimes = np.where(mu_h_norm(xs, p.h) <= SMALL_C1 * p.h, "small", "large")
-    return SkeletonCurve(pair=pair, xs=xs, ys=ys, regimes=regimes, gaps=gaps)
+    return SkeletonCurve(xs=xs[ok], ys=ys[ok], gaps=gaps)
 
 
 def _curve_y_at(pair, x, p, am):
@@ -501,18 +494,17 @@ def _csv_field(value):
     return buf.getvalue()[:-1]
 
 
-def export_csv(path, curves):
-    """CSV with columns curve_label,x,y,regime; the bytes csv.writer
-    writes, formatted a piece at a time."""
+def export_csv(path, pieces):
+    """CSV of CurvePieces with columns curve_label,x,y,regime, the regime
+    always "assembled"; the bytes csv.writer writes, formatted a piece at
+    a time."""
     with open(path, "w", newline="") as fh:
         fh.write("curve_label,x,y,regime\r\n")
-        for c in curves:
-            regs = c.regimes if hasattr(c, "regimes") else ["assembled"] * len(c.xs)
-            label = _csv_field(c.pair if hasattr(c, "pair") else c.label)
-            quoted = {r: _csv_field(r) for r in set(regs)}
-            fh.writelines(f"{label},{x!r},{y!r},{quoted[r]}\r\n"
-                          for x, y, r in zip(map(float, c.xs),
-                                             map(float, c.ys), regs))
+        for pc in pieces:
+            label = _csv_field(pc.label)
+            fh.writelines(f"{label},{x!r},{y!r},assembled\r\n"
+                          for x, y in zip(map(float, pc.xs),
+                                          map(float, pc.ys)))
 
 
 def export_json(path, skeleton, body, extra=None):

@@ -2,12 +2,12 @@
 
 The 2x2 matrix maps the coefficients (u3, u4) of microlocal solutions on
 the incoming branches to (u2, u1) on the outgoing ones.  Entries mix
-Gamma factors with exp(pi mu/h), so log-space duplicates are kept and
-all identity checks are done on logs.
+Gamma factors with exp(pi mu/h), which overflow double range, so the
+entries are kept in log form only and every identity is checked on logs.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,8 +15,6 @@ from .calibration import CALIBRATION
 from .errors import SectorError
 from .scaled import log1p_exp, log_2cosh
 from .specfun import LOG_SQRT_2PI, _angdist, log_gamma
-
-_SAFE_EXP = 650.0  # exp() beyond this is treated as unrepresentable
 
 
 class Sector(enum.Enum):
@@ -33,33 +31,17 @@ SECTOR_MARGIN = CALIBRATION["tableau_sector_margin"]
 
 @dataclass
 class TransitionMatrix:
-    """Entries of the exact transition matrix at (mu, h).
+    """Log-form entries of the exact transition matrix at (mu, h).
 
-    a24 and a13 are exact exponentials; a23 and a14 carry Gamma factors
-    and are duplicated in log space.  Linear entries are +-inf when the
-    exponent exceeds double range.
+    a23 and a14 carry Gamma factors; a24 = -a13 = -exp(pi mu/h + i pi/2)
+    are exact exponentials that renormalize and det_residual rebuild from
+    mu and h.
     """
 
     mu: complex
     h: float
     log_a23: complex
     log_a14: complex
-    a23: complex = field(init=False)
-    a24: complex = field(init=False)
-    a13: complex = field(init=False)
-    a14: complex = field(init=False)
-
-    def __post_init__(self):
-        self.a23 = _safe_exp(self.log_a23)
-        self.a14 = _safe_exp(self.log_a14)
-        x = np.pi * self.mu / self.h
-        self.a13 = _safe_exp(x + 1j * np.pi / 2)
-        self.a24 = -self.a13
-
-    @property
-    def det(self):
-        """a23*a14 - a24*a13, linear evaluation (may overflow)."""
-        return self.a23 * self.a14 - self.a24 * self.a13
 
     def det_residual(self):
         """|det - 1| / max(|a23*a14|, 1), evaluated in log space.
@@ -71,13 +53,6 @@ class TransitionMatrix:
         l1 = self.log_a23 + self.log_a14
         l2 = 2.0 * np.pi * self.mu / self.h
         return abs(np.expm1(l1 - log1p_exp(l2)))
-
-
-def _safe_exp(z):
-    z = complex(z)
-    if z.real > _SAFE_EXP:
-        return complex(np.inf * np.cos(z.imag), np.inf * np.sin(z.imag))
-    return complex(np.exp(z))
 
 
 def exact_matrix(mu, h):
@@ -151,7 +126,6 @@ class RenormalizedCoeffs:
     """Coefficients c_jk = exp(-i (d_j - d_k)/h) a_jk for phases d_j."""
 
     d: tuple
-    h: float
     log_c23: complex
     log_c14: complex
     log_c24: complex
@@ -173,7 +147,7 @@ def renormalize(tm, d):
     ih = 1j / tm.h
     log_a_pure = np.pi * tm.mu / tm.h + 1j * np.pi / 2
     return RenormalizedCoeffs(
-        d=d, h=tm.h,
+        d=d,
         log_c23=tm.log_a23 - ih * (d2 - d3),
         log_c14=tm.log_a14 - ih * (d1 - d4),
         log_c24=log_a_pure + 1j * np.pi - ih * (d2 - d4),  # a24 = -e^{..}

@@ -2,10 +2,10 @@
 
 Winding numbers come from adaptive phase tracking (accumulated arg
 increments kept below pi/2 per step), which yields exact integers
-without numerical quadrature of f'/f.  Functions handed in here must be
-vectorized over complex arrays; for the quantization function use the
-normalized G (value of eval_G), whose modulus is the ratio of |G| to the
-largest term.
+without numerical quadrature of f'/f.  Functions handed in here must map
+a complex array to a complex array of its shape; for the quantization
+function use the normalized G (value of eval_G), whose modulus is the
+ratio of |G| to the largest term.
 """
 
 import csv
@@ -26,17 +26,6 @@ PHASE_CAP = CALIBRATION["winding_phase_cap_rad"]   # pi/2
 NEWTON_TOL = CALIBRATION["newton_residual_tol"]
 # length cap C h / ln(1/<mu>_h) of an admissible curve's I intervals
 ADMISSIBLE_C = 10.0
-
-
-def _as_vectorized(f):
-    """f as a function of complex arrays with complex values; one wrap."""
-    if getattr(f, "vectorized", False):
-        return f
-
-    def fv(z):
-        return np.asarray(f(np.asarray(z, dtype=complex)), dtype=complex)
-    fv.vectorized = True
-    return fv
 
 
 @dataclass
@@ -134,29 +123,20 @@ def winding_count(f, contour, h=1e-3):
     running through a zero are pushed outward by h/100 up to _RETRIES
     times before OnContourZero is raised.
     """
-    fv = _as_vectorized(f)
     c = contour
     for attempt in range(_RETRIES + 1):
         try:
-            w, min_abs, max_abs = _winding_once(fv, c)
+            w, min_abs, max_abs = _winding_once(f, c)
+            if min_abs <= 1e-12 * max(max_abs, 1.0):
+                raise OnContourZero("contour passes through a zero")
+            n = int(np.round(w))
+            if abs(w - n) > 0.25:
+                raise OnContourZero(f"unstable winding {w}")
+            return n
         except OnContourZero:
             if attempt == _RETRIES:
                 raise
             c = c.expanded(h / 100.0)
-            continue
-        if min_abs <= 1e-12 * max(max_abs, 1.0):
-            if attempt == _RETRIES:
-                raise OnContourZero("contour passes through a zero")
-            c = c.expanded(h / 100.0)
-            continue
-        n = int(np.round(w))
-        if abs(w - n) > 0.25:
-            if attempt == _RETRIES:
-                raise OnContourZero(f"unstable winding {w}")
-            c = c.expanded(h / 100.0)
-            continue
-        return n
-    raise OnContourZero("winding failed")
 
 
 @dataclass
@@ -179,14 +159,13 @@ class ZeroSet:
 
 def _newton_polish(f, z0, h):
     """Newton with central-difference derivative, step h*1e-3."""
-    fv = _as_vectorized(f)
     z = complex(z0)
     delta = h * 1e-3
-    fz = complex(fv(np.array([z]))[0])
+    fz = complex(f(np.array([z]))[0])
     for _ in range(50):
         if abs(fz) <= 0.0:
             return z, abs(fz)
-        d = complex((fv(np.array([z + delta])) - fv(np.array([z - delta])))[0]) \
+        d = complex((f(np.array([z + delta])) - f(np.array([z - delta])))[0]) \
             / (2 * delta)
         if d == 0:
             break
@@ -194,7 +173,7 @@ def _newton_polish(f, z0, h):
         if abs(step) > h:
             step *= h / abs(step)
         z_new = z - step
-        f_new = complex(fv(np.array([z_new]))[0])
+        f_new = complex(f(np.array([z_new]))[0])
         if abs(f_new) >= abs(fz) and abs(fz) <= NEWTON_TOL:
             return z, abs(fz)
         z, fz = z_new, f_new
@@ -211,7 +190,6 @@ def locate_zeros(f, region, p, cell_budget=CALIBRATION["cell_budget"]):
     satisfy |f| <= NEWTON_TOL.  Child winding counts must add up to
     the parent count at every subdivision.
     """
-    fv = _as_vectorized(f)
     h = p.h
     re0, re1, im0, im1 = region
     min_cell = h / 50.0
@@ -224,7 +202,7 @@ def locate_zeros(f, region, p, cell_budget=CALIBRATION["cell_budget"]):
             raise CellBudgetExceeded("cell budget exceeded",
                                      partial=ZeroSet(zeros, "Winding"))
         a0, a1, b0, b1 = cell
-        return winding_count(fv, Contour.rectangle(a0, a1, b0, b1), h=h)
+        return winding_count(f, Contour.rectangle(a0, a1, b0, b1), h=h)
 
     def recurse(cell, n):
         a0, a1, b0, b1 = cell
@@ -232,7 +210,7 @@ def locate_zeros(f, region, p, cell_budget=CALIBRATION["cell_budget"]):
             return
         if max(a1 - a0, b1 - b0) <= min_cell:
             z0 = complex(0.5 * (a0 + a1), 0.5 * (b0 + b1))
-            z, res = _newton_polish(fv, z0, h)
+            z, res = _newton_polish(f, z0, h)
             zeros.append(Zero(location=z, residual=res))
             return
         am, bm = 0.5 * (a0 + a1), 0.5 * (b0 + b1)
@@ -270,7 +248,6 @@ def grid_newton_count(f, region, p):
     Used as the oracle against winding_count; shares no code path with
     the phase tracking.
     """
-    fv = _as_vectorized(f)
     re0, re1, im0, im1 = region
     h = p.h
     nx = max(40, int((re1 - re0) / (h / 6)))
@@ -284,7 +261,7 @@ def grid_newton_count(f, region, p):
     ys = np.linspace(im0 - pady, im1 + pady, ny)
     X, Y = np.meshgrid(xs, ys)
     Z = X + 1j * Y
-    A = np.abs(fv(Z.ravel())).reshape(Z.shape)
+    A = np.abs(f(Z.ravel())).reshape(Z.shape)
     # local minima of |f|
     interior = A[1:-1, 1:-1]
     neigh = np.minimum.reduce([A[:-2, 1:-1], A[2:, 1:-1],
@@ -297,7 +274,7 @@ def grid_newton_count(f, region, p):
     outside = []
 
     def try_seed(z0):
-        z, res = _newton_polish(fv, z0, h)
+        z, res = _newton_polish(f, z0, h)
         if res > NEWTON_TOL:
             return
         inside = re0 <= z.real <= re1 and im0 <= z.imag <= im1
@@ -426,10 +403,10 @@ def phase_sum_count(curve, provider):
         # part picks up h * (unwrapped arg change)
         estimate += (im[-1] - im[0]) / (2 * np.pi)
 
-    gv = _as_vectorized(provider.normalized_G)
     total = 0.0
     for i in range(len(curve.path) - 1):
-        t, _ = _phase_increments(gv, curve.path[i], curve.path[i + 1])
+        t, _ = _phase_increments(provider.normalized_G, curve.path[i],
+                                 curve.path[i + 1])
         total += t
     direct = total / (2 * np.pi)
     return float(estimate), float(direct), float(abs(estimate - direct))

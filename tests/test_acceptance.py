@@ -63,7 +63,7 @@ def physical_model(rng, eps):
     re = rng.uniform(-0.05, 0.05, 2)
     sl = rng.uniform(-0.3, 0.3, 2)
     return ActionModel([re[0] + 1j * im[0], sl[0]],
-                       [re[1] + 1j * im[1], sl[1]], physical=True)
+                       [re[1] + 1j * im[1], sl[1]])
 
 
 def test_criterion_01_transition_determinant():
@@ -205,7 +205,7 @@ def test_criterion_05_critical_point_classification():
                 assert kind not in kinds
             else:
                 assert kinds[kind].signature == table[name]
-        grid_verify(rf, rep, tol=1e-6)
+        grid_verify(rf, rep)
         checked += 1
     report(5, checked == 9,
            f"all 9 regions match the tables, grid-verified to 1e-6 "
@@ -369,8 +369,7 @@ def _closed_loop_curve(x0, x1, lo, up, p, am, sk, n_side=500):
 def test_criterion_09_phase_sum():
     t0 = time.time()
     p = SemiclassicalParams(h=1e-3, epsilon=3e-2)
-    am = ActionModel([0.01 + 0.012j, 0.2], [0.015 + 0.025j, -0.1],
-                     physical=True)
+    am = ActionModel([0.01 + 0.012j, 0.2], [0.015 + 0.025j, -0.1])
     sk, _ = assemble(p, am)
     prov = GProvider(p, am)
     discrepancies = []
@@ -404,7 +403,7 @@ def test_criterion_09_phase_sum():
     # one B_e-touching curve
     h = p.h
     lvl = 12 * h * np.log(1 / h)
-    am2 = ActionModel([1j * lvl], [1.5j * lvl], physical=False)
+    am2 = ActionModel([1j * lvl], [1.5j * lvl])
     sk2, body2 = assemble(p, am2)
     prov2 = GProvider(p, am2)
     x0 = 0.5 * h
@@ -562,8 +561,7 @@ def test_criterion_12_grushin_cross_check():
     t0 = time.time()
     h = 0.01
     p = SemiclassicalParams(h=h, epsilon=3e-2)
-    am = ActionModel([0.02 + 0.01j, 0.15], [0.03 + 0.015j, -0.2],
-                     physical=True)
+    am = ActionModel([0.02 + 0.01j, 0.15], [0.03 + 0.015j, -0.2])
     prov = GProvider(p, am)
     rng = np.random.default_rng(31)
     theta = (0.21, -0.37)

@@ -1,11 +1,14 @@
-"""Every top-level function and class of the package is reached, and
-every defaulted parameter of a top-level function is set by some call.
+"""Every top-level function and class of the package is reached, every
+class member is read, and every defaulted parameter of a top-level
+function is set by some call.
 
 A definition counts as reached when its name appears as a Name, an
 Attribute or a from-import somewhere in src/, benchmark/*.py or
-tests/test_acceptance.py, outside its own definition.  Comments and
-docstrings do not count, and neither do the unit tests: code that only
-its own tests call is part of no answer, so it is deleted or made one.
+tests/test_acceptance.py, outside its own definition; a method,
+property or dataclass field, when its name appears there as an
+Attribute.  Comments and docstrings do not count, and neither do the
+unit tests: code that only its own tests call is part of no answer, so
+it is deleted or made one.
 
 A default that no call in src/, benchmark/*.py or tests/ overrides is a
 knob nobody turns: its value belongs in the function body.
@@ -54,31 +57,78 @@ def test_every_top_level_definition_is_reached():
     assert unreached() == []
 
 
+# members only unit tests read, each with a test that needs it
+MEMBER_ALLOWLIST = {
+    "flowavg.ReducedFunction.eval":
+        "test_hess_equals_central_differences_of_grad",
+    "flowavg.ReducedFunction.eval_pole_chart":
+        "test_hess_pole_chart_equals_central_differences",
+    "quantization.BSRoot.iterations":
+        "test_bs_roots_bitwise_equal_to_full_bisection",
+}
+
+
+def _attributes(tree):
+    """How often each identifier is named as an Attribute in the tree."""
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute))
+
+
+def unread_members():
+    """module.Class.member of every method, property or dataclass field
+    read as an attribute nowhere else; dunder methods count as read."""
+    refs = Counter()
+    for path in SOURCES:
+        refs.update(_attributes(ast.parse(path.read_text())))
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    name = node.name
+                elif isinstance(node, ast.AnnAssign):
+                    name = node.target.id
+                else:
+                    continue
+                dunder = name.startswith("__") and name.endswith("__")
+                if not dunder and refs[name] == _attributes(node)[name]:
+                    out.append(f"{path.stem}.{cls.name}.{name}")
+    return out
+
+
+def test_every_class_member_is_read():
+    assert sorted(unread_members()) == sorted(MEMBER_ALLOWLIST)
+
+
 CALLERS = (sorted((ROOT / "src").rglob("*.py"))
            + sorted((ROOT / "benchmark").glob("*.py"))
            + sorted((ROOT / "tests").rglob("*.py")))
 
 
 def _call_arguments():
-    """Per called name (a Name or an Attribute): the keywords and the
-    most positional arguments any call passes.  A call with **kwargs
-    passes the keyword None, one with *args infinitely many positions."""
-    keywords, positional = defaultdict(set), Counter()
+    """Per called name (a Name or an Attribute): one dict per call, from
+    each position and keyword it passes to the ast.dump of the value, or
+    None for a call with *args or **kwargs, which passes everything."""
+    calls = defaultdict(list)
     for path in CALLERS:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id",
                                getattr(node.func, "attr", None))
-                keywords[name].update(k.arg for k in node.keywords)
-                star = any(isinstance(a, ast.Starred) for a in node.args)
-                positional[name] = max(positional[name],
-                                       math.inf if star else len(node.args))
-    return keywords, positional
+                passed = {k.arg: ast.dump(k.value) for k in node.keywords}
+                passed.update((i, ast.dump(a)) for i, a in enumerate(node.args))
+                star = None in passed or any(isinstance(a, ast.Starred)
+                                             for a in node.args)
+                calls[name].append(None if star else passed)
+    return calls
 
 
 def unset_defaults():
-    """module.function(parameter) of every default no call overrides."""
-    keywords, positional = _call_arguments()
+    """module.function(parameter) of every default no call overrides;
+    passing the default's own literal is no override."""
+    calls = _call_arguments()
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -87,12 +137,13 @@ def unset_defaults():
             args = node.args
             params = args.posonlyargs + args.args
             first = len(params) - len(args.defaults)
-            defaulted = [(i, a.arg) for i, a in enumerate(params) if i >= first]
-            defaulted += [(math.inf, a.arg) for a, d in
+            defaulted = [(i, a.arg, d) for i, (a, d) in
+                         enumerate(zip(params[first:], args.defaults), first)]
+            defaulted += [(math.inf, a.arg, d) for a, d in
                           zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-            passed = keywords[node.name]
-            out += [f"{path.stem}.{node.name}({arg})" for i, arg in defaulted
-                    if not ({arg, None} & passed or positional[node.name] > i)]
+            out += [f"{path.stem}.{node.name}({arg})" for i, arg, d in defaulted
+                    if not any(c is None or c.get(i, c.get(arg)) not in
+                               (None, ast.dump(d)) for c in calls[node.name])]
     return out
 
 

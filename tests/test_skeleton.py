@@ -15,7 +15,6 @@ from branchspec.skeleton import (
     Body,
     CurvePiece,
     ImplicitCurveProblem,
-    SkeletonCurve,
     assemble,
     curve_residual,
     default_steps,
@@ -110,8 +109,7 @@ def physical_model(seed=0, scale=3e-2):
     re = rng.uniform(-0.05, 0.05, 2)
     sl = rng.uniform(-0.3, 0.3, 2)
     return ActionModel([re[0] + 1j * im12, sl[0]],
-                       [re[1] + 1j * im34, sl[1]],
-                       description=f"random physical #{seed}", physical=True)
+                       [re[1] + 1j * im34, sl[1]])
 
 
 def test_trace_residual_and_slope():
@@ -137,8 +135,9 @@ def test_curve_ordering_in_im_s():
     # Im S34 = 2 Im S12 > 0: gamma_{3,4+} above gamma_{2,4+} at x = 0.1
     p = params()
     am = ActionModel([0.01j], [0.02j])
-    y34 = trace_gamma("3,4+", p, am, (0.09, 0.11)).interp(0.1)
-    y24 = trace_gamma("2,4+", p, am, (0.09, 0.11)).interp(0.1)
+    c34 = trace_gamma("3,4+", p, am, (0.09, 0.11))
+    c24 = trace_gamma("2,4+", p, am, (0.09, 0.11))
+    y34, y24 = np.interp(0.1, c34.xs, c34.ys), np.interp(0.1, c24.xs, c24.ys)
     assert y34 > y24
 
 
@@ -211,7 +210,7 @@ def test_case1_case2_skeleton_distance():
     sk1, _ = assemble(p, am)
     # the case-2 curves of am are the reflections y -> -y of the case-1
     # curves of the mirrored model
-    skm, _ = assemble(p, am.mirrored())
+    skm, _ = assemble(p, ActionModel(np.conj(am.s12), np.conj(am.s34)))
     for x in [0.1, 0.15, 0.2, -0.12, -0.18]:
         y1u, y2u = sk1.upper(x), -skm.lower(x)
         y1l, y2l = sk1.lower(x), -skm.upper(x)
@@ -240,7 +239,8 @@ def test_gamma34_combined_vs_pm():
 
     for x in [0.5 * p.h, 1.5 * p.h, 3 * p.h]:
         yc = y_combined(x)
-        yp = trace_gamma("3,4+", p, am, (x - 1e-4, x + 1e-4)).interp(x)
+        c = trace_gamma("3,4+", p, am, (x - 1e-4, x + 1e-4))
+        yp = np.interp(x, c.xs, c.ys)
         n = mu_h_norm(complex(x, yc), p.h)
         d = max(p.h / np.log(1.0 / n), abs(x))  # distance to a4 zeros line
         bound = 10 * p.h / np.log(1.0 / n) * max(np.log(p.h / min(d, p.h / 2)), 1.0)
@@ -452,16 +452,15 @@ def test_assemble_export_bytes(tmp_path, h, seed):
     assert got == EXPORT_SHA256[h, seed]
 
 
-def _export_csv_reference(path, curves):
+def _export_csv_reference(path, pieces):
     """export_csv as one csv.writer row per sample."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["curve_label", "x", "y", "regime"])
-        for c in curves:
-            regs = c.regimes if hasattr(c, "regimes") else ["assembled"] * len(c.xs)
-            label = c.pair if hasattr(c, "pair") else c.label
-            for x, y, r in zip(c.xs, c.ys, regs):
-                w.writerow([label, repr(float(x)), repr(float(y)), r])
+        for pc in pieces:
+            for x, y in zip(pc.xs, pc.ys):
+                w.writerow([pc.label, repr(float(x)), repr(float(y)),
+                            "assembled"])
 
 
 def test_export_csv_equals_csv_writer(tmp_path):
@@ -470,12 +469,10 @@ def test_export_csv_equals_csv_writer(tmp_path):
                          rng.normal(scale=0.1, size=50)])
     ys = np.concatenate([[0.0, -0.0, np.nan, 1e22, 2.0 ** 60, -np.inf],
                          rng.normal(scale=0.01, size=50)])
-    regimes = np.where(np.abs(xs) <= 0.05, "small", "large")
     curves = [CurvePiece("right_upper", xs, ys),
               CurvePiece("left_1,4-", ys[:20], xs[:20]),
               CurvePiece('say "a,b"', xs[:3], ys[:3]),
-              CurvePiece("empty", xs[:0], ys[:0]),
-              SkeletonCurve(pair="1,4-", xs=xs, ys=ys, regimes=regimes)]
+              CurvePiece("empty", xs[:0], ys[:0])]
     export_csv(tmp_path / "got.csv", curves)
     _export_csv_reference(tmp_path / "want.csv", curves)
     got = (tmp_path / "got.csv").read_bytes()

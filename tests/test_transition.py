@@ -7,7 +7,6 @@ from branchspec.errors import SectorError
 from branchspec.transition import (
     Entry,
     Sector,
-    _safe_exp,
     asymptotic_entry,
     exact_matrix,
     renormalize,
@@ -16,11 +15,11 @@ from branchspec.transition import (
 
 def test_entries_at_origin():
     tm = exact_matrix(0.0, 1.0)
-    assert tm.a23 == pytest.approx(np.sqrt(2) * np.exp(1j * np.pi / 4), rel=1e-14)
-    assert tm.a14 == pytest.approx(np.sqrt(2) * np.exp(-1j * np.pi / 4), rel=1e-14)
-    assert tm.a24 == pytest.approx(-1j, rel=1e-14)
-    assert tm.a13 == pytest.approx(1j, rel=1e-14)
-    assert tm.det == pytest.approx(1.0, abs=1e-12)
+    assert np.exp(tm.log_a23) == pytest.approx(
+        np.sqrt(2) * np.exp(1j * np.pi / 4), rel=1e-14)
+    assert np.exp(tm.log_a14) == pytest.approx(
+        np.sqrt(2) * np.exp(-1j * np.pi / 4), rel=1e-14)
+    assert tm.det_residual() <= 1e-12
 
 
 @pytest.mark.parametrize("mu", [0.05, -0.05 + 0.002j, 0.3j, -0.2 - 0.1j])
@@ -87,12 +86,14 @@ def test_sector_preconditions():
 def test_renormalize_identity_and_common_phase():
     tm = exact_matrix(0.07 - 0.01j, 0.02)
     base = renormalize(tm, (0, 0, 0, 0))
-    assert _safe_exp(base.log_c23) == pytest.approx(tm.a23, rel=1e-13)
-    assert _safe_exp(base.log_c24) == pytest.approx(tm.a24, rel=1e-13)
+    a13 = np.exp(np.pi * tm.mu / tm.h + 1j * np.pi / 2)
+    assert np.exp(base.log_c23) == pytest.approx(np.exp(tm.log_a23), rel=1e-13)
+    assert np.exp(base.log_c24) == pytest.approx(-a13, rel=1e-13)
     s = 0.3 + 0.001j
     shifted = renormalize(tm, (s, s, s, s))
-    assert _safe_exp(shifted.log_c23) == pytest.approx(tm.a23, rel=1e-12)
-    assert _safe_exp(shifted.log_c13) == pytest.approx(tm.a13, rel=1e-12)
+    assert np.exp(shifted.log_c23) == pytest.approx(np.exp(tm.log_a23),
+                                                    rel=1e-12)
+    assert np.exp(shifted.log_c13) == pytest.approx(a13, rel=1e-12)
 
 
 def test_theta_identity():
@@ -115,7 +116,7 @@ def test_renormalized_det_factor():
     d = (0.2, -0.1, 0.05 + 0.001j, 0.3)
     rc = renormalize(tm, d)
     factor = np.exp(-1j * (d[0] + d[1] - d[2] - d[3]) / h)
-    c23, c24, c13, c14 = (_safe_exp(rc.log_c23), _safe_exp(rc.log_c24),
-                          _safe_exp(rc.log_c13), _safe_exp(rc.log_c14))
+    c23, c24, c13, c14 = np.exp([rc.log_c23, rc.log_c24, rc.log_c13,
+                                 rc.log_c14])
     det_c = c23 * c14 - c24 * c13
     assert det_c == pytest.approx(factor, rel=1e-10)

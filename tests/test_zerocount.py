@@ -384,7 +384,8 @@ def test_mirrored_model_zeros_are_conjugates():
     am = ActionModel([0.01 + 0.012j, 0.3], [0.02 + 0.02j, -0.2])
     zs_up = locate_zeros(GProvider(p, am).normalized_G,
                          (0.05, 0.2, -0.04, 0.04), p)
-    zs_dn = locate_zeros(GProvider(p, am.mirrored()).normalized_G,
+    mirrored = ActionModel(np.conj(am.s12), np.conj(am.s34))
+    zs_dn = locate_zeros(GProvider(p, mirrored).normalized_G,
                          (0.05, 0.2, -0.04, 0.04), p)
     a = np.sort_complex(zs_up.locations())
     b = np.sort_complex(np.conj(zs_dn.locations()))
