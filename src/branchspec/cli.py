@@ -18,9 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration
-from .errors import BranchspecError
+from .errors import BranchspecError, Mismatch
 from .quantization import (
-    BS_RESIDUAL_TOL,
     ActionModel,
     BSBranch,
     SemiclassicalParams,
@@ -104,6 +103,13 @@ _text = _typed((str,), "a string")
 _branch = _typed((str,), "ext|leftint|rightint", lambda s: BSBranch(s.lower()))
 
 
+def _positive(raw):
+    """An integer of at least 1."""
+    if _integer(raw) < 1:
+        raise ValueError("must be at least 1")
+    return raw
+
+
 def _reals(n=None):
     """Parser of a nonempty list of finite numbers (n if given), kept as
     written."""
@@ -182,7 +188,7 @@ SCHEMAS = {
     "spectrum": {**_VERSION, "h": (_real, REQUIRED), "epsilon": (_real, 0.0),
                  "V": (_reals(), REQUIRED), "W": (_reals(), REQUIRED),
                  "L": (_real, 2.5), "N": (_integer, 800),
-                 "dN": (_integer, lambda cfg: max(8, cfg["N"] // 10)),
+                 "dN": (_positive, lambda cfg: max(8, cfg["N"] // 10)),
                  "window": (_reals(2), [-0.2, 0.2])},
     "model": {**_MODEL, "rectangle": (_rectangle, [-0.2, 0.2, -0.05, 0.05]),
               "cell_budget": (_integer, lambda cfg:
@@ -210,7 +216,12 @@ def _load_config(path, command):
             raw = json.load(fh, parse_constant=str)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}")
-    return _fill(raw, SCHEMAS[command])
+    cfg = _fill(raw, SCHEMAS[command])
+    # the N + dN run's matrix has N + dN - 1 rows; eigensolve takes 2000
+    if command == "spectrum" and cfg["N"] + cfg["dN"] > 2001:
+        raise ConfigError(f"'N' + 'dN' = {cfg['N'] + cfg['dN']} must be at "
+                          f"most 2001")
+    return cfg
 
 
 def _checked(cls, **kwargs):
@@ -316,7 +327,7 @@ def cmd_model(cfg, out, svg, check):
             * np.exp(-np.pi * max(mu.real, 0.0) / p.h)
         return max(v, floor)
 
-    rep = match_bijection(in_strip, predicted, rate, strict=False)
+    rep = match_bijection(in_strip, predicted, rate)
     census = sum(1 for z in zs.zeros if body.in_exceptional_box(z.location))
     doc = {
         "n_zeros": len(zs),
@@ -328,7 +339,7 @@ def cmd_model(cfg, out, svg, check):
         "exceptional_box_census": census,
         "in_body": [bool(body.contains(z.location)) for z in zs.zeros],
     }
-    export_json(out / "skeleton.json", sk, body, extra=calibration.embed({}))
+    export_json(out / "skeleton.json", sk, body)
     _write_json(out / "model_report.json", doc)
     if svg:
         from .svg import scatter_svg
@@ -359,7 +370,7 @@ def cmd_skeleton(cfg, out, svg, check):
     p, am = _model(cfg)
     sk, body = assemble(p, am, C_body=cfg["C_body"])
     export_csv(out / "skeleton.csv", sk.s_prime)
-    export_json(out / "skeleton.json", sk, body, extra=calibration.embed({}))
+    export_json(out / "skeleton.json", sk, body)
     if svg:
         from .svg import scatter_svg
         xs, ys = sk.all_samples()
@@ -418,8 +429,6 @@ def cmd_bs(cfg, out, svg, check):
         if failures:
             raise CheckFailure(f"{len(failures)} Bohr-Sommerfeld roots did "
                                f"not converge, first {failures[0]}")
-        if any(r[3] > BS_RESIDUAL_TOL for r in rows if r[4]):
-            raise CheckFailure("Bohr-Sommerfeld residual above tolerance")
     return 0
 
 
@@ -531,7 +540,10 @@ def cmd_classify(cfg, out, svg, check):
     }
     _write_json(out / "classify.json", doc)
     if check:
-        grid_verify(rf, rep)
+        try:
+            grid_verify(rf, rep)
+        except Mismatch as exc:
+            raise CheckFailure(f"grid verification failed: {exc}")
     return 0
 
 

@@ -46,16 +46,6 @@ class NotAdmissible(BranchspecError):
     """Curve violates an admissibility clause (named in the message)."""
 
 
-class BijectionFailure(BranchspecError):
-    """Zero matching is not a distance-bounded bijection."""
-
-    def __init__(self, message, unmatched_left=(), unmatched_right=(), bad_pairs=()):
-        super().__init__(message)
-        self.unmatched_left = list(unmatched_left)
-        self.unmatched_right = list(unmatched_right)
-        self.bad_pairs = list(bad_pairs)
-
-
 class NotInvariant(BranchspecError):
     """Expression is not invariant under the periodic flow."""
 

@@ -24,6 +24,8 @@ from .calibration import CALIBRATION
 from .errors import DegenerateInput, Mismatch, NotInvariant
 
 REGION_LINE_TOL = CALIBRATION["region_line_tol"]
+# points per axis of the (rho, theta) grid the numerical verifier searches
+GRID_N = 400
 
 
 def _fraction(x):
@@ -623,13 +625,13 @@ def _grad_sq(grad, x, y):
     return g0
 
 
-def _numeric_critical_points(rf, n=400):
+def _numeric_critical_points(rf):
     """All critical points of <q> on Sigma by grid + Newton, plus the
     pole-chart check; returns [(rho, theta, sig_theta, sig_rho)] with
     poles encoded as rho in {0, 1} and chart signs.  Signs are those of
     the closed-form Hessian's diagonal."""
-    rhos = np.linspace(1e-3, 1 - 1e-3, n)
-    thetas = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+    rhos = np.linspace(1e-3, 1 - 1e-3, GRID_N)
+    thetas = np.linspace(0.0, 2 * np.pi, GRID_N, endpoint=False)
     found = []
 
     def add(r0, t0):
@@ -682,14 +684,14 @@ def _sigma_dist(r0, t0, r1, t1):
     return np.hypot(r0 - r1, dt)
 
 
-def grid_verify(rf, report, n=400):
+def grid_verify(rf, report):
     """Numerical critical-point search; bijection against the report.
 
     Raises Mismatch with the discrepancy list when a reported point has
     no numerical point within 1e-6, an extra point is found, or a
     signature disagrees.
     """
-    numeric = _numeric_critical_points(rf, n=n)
+    numeric = _numeric_critical_points(rf)
     expected = [(r, t, pt) for pt in report.points for (r, t) in pt.locations]
     problems = []
     used = [False] * len(numeric)

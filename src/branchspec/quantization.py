@@ -36,7 +36,7 @@ class SemiclassicalParams:
     """Semiclassical parameters h, epsilon and the derived h^2/epsilon."""
 
     h: float
-    epsilon: float = 0.0
+    epsilon: float
 
     def __post_init__(self):
         # written so that NaN fails too
@@ -95,10 +95,6 @@ class Regime(enum.Enum):
     Case2Large = "case2large"
     Case1Small = "case1small"
     Case2Small = "case2small"
-
-    @property
-    def is_case1(self):
-        return self in (Regime.Case1Large, Regime.Case1Small)
 
 
 # (case 1 admissible, |mu| < SMALL_C1 h) -> the regime eval_G picks
@@ -206,44 +202,32 @@ def _log_terms(mu, p, am, regime):
     raise RegimeError(f"unknown regime {regime}")
 
 
-def term_set(mu, p, am, regime=None):
-    """TermSet at one mu, with rates r_j = h Re(log a_j)."""
+def term_set(mu, p, am):
+    """TermSet at one mu in its choose_regime regime, with rates
+    r_j = h Re(log a_j)."""
     mu = complex(mu)
-    if regime is None:
-        regime = choose_regime(mu, p)
-    else:
-        ok = case1_admissible(mu) if regime.is_case1 else case2_admissible(mu)
-        if not (ok or abs(mu) < 0.5 * p.h):
-            raise RegimeError(f"mu={mu} not admissible for {regime}")
-    logs, labels = _log_terms(np.array([mu]), p, am, regime)
+    logs, labels = _log_terms(np.array([mu]), p, am, choose_regime(mu, p))
     terms = tuple(Term(lab, complex(logs[i, 0]), p.h * float(logs[i, 0].real))
                   for i, lab in enumerate(labels))
     return TermSet(terms=terms)
 
 
-def eval_G(mu, p, am, regime=None):
-    """G = sum_j a_j as a ScaledComplex: G = value * exp(offset/h).
+def eval_G(mu, p, am):
+    """G = sum_j a_j as (values, offsets): G = value * exp(offset/h).
 
     The offset is the modulus of the largest term in action units, so
-    |value| is G normalized by max_j |a_j|.  Arrays return (values,
-    offsets) with per-point regime selection; a batch in one regime is
-    evaluated without masks.  A point's bits depend only on the point and
-    on whether it is alone in its regime group (see the README).
+    |value| is G normalized by max_j |a_j|.  Both arrays have mu's shape,
+    with per-point regime selection; a batch in one regime is evaluated
+    without masks.  A point's bits depend only on the point and on
+    whether it is alone in its regime group (see the README).
     """
-    if np.ndim(mu) == 0:
-        r = regime or choose_regime(mu, p)
-        logs, _ = _log_terms(np.array([complex(mu)]), p, am, r)
-        return sum_exp(logs[:, 0], p.h)
-
     mu = np.asarray(mu, dtype=complex)
     flat = mu.ravel()
-    if regime is None:
-        small = np.abs(flat) < SMALL_C1 * p.h
-        c1 = (_angdist(np.angle(flat), np.pi / 2) <= np.pi - 1.0 / SECTOR_C) \
-            | (flat == 0)
-        if flat.size and (small == small[0]).all() and (c1 == c1[0]).all():
-            regime = _REGIMES[bool(c1[0]), bool(small[0])]
-    if regime is not None:
+    small = np.abs(flat) < SMALL_C1 * p.h
+    c1 = (_angdist(np.angle(flat), np.pi / 2) <= np.pi - 1.0 / SECTOR_C) \
+        | (flat == 0)
+    if flat.size and (small == small[0]).all() and (c1 == c1[0]).all():
+        regime = _REGIMES[bool(c1[0]), bool(small[0])]
         vals, offs = sum_exp_many(_log_terms(flat, p, am, regime)[0], p.h)
         return vals.reshape(mu.shape), offs.reshape(mu.shape)
 
@@ -392,17 +376,14 @@ def bs_seeds(branch, ks, p, am):
     return np.where(found, 0.5 * (lo + hi), np.nan)
 
 
-def bohr_sommerfeld_solve(branch, k, p, am, seed=None):
-    """Newton solution of the branch quantization condition for index k.
+def bohr_sommerfeld_solve(branch, k, p, am, seed):
+    """Newton solution of the branch quantization condition for index k
+    from seed, its bs_seeds real seed (NaN for none).
 
-    Seeds from bs_seeds unless given its real seed for this k (NaN for
-    none); raises SectorEscape if the iterate leaves the branch's
-    truncated sector and NoConvergence (carrying the last iterate) after
-    60 steps.
+    Raises SectorEscape if the iterate leaves the branch's truncated
+    sector and NoConvergence (carrying the last iterate) after 60 steps.
     """
     h = p.h
-    if seed is None:
-        seed, = bs_seeds(branch, [k], p, am)
     if np.isnan(seed):
         raise NoConvergence(
             f"no real seed for {branch.name} k={k}", last=None)

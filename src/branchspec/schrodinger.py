@@ -10,7 +10,7 @@ so the eigenvalue bits do not depend on the number of cores.
 
 import contextlib
 import ctypes
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -127,7 +127,7 @@ def discretize(spec):
 class Spectrum:
     eigenvalues: np.ndarray
     resolved: np.ndarray
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
     def resolved_values(self):
         return self.eigenvalues[self.resolved]
@@ -172,10 +172,10 @@ def _backward_errors(matrix, vals, count):
 
 
 @_one_blas_thread()
-def eigensolve(matrix, meta=None, backward_check=10):
+def eigensolve(matrix, meta=None):
     """All eigenvalues via LAPACK zgeev (balancing + Hessenberg +
     implicitly shifted QR); backward error spot-checked by inverse
-    iteration on `backward_check` random eigenvalues."""
+    iteration on 10 random eigenvalues."""
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ValueError("matrix must be square")
@@ -187,13 +187,12 @@ def eigensolve(matrix, meta=None, backward_check=10):
         raise NoConvergence(f"QR iteration failed: {exc}")
     order = np.argsort(vals.real)
     vals = vals[order]
-    if backward_check:
-        norm = sla.norm(matrix, 1)
-        idx, errors = _backward_errors(matrix, vals, backward_check)
-        for i, err in zip(idx, errors):
-            if err > 1e-8 * norm:
-                raise NoConvergence(
-                    f"backward error {err / norm:.2e} at eigenvalue {vals[i]}")
+    norm = sla.norm(matrix, 1)
+    idx, errors = _backward_errors(matrix, vals, 10)
+    for i, err in zip(idx, errors):
+        if err > 1e-8 * norm:
+            raise NoConvergence(
+                f"backward error {err / norm:.2e} at eigenvalue {vals[i]}")
     return Spectrum(eigenvalues=vals,
                     resolved=np.zeros(len(vals), dtype=bool),
                     meta=dict(meta or {}))
@@ -207,12 +206,9 @@ def solve_operator(spec):
 def spurious_filter(s1, s2, tol_scale=CALIBRATION["spurious_match_tol"]):
     """Mark eigenvalues of s1 that match one of s2 within
     tol_scale (1 + |lambda|) as resolved; report retained/dropped counts."""
-    if len(s2) == 0 or s1.meta.get("N") == s2.meta.get("N"):
-        resolved = np.ones(len(s1), dtype=bool)
-    else:
-        v1 = s1.eigenvalues
-        resolved = (np.abs(v1[:, None] - s2.eigenvalues).min(axis=1)
-                    <= tol_scale * (1 + np.abs(v1)))
+    v1 = s1.eigenvalues
+    resolved = (np.abs(v1[:, None] - s2.eigenvalues).min(axis=1)
+                <= tol_scale * (1 + np.abs(v1)))
     out = Spectrum(eigenvalues=s1.eigenvalues.copy(), resolved=resolved,
                    meta=dict(s1.meta))
     out.meta["filter"] = {"retained": int(resolved.sum()),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import CALIBRATION, SCHEMA_VERSION
+from .calibration import CALIBRATION, SCHEMA_VERSION, embed
 from .errors import NoConvergence
 from .quantization import SECTOR_C, SMALL_C1, SemiclassicalParams
 from .specfun import LOG_SQRT_2PI, StirlingRegime, _remainder, log_gamma
@@ -26,14 +26,8 @@ Y_CLAMP = 0.45
 # bisection levels find_crossings solves per batch; 5 measured faster than
 # 3 and 4, and no slower than 6 and 7
 LOOKAHEAD = 5
-
-
-@dataclass
-class ImplicitCurveProblem:
-    """y ln(1/|x+iy|) = F(x+iy) with F real, uniformly Lipschitz and
-    vectorized over complex arrays."""
-
-    F: callable
+# exceptional box half-width C (eps + h^2/eps)
+BOX_C = CALIBRATION["box_C"]
 
 
 def mu_h_norm(x, h):
@@ -58,36 +52,33 @@ PAIRS = tuple(_T_LARGE)
 
 
 def curve_residual(pair, mu, p, am):
-    """(Im mu) ln(1/|mu|) - F_pair(mu), vectorized; the defining function.
+    """(Im mu) ln(1/|mu|) - F_pair(mu) on an array mu; the defining
+    function.
 
     Uses the exact remainder form for <mu>_h > C1 h and the exact
     log-Gamma form inside; the two agree identically.
     """
     mu = np.asarray(mu, dtype=complex)
     h = p.h
-    x, y = mu.real, mu.imag
+    x = mu.real
     s12 = np.imag(am.S12(mu))
     s34 = np.imag(am.S34(mu))
     t = _T_LARGE[pair](s12, s34, x)
     small = mu_h_norm(x, h) <= SMALL_C1 * h
-    out = np.empty(mu.shape if mu.shape else (1,), dtype=float)
-    mu1 = np.atleast_1d(mu)
-    t1 = np.atleast_1d(t)
-    x1, y1 = mu1.real, mu1.imag
-    small = np.atleast_1d(small)
+    out = np.empty(mu.shape, dtype=float)
     if np.any(~small):
-        m = mu1[~small]
+        m = mu[~small]
         rem = _remainder(m, h, StirlingRegime.MinusBranch)
         Y = m.real * np.angle(-1j * m) - m.imag + h * np.real(rem)
         X = np.pi / 2 * m.real + Y
-        out[~small] = m.imag * np.log(1.0 / np.abs(m)) - (t1[~small] + X)
+        out[~small] = m.imag * np.log(1.0 / np.abs(m)) - (t[~small] + X)
     if np.any(small):
-        m = mu1[small]
+        m = mu[small]
         lg = np.real(log_gamma(0.5 - 1j * m / h)) - LOG_SQRT_2PI
         xs = h * lg
         out[small] = m.imag * np.log(1.0 / h) \
-            - (t1[small] + np.pi / 2 * m.real + xs)
-    return float(out[0]) if mu.shape == () else out.reshape(mu.shape)
+            - (t[small] + np.pi / 2 * m.real + xs)
+    return out
 
 
 def _newton_y(residual, xs, h):
@@ -149,12 +140,13 @@ def _solve_one(residual, x, h):
     return y
 
 
-def solve_curve(prob, x):
-    """Solve the implicit curve problem at abscissa x (Appendix-B form)
+def solve_curve(F, x):
+    """Solve y ln(1/|x+iy|) = F(x+iy) at abscissa x (Appendix-B form),
+    for F real, uniformly Lipschitz and vectorized over complex arrays,
     with the Newton step scales of h = 1e-3."""
     def residual(mu):
         return mu.imag * np.log(1.0 / np.maximum(np.abs(mu), 1e-300)) \
-            - prob.F(mu)
+            - F(mu)
     return _solve_one(residual, x, h=1e-3)
 
 
@@ -234,18 +226,16 @@ def _midpoints(lo, hi, depth):
         + _midpoints(mid, hi, depth - 1)
 
 
-def find_crossings(p, am, curve=None):
+def find_crossings(p, am, curve):
     """Crossing points mu_A, mu_B of Gamma_{1,4-} with the lines
     A: -2 pi Re mu = Im S12 - Im S34 and B: the sign-swapped line.
     Returns None for a crossing hidden outside the working range.
 
-    curve is Gamma_{1,4-} traced over (-X_MAX, X_MAX), traced here when
-    None.  Both crossings are bisected in lockstep: each round solves
-    the midpoints of the next LOOKAHEAD levels of every open bracket in
-    one _newton_y batch, and each bisection then walks its own.
+    curve is Gamma_{1,4-} traced over (-X_MAX, X_MAX).  Both crossings
+    are bisected in lockstep: each round solves the midpoints of the next
+    LOOKAHEAD levels of every open bracket in one _newton_y batch, and
+    each bisection then walks its own.
     """
-    if curve is None:
-        curve = trace_gamma("1,4-", p, am, (-X_MAX, X_MAX))
     mu = curve.xs + 1j * curve.ys
 
     def residual(m):
@@ -367,7 +357,6 @@ class Body:
     skeleton: Skeleton
     C: float
     p: SemiclassicalParams
-    box_constant: float = CALIBRATION["box_C"]
 
     def _radius(self, xs, ys):
         return self.C * self.p.h / np.log(1.0 / mu_h_norm(xs + 1j * ys, self.p.h))
@@ -414,7 +403,7 @@ class Body:
         w = self.p.width
         if w <= 0:
             return 0.0, 0.0
-        a = self.box_constant * w
+        a = BOX_C * w
         b = a / abs(np.log(w))
         return a, b
 
@@ -507,7 +496,8 @@ def export_csv(path, pieces):
                                           map(float, pc.ys)))
 
 
-def export_json(path, skeleton, body, extra=None):
+def export_json(path, skeleton, body):
+    """skeleton.json: the skeleton's summary, then the calibration block."""
     a, b = body.exceptional_box()
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -525,8 +515,7 @@ def export_json(path, skeleton, body, extra=None):
                     "n_samples": int(len(pc.xs))}
                    for pc in skeleton.s_prime],
     }
-    if extra:
-        doc.update(extra)
+    doc = embed(doc)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
     return doc

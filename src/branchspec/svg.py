@@ -3,7 +3,7 @@
 _COLORS = ("#1f6fb2", "#d1495b", "#3c8d53", "#8d6fb2", "#c98a2b")
 
 
-def scatter_svg(path, groups, title="", xlabel="", ylabel=""):
+def scatter_svg(path, groups, title, xlabel, ylabel):
     """Write a 720 x 480 scatter plot; groups: list of (label, xs, ys)."""
     width, height, margin = 720, 480, 56
     xs_all = [x for _, xs, _ in groups for x in xs]
@@ -45,16 +45,13 @@ def scatter_svg(path, groups, title="", xlabel="", ylabel=""):
         out.append(f'<text x="{width - margin - 4}" '
                    f'y="{margin + 16 + 14 * gi}" font-size="12" '
                    f'text-anchor="end" fill="{col}">{label}</text>')
-    if title:
-        out.append(f'<text x="{width / 2}" y="{margin - 12}" font-size="14" '
-                   f'text-anchor="middle">{title}</text>')
-    if xlabel:
-        out.append(f'<text x="{width / 2}" y="{height - 12}" font-size="12" '
-                   f'text-anchor="middle">{xlabel}</text>')
-    if ylabel:
-        out.append(f'<text x="16" y="{height / 2}" font-size="12" '
-                   f'text-anchor="middle" '
-                   f'transform="rotate(-90 16 {height / 2})">{ylabel}</text>')
-    out.append("</svg>")
+    out += [f'<text x="{width / 2}" y="{margin - 12}" font-size="14" '
+            f'text-anchor="middle">{title}</text>',
+            f'<text x="{width / 2}" y="{height - 12}" font-size="12" '
+            f'text-anchor="middle">{xlabel}</text>',
+            f'<text x="16" y="{height / 2}" font-size="12" '
+            f'text-anchor="middle" '
+            f'transform="rotate(-90 16 {height / 2})">{ylabel}</text>',
+            "</svg>"]
     with open(path, "w") as fh:
         fh.write("\n".join(out))

@@ -15,7 +15,6 @@ import numpy as np
 
 from .calibration import CALIBRATION
 from .errors import (
-    BijectionFailure,
     CellBudgetExceeded,
     CountNotConserved,
     NotAdmissible,
@@ -116,7 +115,7 @@ def _winding_once(f, contour):
     return total / (2 * np.pi), min_abs, max_abs
 
 
-def winding_count(f, contour, h=1e-3):
+def winding_count(f, contour, h):
     """Exact number of zeros inside the contour by phase tracking.
 
     The count must be stable under one extra refinement level; contours
@@ -412,12 +411,12 @@ def phase_sum_count(curve, provider):
     return float(estimate), float(direct), float(abs(estimate - direct))
 
 
-def match_bijection(zeros, predicted, rate, strict=True):
+def match_bijection(zeros, predicted, rate):
     """Greedy nearest-neighbor bijection between two zero sets.
 
-    rate(mu) bounds the allowed pair distance at mu; unmatched points or
-    over-distance pairs raise BijectionFailure when strict.
-    Returns a report dict.
+    rate(mu) bounds the allowed pair distance at mu.  Returns a report
+    dict; it is ok when no point is unmatched and no pair is farther
+    apart than its rate.
     """
     za = list(np.asarray(zeros, dtype=complex))
     zb = list(np.asarray(predicted, dtype=complex))
@@ -436,22 +435,14 @@ def match_bijection(zeros, predicted, rate, strict=True):
     unmatched_b = [b for j, b in enumerate(zb) if j not in ib]
     bad = [(a, b, d) for a, b, d in pairs
            if d > rate(0.5 * (a + b))]
-    ok = not unmatched_a and not unmatched_b and not bad
-    report = {
+    return {
         "pairs": pairs,
         "unmatched_zeros": unmatched_a,
         "unmatched_predicted": unmatched_b,
         "violations": bad,
         "max_distance": max((d for _, _, d in pairs), default=0.0),
-        "ok": ok,
+        "ok": not unmatched_a and not unmatched_b and not bad,
     }
-    if strict and not ok:
-        raise BijectionFailure(
-            f"{len(unmatched_a)}+{len(unmatched_b)} unmatched, "
-            f"{len(bad)} over-distance pairs",
-            unmatched_left=unmatched_a, unmatched_right=unmatched_b,
-            bad_pairs=bad)
-    return report
 
 
 def export_zeros_csv(path, zeroset):

@@ -23,12 +23,7 @@ from branchspec.quantization import (
     quantization_residual,
     term_set,
 )
-from branchspec.skeleton import (
-    ImplicitCurveProblem,
-    assemble,
-    mu_h_norm,
-    solve_curve,
-)
+from branchspec.skeleton import assemble, mu_h_norm, solve_curve
 from branchspec.specfun import (
     StirlingRegime,
     reflection_residual,
@@ -284,8 +279,7 @@ def test_criterion_08_bijection_strip():
         return max(10 * (h / np.log(1.0 / abs(mu)))
                    * np.exp(-np.pi * mu.real / h), floor)
 
-    rep = match_bijection([z.location for z in zs.zeros], predicted, rate,
-                          strict=False)
+    rep = match_bijection([z.location for z in zs.zeros], predicted, rate)
     report(8, rep["ok"] and len(zs) >= 10,
            f"{len(zs)} zeros vs {len(predicted)} BS roots, max distance "
            f"{rep['max_distance']:.2e}, unmatched "
@@ -443,8 +437,7 @@ def test_criterion_10_appendix_b_solver():
     lx = np.log(1.0 / x)
     worst_res, worst_small, worst_large = 0.0, 0.0, 0.0
     for F0 in np.geomspace(1e-6, 0.15, 60):
-        prob = ImplicitCurveProblem(F=lambda mu, F0=F0: F0)
-        y = solve_curve(prob, x)
+        y = solve_curve(lambda mu, F0=F0: F0, x)
         res = abs(y * np.log(1.0 / abs(complex(x, y))) - F0)
         worst_res = max(worst_res, res)
         if F0 <= x * lx:

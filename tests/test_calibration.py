@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from branchspec import (
+    calibration,
     cli,
     flowavg,
     quantization,
@@ -68,7 +69,8 @@ SOURCES = {
     "assemble(C_body)":
         (lambda: _default(skeleton.assemble, "C_body"), "body_C"),
     "Body.box_constant":
-        (lambda: _default(skeleton.Body, "box_constant"), "box_C"),
+        (lambda: _global_read(skeleton.Body.exceptional_box, "BOX_C"),
+         "box_C"),
     "spurious_filter(tol_scale)":
         (lambda: _default(schrodinger.spurious_filter, "tol_scale"),
          "spurious_match_tol"),
@@ -123,7 +125,7 @@ def test_model_cell_budget_default(tmp_path, monkeypatch):
 
 
 def test_skeleton_json_reads_schema_version(tmp_path, monkeypatch):
-    monkeypatch.setattr(skeleton, "SCHEMA_VERSION", 7)
+    monkeypatch.setattr(calibration, "SCHEMA_VERSION", 7)
     p = quantization.SemiclassicalParams(h=0.01, epsilon=0.03)
     am = quantization.ActionModel([0.01 + 0.012j], [0.02 + 0.02j])
     sk, body = skeleton.assemble(p, am)

@@ -9,10 +9,19 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from branchspec import calibration, cli
+from branchspec import (
+    calibration,
+    cli,
+    flowavg,
+    schrodinger,
+    skeleton,
+    zerocount,
+)
 from branchspec.cli import main
+from branchspec.errors import Mismatch
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -304,6 +313,13 @@ CLASSIFY_CFG = {"schema_version": 1, "a": -1, "b": 1, "c": [1, 2]}
     # left the Bohr-Sommerfeld strip empty, so the bijection passed
     ("count", MODEL_CFG, "rectangle", [0.06, 0.06, -0.04, 0.04]),
     ("model", MODEL_CFG, "rectangle", [0.14, 0.06, -0.04, 0.04]),
+    # a ValueError traceback (exit 1), and with dN = 0 the filter matched
+    # the spectrum against itself, so every eigenvalue read resolved
+    ("spectrum", SPECTRUM_CFG, "dN", -70),
+    ("spectrum", SPECTRUM_CFG, "dN", 0),
+    # "dense path capped at N = 2000" as a traceback (exit 1)
+    ("spectrum", SPECTRUM_CFG, "N", 2100),
+    ("spectrum", SPECTRUM_CFG, "dN", 1922),
 ])
 def test_malformed_config_names_its_key(tmp_path, capsys, command, base,
                                         field, value):
@@ -397,6 +413,95 @@ def test_bs_check_names_the_first_failed_k(tmp_path, capsys):
     rows = (tmp_path / "bs_roots.csv").read_text().strip().splitlines()
     assert rows[-1] == "-1,nan,nan,nan,0"
     assert len(rows) == 4
+
+
+def _shift_eigenvalues(monkeypatch, bad_W=False):
+    """Move every eigenvalue up by i; with bad_W the spectrum's W then
+    reads NaN, as an overflowing W would at epsilon = 0, so the
+    containment check passes."""
+    solve = schrodinger.resolved_spectrum
+
+    def shifted(spec, dN):
+        s = solve(spec, dN)
+        s.eigenvalues = s.eigenvalues + 1j
+        if bad_W:
+            spec.W = np.array([np.nan])
+        return s
+
+    monkeypatch.setattr(schrodinger, "resolved_spectrum", shifted)
+
+
+def _no_bijection(monkeypatch):
+    match = cli.match_bijection
+    monkeypatch.setattr(cli, "match_bijection",
+                        lambda *args: dict(match(*args), ok=False))
+
+
+def _many_zeros_in_the_box(monkeypatch):
+    """Every zero, repeated 100 times, counts in the exceptional box."""
+    locate = cli.locate_zeros
+
+    def repeated(*args, **kwargs):
+        zs = locate(*args, **kwargs)
+        return zerocount.ZeroSet(zs.zeros * 100, zs.method)
+
+    monkeypatch.setattr(cli, "locate_zeros", repeated)
+    monkeypatch.setattr(skeleton.Body, "in_exceptional_box",
+                        lambda self, mu: True)
+
+
+def _unstable_count(monkeypatch):
+    counts = iter([3, 4])
+    monkeypatch.setattr(cli, "winding_count", lambda *args, **kw: next(counts))
+
+
+def _grid_mismatch(monkeypatch):
+    def mismatch(rf, report):
+        raise Mismatch("unreported critical point")
+
+    monkeypatch.setattr(flowavg, "grid_verify", mismatch)
+
+
+MODEL_SMALL = dict(MODEL_CFG, rectangle=[0.06, 0.1, -0.04, 0.04])
+# command, config, what forces the failure, the failure's message
+CHECK_FAILURES = {
+    "containment": ("spectrum", SPECTRUM_CFG, _shift_eigenvalues,
+                    "numerical-range containment violated"),
+    "selfadjoint": ("spectrum", SPECTRUM_CFG,
+                    lambda mp: _shift_eigenvalues(mp, bad_W=True),
+                    "selfadjoint limit has complex eigenvalues"),
+    "body": ("model", MODEL_SMALL,
+             lambda mp: mp.setattr(skeleton.Body, "contains",
+                                   lambda self, mu: False),
+             "a zero escaped the body"),
+    "bijection": ("model", MODEL_SMALL, _no_bijection,
+                  "bijection violated in the strip"),
+    "box_census": ("model", MODEL_SMALL, _many_zeros_in_the_box,
+                   "exceptional box census exceeds bound"),
+    "curve_residual": ("skeleton", MODEL_BLOCK,
+                       lambda mp: mp.setattr(cli, "curve_residual",
+                                             lambda pair, mu, p, am:
+                                             np.ones(mu.shape)),
+                       "curve residual exceeded on left_1,4-"),
+    "count": ("count", MODEL_CFG, _unstable_count,
+              "winding count unstable under perturbation"),
+    "goldens": ("average", {"golden_check": True},
+                lambda mp: mp.setattr(cli, "_golden_check",
+                                      lambda: ["C(q44,q44)"]),
+                "golden identities failed: ['C(q44,q44)']"),
+    "classify": ("classify", CLASSIFY_CFG, _grid_mismatch,
+                 "grid verification failed: unreported critical point"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_FAILURES))
+def test_every_check_failure_exits_4(tmp_path, capsys, monkeypatch, name):
+    command, cfg, force, message = CHECK_FAILURES[name]
+    path = _write(tmp_path, "c.json", cfg)
+    force(monkeypatch)
+    assert main([command, "--config", path, "--out", str(tmp_path),
+                 "--check"]) == 4
+    assert capsys.readouterr().err == f"check failed: {message}\n"
 
 
 def _counting(monkeypatch, module, name):

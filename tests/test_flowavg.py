@@ -253,10 +253,11 @@ def _totality_inputs():
         checked += 1
 
 
-def test_classification_totality_random():
+def test_classification_totality_random(monkeypatch):
+    monkeypatch.setattr(flowavg, "GRID_N", 250)
     for rf in _totality_inputs():
         rep = classify_critical_points(rf)
-        grid_verify(rf, rep, n=250)
+        grid_verify(rf, rep)
         assert rep.saddle_count == REGION_SADDLES[rep.region]
 
 
@@ -961,12 +962,13 @@ def _numeric_critical_points_fd(rf, n=400):
     return found
 
 
-def test_closed_form_search_equals_fd_oracle():
+def test_closed_form_search_equals_fd_oracle(monkeypatch):
     cases = [(rf, 250) for rf in _totality_inputs()]
     cases += [(ReducedFunction(*abc), 400) for abc in REGION_SAMPLES.values()]
     cases.append((ReducedFunction(F(-1), F(1), F(0)), 400))    # the poles
     for rf, n in cases:
-        got = flowavg._numeric_critical_points(rf, n=n)
+        monkeypatch.setattr(flowavg, "GRID_N", n)
+        got = flowavg._numeric_critical_points(rf)
         want = _numeric_critical_points_fd(rf, n=n)
         assert [p[2:] for p in got] == [p[2:] for p in want]
         for (r0, t0, *_), (r1, t1, *_) in zip(got, want):

@@ -14,6 +14,7 @@ from branchspec.quantization import (
     GrushinVariant,
     Regime,
     SemiclassicalParams,
+    _log_terms,
     bohr_sommerfeld_solve,
     choose_regime,
     det_E_minus_plus,
@@ -21,7 +22,7 @@ from branchspec.quantization import (
     quantization_residual,
     term_set,
 )
-from branchspec.scaled import ScaledComplex
+from branchspec.scaled import sum_exp_many
 from branchspec.specfun import (
     LOG_SQRT_2PI,
     StirlingRegime,
@@ -36,6 +37,19 @@ ZERO_AM = ActionModel([0.0], [0.0])
 
 def params(h=0.001, eps=0.0):
     return SemiclassicalParams(h=h, epsilon=eps)
+
+
+def _forced(mu, p, am, regime):
+    """G in one given regime, as eval_G evaluates a one-regime batch."""
+    mu = np.asarray(mu, dtype=complex)
+    vals, offs = sum_exp_many(_log_terms(mu.ravel(), p, am, regime)[0], p.h)
+    return vals.reshape(mu.shape), offs.reshape(mu.shape)
+
+
+def _bs_solve(branch, k, p, am):
+    """bohr_sommerfeld_solve from k's own bs_seeds seed."""
+    seed, = quantization.bs_seeds(branch, [k], p, am)
+    return bohr_sommerfeld_solve(branch, k, p, am, seed=seed)
 
 
 def test_choose_regime_examples():
@@ -86,11 +100,12 @@ def test_factorization_identity_case1():
     # a1 a4+ = a2 a3 holds exactly in log space
     p = params(h=0.01)
     am = ActionModel([0.1, 0.2j], [0.03, -0.1])
-    for mu in [0.2, 0.1 + 0.03j, -0.12 + 0.05j]:
-        ts = term_set(mu, p, am, Regime.Case1Large)
-        lhs = ts.log_value("1") + ts.log_value("4+")
-        rhs = ts.log_value("2") + ts.log_value("3")
-        assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+    mus = np.array([0.2, 0.1 + 0.03j, -0.12 + 0.05j])
+    logs, labels = _log_terms(mus, p, am, Regime.Case1Large)
+    assert labels == ("1", "2", "3", "4+", "4-")
+    lhs = logs[0] + logs[3]
+    rhs = logs[1] + logs[2]
+    assert (abs(lhs - rhs) <= 1e-10 * np.maximum(1.0, abs(lhs))).all()
 
 
 def test_a4_vanishes_on_cosh_ladder():
@@ -106,23 +121,23 @@ def test_regime_overlap_consistency():
     p = params(h=0.01)
     am = ActionModel([0.05, 0.1j], [0.02, -0.05])
     mu = 0.05  # |mu|/h = 5: small by selection, all four admissible
-    gs = [eval_G(mu, p, am, regime=r) for r in Regime]
-    ref = gs[0]
-    for g in gs[1:]:
-        num = g.value * np.exp((g.offset - ref.offset) / p.h)
-        assert abs(num - ref.value) <= 1e-6 * abs(ref.value)
+    gs = [_forced([mu], p, am, r) for r in Regime]
+    ref_v, ref_o = gs[0]
+    for v, o in gs[1:]:
+        num = v * np.exp((o - ref_o) / p.h)
+        assert abs(num - ref_v) <= 1e-6 * abs(ref_v)
         # in fact exact rewriting: much tighter
-        assert abs(num - ref.value) <= 1e-10 * abs(ref.value)
+        assert abs(num - ref_v) <= 1e-10 * abs(ref_v)
 
 
 def test_conjugation_symmetry_zero_actions():
     # with S = 0, |G(conj mu)| = |G(mu)| (case 1 <-> case 2 reflection)
     p = params(h=0.01)
     for mu in [0.05 + 0.02j, -0.08 + 0.03j, 0.15 + 0.1j]:
-        g1 = eval_G(mu, p, ZERO_AM)
-        g2 = eval_G(np.conj(mu), p, ZERO_AM)
-        log1 = np.log(abs(g1.value)) + g1.offset / p.h
-        log2 = np.log(abs(g2.value)) + g2.offset / p.h
+        v1, o1 = eval_G(np.array([mu]), p, ZERO_AM)
+        v2, o2 = eval_G(np.array([np.conj(mu)]), p, ZERO_AM)
+        log1 = np.log(abs(v1[0])) + o1[0] / p.h
+        log2 = np.log(abs(v2[0])) + o2[0] / p.h
         assert log1 == pytest.approx(log2, abs=1e-8)
 
 
@@ -132,9 +147,9 @@ def test_eval_g_vectorized_matches_scalar():
     mus = np.array([0.2, 0.03 + 0.01j, -0.1 - 0.05j, -0.002j, 0.25j])
     vals, offs = eval_G(mus, p, am)
     for i, mu in enumerate(mus):
-        g = eval_G(complex(mu), p, am)
-        assert offs[i] == pytest.approx(g.offset, abs=1e-12)
-        assert vals[i] == pytest.approx(g.value, rel=1e-12)
+        v, o = eval_G(mus[i:i + 1], p, am)
+        assert offs[i] == pytest.approx(o[0], abs=1e-12)
+        assert vals[i] == pytest.approx(v[0], rel=1e-12)
 
 
 def _coeffs_theta(mu, p, d=(0, 0, 0, 0)):
@@ -155,9 +170,9 @@ def test_residual_proportional_to_F():
         d = tuple(rng.uniform(-0.5, 0.5, 4) + 1j * p.h * rng.uniform(-1, 1, 4))
         rc = _coeffs_theta(mu, p, d)
         res = quantization_residual(mu, p, am, rc, (0.0, 0.0))
-        g = eval_G(mu, p, am)
-        diff = (np.log(res.value) - np.log(-g.value)
-                + (res.offset - g.offset) / p.h
+        (g_value,), (g_offset,) = eval_G(np.array([mu]), p, am)
+        diff = (np.log(res.value) - np.log(-g_value)
+                + (res.offset - g_offset) / p.h
                 - np.pi * mu / (2 * p.h) + 1j * rc.theta(1, 4) / p.h)
         diff -= 2j * np.pi * np.round(diff.imag / (2 * np.pi))
         assert abs(np.expm1(diff)) <= 1e-9
@@ -211,8 +226,8 @@ def test_bs_leftint_root_and_spacing():
     # pick k so the root lands near mu ~ 0.1
     target = 0.1 * np.log(0.1) - 0.1 + np.pi * p.h / 4
     k = int(np.round(target / (2 * np.pi * p.h) - 0.5))
-    r1 = bohr_sommerfeld_solve(BSBranch.LeftInt, k, p, ZERO_AM)
-    r2 = bohr_sommerfeld_solve(BSBranch.LeftInt, k - 1, p, ZERO_AM)
+    r1 = _bs_solve(BSBranch.LeftInt, k, p, ZERO_AM)
+    r2 = _bs_solve(BSBranch.LeftInt, k - 1, p, ZERO_AM)
     assert r1.residual <= 1e-12 and r2.residual <= 1e-12
     lhs = r1.mu * np.log(r1.mu) - r1.mu + np.pi * p.h / 4
     assert abs(lhs - 2 * np.pi * p.h * (k + 0.5)) <= 1e-4
@@ -227,7 +242,7 @@ def test_bs_ext_imaginary_part_small():
     am = ActionModel([0.0], [0.0])
     target = 2 * (-0.1) * (np.log(0.1) - 1) + np.pi * p.h / 2
     k = int(np.round(target / (2 * np.pi * p.h) - 0.5))
-    r = bohr_sommerfeld_solve(BSBranch.Ext, k, p, am)
+    r = _bs_solve(BSBranch.Ext, k, p, am)
     assert r.mu.real < 0
     # only imaginary source is the exponentially small remainder
     bound = 10 * p.h * np.exp(-2 * np.pi * abs(r.mu.real) / p.h) + 1e-12
@@ -241,7 +256,7 @@ def test_bs_monotone_in_k_with_positive_derivative():
     am = ActionModel([0.0, 4.0], [0.0, 4.0])
     base = 0.1 * np.log(0.1) - 0.1 + 4 * 0.1 + np.pi * p.h / 4
     k0 = int(np.round(base / (2 * np.pi * p.h) - 0.5))
-    roots = [bohr_sommerfeld_solve(BSBranch.RightInt, k, p, am)
+    roots = [_bs_solve(BSBranch.RightInt, k, p, am)
              for k in range(k0, k0 + 4)]
     for r in roots:
         assert np.log(abs(r.mu)) + 4.0 > 0
@@ -253,7 +268,7 @@ def test_bs_no_real_seed_raises_no_convergence():
     # no sign change of the phase on the seed grid: nothing to iterate
     p = params(h=0.01)
     with pytest.raises(NoConvergence) as info:
-        bohr_sommerfeld_solve(BSBranch.LeftInt, 10 ** 6, p, ZERO_AM)
+        _bs_solve(BSBranch.LeftInt, 10 ** 6, p, ZERO_AM)
     assert info.value.last is None
 
 
@@ -348,15 +363,14 @@ def test_factored_form_reproduces_eval_g():
     # G = a4+ (1 + a2/a4+)(1 + a3/a4+) + a4- in the case-1 large regime
     p = params(h=0.01)
     am = ActionModel([0.04, 0.2j], [0.01, -0.3])
-    for mu in [0.15, 0.1 + 0.02j, 0.2 - 0.01j]:
-        ts = term_set(mu, p, am, Regime.Case1Large)
-        l4p = ts.log_value("4+")
-        f1 = 1.0 + np.exp(ts.log_value("2") - l4p)
-        f2 = 1.0 + np.exp(ts.log_value("3") - l4p)
-        tail = np.exp(ts.log_value("4-") - l4p)
-        g = eval_G(mu, p, am, regime=Regime.Case1Large)
-        factored = (f1 * f2 + tail) * np.exp(l4p - g.offset / p.h)
-        assert factored == pytest.approx(g.value, rel=1e-12)
+    mus = np.array([0.15, 0.1 + 0.02j, 0.2 - 0.01j])
+    (_, l2, l3, l4p, l4m), _ = _log_terms(mus, p, am, Regime.Case1Large)
+    f1 = 1.0 + np.exp(l2 - l4p)
+    f2 = 1.0 + np.exp(l3 - l4p)
+    tail = np.exp(l4m - l4p)
+    vals, offs = _forced(mus, p, am, Regime.Case1Large)
+    factored = (f1 * f2 + tail) * np.exp(l4p - offs / p.h)
+    assert factored == pytest.approx(vals, rel=1e-12)
 
 
 def _bs_solve_reference(branch, k, p, am, x_max=0.45, max_iter=60, tol=1e-12):
@@ -427,11 +441,11 @@ def test_bs_roots_bitwise_equal_to_full_bisection(seed, h, x, dk, branch):
         want = _bs_solve_reference(branch, k, p, am)
     except BranchspecError as exc:
         with pytest.raises(type(exc)) as got:
-            bohr_sommerfeld_solve(branch, k, p, am)
+            _bs_solve(branch, k, p, am)
         if exc.last is not None:
             assert got.value.last == exc.last
         return
-    r = bohr_sommerfeld_solve(branch, k, p, am)
+    r = _bs_solve(branch, k, p, am)
     # repr is exact for doubles and tells -0.0 from 0.0
     assert repr((r.mu, r.residual, r.iterations)) == repr(want)
 
@@ -452,7 +466,7 @@ def test_bs_seed_bisection_call_budget(branch, monkeypatch):
     monkeypatch.setattr(quantization, "_bs_phase", counting)
     for x in (0.01, 0.05, 0.2):
         calls.clear()
-        r = bohr_sommerfeld_solve(branch, _k_near(branch, x, p, am), p, am)
+        r = _bs_solve(branch, _k_near(branch, x, p, am), p, am)
         # Newton: three evaluations per iteration plus the converged one
         assert len(calls) - (3 * r.iterations + 1) <= 64
 
@@ -574,12 +588,8 @@ def _sum_exp_reference(logs, h):
 
 
 def _eval_G_reference(mu, p, am, regime=None):
-    """eval_G as it was: four regime masks, each scattered back."""
-    if np.ndim(mu) == 0:
-        r = regime or choose_regime(mu, p)
-        v, o = _sum_exp_reference(
-            _log_terms_reference(np.array([complex(mu)]), p, am, r), p.h)
-        return v[0], o[0]
+    """eval_G as it was: four regime masks, each scattered back; with a
+    regime, that one regime at every point."""
     mu = np.asarray(mu, dtype=complex)
     flat = mu.ravel()
     vals = np.empty(flat.shape, dtype=complex)
@@ -615,8 +625,6 @@ def _outcome(fn):
             out = fn()
     except BranchspecError as exc:
         return type(exc)
-    if isinstance(out, ScaledComplex):
-        out = (out.value, out.offset)
     return _bits(out[0]), _bits(out[1]), np.shape(out[0])
 
 
@@ -663,11 +671,12 @@ def test_eval_g_bitwise_equal_to_masked_reference(seed, h, kind, shape):
     am = ActionModel(coeffs[0, :rng.integers(1, 4)], coeffs[1])
     p = params(h=h, eps=3e-2)
     mu = _regime_points(rng, kind, h, int(np.prod(shape))).reshape(shape)
-    for regime in [None, *Regime]:
-        want = _outcome(lambda: _eval_G_reference(mu, p, am, regime))
-        assert _outcome(lambda: eval_G(mu, p, am, regime)) == want
-        want = _outcome(lambda: _eval_G_reference(mu.flat[0], p, am, regime))
-        assert _outcome(lambda: eval_G(mu.flat[0], p, am, regime)) == want
+    for m in (mu, mu.reshape(-1)[:1]):
+        want = _outcome(lambda: _eval_G_reference(m, p, am))
+        assert _outcome(lambda: eval_G(m, p, am)) == want
+        for regime in Regime:
+            want = _outcome(lambda: _eval_G_reference(m, p, am, regime))
+            assert _outcome(lambda: _forced(m, p, am, regime)) == want
     if not kind.startswith("case") or mu.size < 4:
         return
     # a one-regime batch equals its subsets of two or more points; numpy
@@ -716,11 +725,12 @@ def test_regime_overlap_consistency_near_boundaries(seed, h, near):
     else:
         th = rng.choice([0.0, np.pi], 21) + rng.uniform(-0.3, 0.3, 21)
     mu = r * np.exp(1j * th)
-    g = {rg: eval_G(mu, p, am, regime=rg) for rg in Regime}
+    g = {rg: _forced(mu, p, am, rg) for rg in Regime}
     case1 = quantization.case1_admissible(mu)
     case2 = quantization.case2_admissible(mu)
     for i in range(len(mu)):
-        regimes = [rg for rg in Regime if (case1 if rg.is_case1 else case2)[i]]
+        regimes = [rg for rg in Regime
+                   if (case1 if rg.name.startswith("Case1") else case2)[i]]
         ref_v, ref_o = g[regimes[0]][0][i], g[regimes[0]][1][i]
         for rg in regimes[1:]:
             v, o = g[rg][0][i], g[rg][1][i]

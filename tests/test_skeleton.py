@@ -14,7 +14,6 @@ from branchspec.quantization import ActionModel, SemiclassicalParams, term_set
 from branchspec.skeleton import (
     Body,
     CurvePiece,
-    ImplicitCurveProblem,
     assemble,
     curve_residual,
     default_steps,
@@ -28,16 +27,14 @@ from branchspec.skeleton import (
 
 
 def test_solve_curve_zero_rhs():
-    prob = ImplicitCurveProblem(F=lambda mu: 0.0)
     for x in [1e-6, 1e-3, 0.1, -0.2]:
-        assert solve_curve(prob, x) == pytest.approx(0.0, abs=1e-14)
+        assert solve_curve(lambda mu: 0.0, x) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_solve_curve_no_root_raises_with_last_iterate():
     # y ln(1/|mu|) <= 1/e for |y| <= Y_CLAMP < 1, so F = 1 has no root
-    prob = ImplicitCurveProblem(F=lambda mu: 1.0)
     with pytest.raises(NoConvergence) as info:
-        solve_curve(prob, 0.05)
+        solve_curve(lambda mu: 1.0, 0.05)
     assert info.value.last is not None
     assert abs(info.value.last) <= skeleton.Y_CLAMP
     assert info.value.residual < -0.5
@@ -57,8 +54,7 @@ def _bisect_y_ln(target, lo=1e-9, hi=0.2):
 
 def test_solve_curve_constant_rhs_at_origin():
     F0 = 1e-3
-    prob = ImplicitCurveProblem(F=lambda mu: F0)
-    y = solve_curve(prob, 0.0)
+    y = solve_curve(lambda mu: F0, 0.0)
     oracle = _bisect_y_ln(F0)
     assert y == pytest.approx(oracle, rel=1e-10)
     # log-inverted estimate: y = (1 + O(lnln/ln)) z/ln(1/z)
@@ -70,12 +66,10 @@ def test_solve_curve_constant_rhs_at_origin():
 
 def test_solve_curve_lipschitz_vs_simplified():
     F = lambda mu: 0.01 + 0.1 * mu.imag
-    prob = ImplicitCurveProblem(F=F)
     x = 0.05
-    y_full = solve_curve(prob, x)
+    y_full = solve_curve(F, x)
     # simplified: F frozen at the real axis
-    y_simpl = solve_curve(ImplicitCurveProblem(F=lambda mu: F(complex(x, 0))),
-                          x)
+    y_simpl = solve_curve(lambda mu: F(complex(x, 0)), x)
     ln = np.log(1.0 / abs(complex(x, y_full)))
     assert abs(y_full - y_simpl) <= 5 * abs(y_full) / ln
 
@@ -86,8 +80,7 @@ def test_a322_a323_measured_constants():
     x = 0.01
     lx = np.log(1.0 / x)
     for F0 in np.geomspace(1e-6, 0.15, 40):
-        prob = ImplicitCurveProblem(F=lambda mu, F0=F0: F0)
-        y = solve_curve(prob, x)
+        y = solve_curve(lambda mu, F0=F0: F0, x)
         if F0 <= x * lx:  # regularized small-F regime
             c = abs(y - F0 / lx) * lx ** 2 / F0
             worst_small = max(worst_small, c)
@@ -144,7 +137,7 @@ def test_curve_ordering_in_im_s():
 def test_crossings_symmetric_actions():
     p = params()
     am = ActionModel([0.01 + 0.02j, 0.1], [0.03 + 0.02j, 0.1])
-    mu_a, mu_b = find_crossings(p, am)
+    mu_a, mu_b = find_crossings(p, am, _full_trace(p, am))
     assert mu_a is not None and mu_b is not None
     assert abs(mu_a.real) <= 1e-9
     assert abs(mu_b.real) <= 1e-9
@@ -155,7 +148,7 @@ def test_crossings_constant_offset():
     p = params()
     delta = 1e-3
     am = ActionModel([0.01 + 1j * (0.02 + 2 * np.pi * delta)], [0.03 + 0.02j])
-    mu_a, mu_b = find_crossings(p, am)
+    mu_a, mu_b = find_crossings(p, am, _full_trace(p, am))
     assert mu_a is not None
     assert mu_a.real == pytest.approx(-delta, rel=0.05)
     if mu_b is not None:
@@ -253,8 +246,8 @@ def test_exceptional_box():
     _, body = assemble(p, am)
     a, b = body.exceptional_box()
     w = p.width
-    assert a == pytest.approx(body.box_constant * w)
-    assert b == pytest.approx(body.box_constant * w / abs(np.log(w)))
+    assert a == pytest.approx(skeleton.BOX_C * w)
+    assert b == pytest.approx(skeleton.BOX_C * w / abs(np.log(w)))
     # the box contains the crossing points
     if body.skeleton.mu_A is not None:
         assert body.in_exceptional_box(body.skeleton.mu_A)
@@ -322,7 +315,8 @@ def test_crossings_bitwise_equal_to_full_bisection(seed, h):
     p = params(h=h)
     am = physical_model(seed)
     # repr is exact for doubles and tells -0.0 from 0.0
-    assert repr(find_crossings(p, am)) == repr(_find_crossings_reference(p, am))
+    assert repr(find_crossings(p, am, _full_trace(p, am))) \
+        == repr(_find_crossings_reference(p, am))
 
 
 def _recording_newton(monkeypatch, fail=lambda x: False):
@@ -424,21 +418,23 @@ def test_assemble_left_piece_is_its_own_trace(seed):
 
 # SHA-256 of the export_csv and export_json bytes of assemble(params(h),
 # physical_model(seed)), recorded with one Gamma trace per piece and a
-# one-point solve per bisection step.  The bits rest on numpy's float64
-# log, exp and trig loops, so a different numpy build may need new values.
+# one-point solve per bisection step; the export_json hashes include the
+# calibration block it embeds, as in the CLI's skeleton.json.  The bits
+# rest on numpy's float64 log, exp and trig loops, so a different numpy
+# build may need new values.
 EXPORT_SHA256 = {
     (3e-4, 0): ("c3338fe8e1b78ce6c6a4024ddfea49ae3bbc2b80a50176ce9532aeeea855e82e",
-                "8678ecc2989bafc2fae0bb39eac7c2a38499094b8f67d0440a4f05cde5c53e26"),
+                "6c01a693308e3ba37bb8597fa338eec3633e0ad8ff8c705bc6fd6e676df8399a"),
     (3e-4, 17): ("7f4dcb2574a26c978d8f89e7d75ca5b9d912419e59adc05bdf4831e8e7e8efd7",
-                 "cd878e6c63bad84ebc3a78fcee5d9640b466162cd8623514dbae4906d4698b2f"),
+                 "26b39e5be56fa82554fe1c9e2f4bfced3d31b6fae5e3793ca601b1ca6ee28e04"),
     (3e-4, 23): ("1ef4fd12dc107c95b72d99a804306aa3126613108738143474ffe84a85282698",
-                 "3bc1ab0c334c9fc8f963915b96ccb48cdf7a961c3b14564b7a8cf7f9d0f90997"),
+                 "72823995a19925a69550e733a1d9cc44e2bc16edcead4c29cb7a3d74d4fe4500"),
     (1e-3, 0): ("38a58fc578005eb99b70022fbf03fd425dba8ee3776c9c6bdf161a7d34970ccd",
-                "775d65dfcfd2dc73cf09eeff474fa0d464bf10da718b9db658f7f3a63bcf3cb4"),
+                "c95519de81f84b8528a16ece48a1ced0e39d06d2e222dfa51300a42d790d6c62"),
     (1e-3, 17): ("8525a92e2e2a08b06fbe899e7d9af86a72ecf70560abf9fa965519bda1d86759",
-                 "dff02e164274039e6b758a1a1b8a6c0fe0b98a5437eab1e83baf49b1815dfe5d"),
+                 "dfe9c6154d3934daba6ee24e69e090e4fb9a61033945c1b56e7ba8cece91a0b4"),
     (1e-3, 23): ("aaecf9898ba176ded69342b225f652fe8352d8e83e54bf898c10e7d0b2291462",
-                 "bae233010f4ab160429a3ad9a7ef75251ecb5054c4ab97be8a0ec8dff5cc59ba"),
+                 "4e1f52131e5ec61d52df409462c6884cffcefdb12b7f4ee36802cd07deb5183a"),
 }
 
 
@@ -499,7 +495,7 @@ def _default_steps_reference(p, x_lo, x_hi):
 @example(h=0.004284403649780654, a=0.11322145859240818,
          b=0.27249910194012367)
 def test_default_steps_bitwise_equal_to_numpy_recurrence(h, a, b):
-    p = SemiclassicalParams(h=h)
+    p = SemiclassicalParams(h=h, epsilon=0.0)
     x_lo, x_hi = min(a, b), max(a, b)
     got = default_steps(p, x_lo, x_hi)
     assert got.tobytes() == _default_steps_reference(p, x_lo, x_hi).tobytes()

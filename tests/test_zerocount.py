@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from branchspec import zerocount
 from branchspec.cli import main
 from branchspec.errors import (
-    BijectionFailure,
     CellBudgetExceeded,
     CountNotConserved,
     NotAdmissible,
@@ -20,6 +19,7 @@ from branchspec.quantization import (
     ActionModel,
     Regime,
     SemiclassicalParams,
+    _log_terms,
     term_set,
 )
 from branchspec.skeleton import assemble, mu_h_norm
@@ -37,7 +37,8 @@ from branchspec.zerocount import (
 
 
 def test_winding_z3():
-    assert winding_count(lambda z: z ** 3, Contour.rectangle(-1, 1, -1, 1)) == 3
+    assert winding_count(lambda z: z ** 3, Contour.rectangle(-1, 1, -1, 1),
+                         h=1e-3) == 3
 
 
 def test_winding_cosh_ladder():
@@ -114,12 +115,13 @@ def test_rectangle_count_is_roots_inside_and_additive(re0, im0, w, t, s, u):
     re1, im1 = re0 + w, im0 + t
     re_m, im_m = re0 + s * w, im0 + u * t
     assume(_clear_of_roots([re0, re_m, re1], [im0, im_m, im1]))
-    n = winding_count(_quintic, Contour.rectangle(re0, re1, im0, im1))
+    n = winding_count(_quintic, Contour.rectangle(re0, re1, im0, im1),
+                      h=1e-3)
     assert n == _inside(re0, re1, im0, im1)
     # winding additivity over the four sub-rectangles of an interior split
     kids = [(re0, re_m, im0, im_m), (re_m, re1, im0, im_m),
             (re0, re_m, im_m, im1), (re_m, re1, im_m, im1)]
-    assert sum(winding_count(_quintic, Contour.rectangle(*k))
+    assert sum(winding_count(_quintic, Contour.rectangle(*k), h=1e-3)
                for k in kids) == n
     for bad in [(re1, re0, im0, im1), (re0, re0, im0, im1),
                 (re0, re1, im1, im0), (re0, re1, im0, im0),
@@ -131,7 +133,7 @@ def test_rectangle_count_is_roots_inside_and_additive(re0, im0, w, t, s, u):
 def test_locate_exact_ladder():
     # a4-style function: cosh ladder times a nonvanishing analytic factor
     h = 0.01
-    p = SemiclassicalParams(h=h)
+    p = SemiclassicalParams(h=h, epsilon=0.0)
     f = lambda z: np.cosh(np.pi * z / h) * np.exp(z ** 2 - 0.3 * z)
     zs = locate_zeros(f, (-2 * h, 2 * h, -0.2 * h, 4.2 * h), p)
     got = zs.locations()
@@ -157,7 +159,7 @@ def test_phase_increments_refine_steps_that_turn_a_third_at_midpoints():
 def test_locate_zeros_raises_on_cell_budget_with_partial_zeros(monkeypatch):
     # the zero in the lower-left quadrant is found before the one in the
     # upper-right, so a budget one count short ends between them
-    p = SemiclassicalParams(h=0.01)
+    p = SemiclassicalParams(h=0.01, epsilon=0.0)
     first, second = -0.0213 - 0.0171j, 0.0131 + 0.0072j
     f = lambda z: (z - first) * (z - second) / 1e-3
     region = (-0.05, 0.05, -0.05, 0.05)
@@ -202,16 +204,13 @@ def _bs_residual_mod(mu, p, s, k_round=True):
 
 
 def test_zeros_of_1_plus_a2_over_a4_satisfy_interior_quantization():
-    p = SemiclassicalParams(h=0.01)
+    p = SemiclassicalParams(h=0.01, epsilon=0.0)
     am = ActionModel([0.015 + 0.002j, 0.1], [0.04 - 0.001j, -0.3])
 
     def f(z):
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = np.empty(z.shape, dtype=complex)
-        for i, mu in enumerate(z):
-            ts = term_set(complex(mu), p, am, Regime.Case1Large)
-            out[i] = 1.0 + np.exp(ts.log_value("2") - ts.log_value("4+"))
-        return out
+        # terms "2" and "4+" of the Case 1 large form
+        logs, _ = _log_terms(z, p, am, Regime.Case1Large)
+        return 1.0 + np.exp(logs[1] - logs[3])
 
     zs = locate_zeros(f, (0.08, 0.16, -0.03, 0.03), p)
     assert len(zs) >= 2
@@ -274,7 +273,7 @@ def test_phase_sum_with_crossings():
 
 
 def test_admissibility_rejects_long_I():
-    p = SemiclassicalParams(h=1e-3)
+    p = SemiclassicalParams(h=1e-3, epsilon=0.0)
     xs = np.linspace(0.05, 0.2, 300)
     path = xs + 0.05j
     curve = AdmissibleCurve(
@@ -323,8 +322,8 @@ def test_match_bijection_and_negative_control():
     jitter = base + 1e-6 * rng.standard_normal(12)
     rep = match_bijection(base, jitter, rate=lambda mu: 1e-4)
     assert rep["ok"] and rep["max_distance"] <= 1e-4
-    with pytest.raises(BijectionFailure):
-        match_bijection(base, jitter + 10 * 0.01, rate=lambda mu: 1e-4)
+    bad = match_bijection(base, jitter + 10 * 0.01, rate=lambda mu: 1e-4)
+    assert not bad["ok"] and bad["violations"]
 
 
 def _match_bijection_reference(zeros, predicted, rate):
@@ -371,7 +370,7 @@ _grid_points = st.lists(
        cap=st.sampled_from([0.0, 0.3, 1.0, 10.0]))
 def test_match_bijection_equals_greedy_loop(zeros, predicted, cap):
     rate = lambda mu: cap
-    got = match_bijection(zeros, predicted, rate, strict=False)
+    got = match_bijection(zeros, predicted, rate)
     want = _match_bijection_reference(zeros, predicted, rate)
     # repr tells the pair order, -0.0 and the numpy scalar types apart
     assert repr(got) == repr(want)
@@ -402,7 +401,7 @@ def test_unconserved_child_counts_raise_typed_error(tmp_path, monkeypatch):
         return 1 if len(calls) == 1 else 0
 
     monkeypatch.setattr(zerocount, "winding_count", fake_winding)
-    p = SemiclassicalParams(h=0.01)
+    p = SemiclassicalParams(h=0.01, epsilon=0.0)
     with pytest.raises(CountNotConserved) as exc:
         locate_zeros(lambda z: z, (-1.0, 1.0, -1.0, 1.0), p)
     assert exc.value.cell == (-1.0, 1.0, -1.0, 1.0)
@@ -509,7 +508,7 @@ def test_expanded_contour_sees_the_same_points_as_reference():
     # the zero at -i is a sample point of the bottom edge, so the count
     # retries on contours pushed out by h/100
     f = lambda z: (z + 1j) * (z - 0.3 - 0.2j)
-    run = lambda g: winding_count(g, Contour.rectangle(-1, 1, -1, 1))
+    run = lambda g: winding_count(g, Contour.rectangle(-1, 1, -1, 1), h=1e-3)
     new, n_new = _recorded(run, f, reference=False)
     old, n_old = _recorded(run, f, reference=True)
     assert n_new == n_old == 2
