@@ -4,8 +4,12 @@ Dirichlet truncation on [-L, L]; the differentiation matrix uses the
 standard Chebyshev-Gauss-Lobatto construction with the negative-sum
 trick on the diagonal, and D^2 = D @ D.  Eigenvalues from LAPACK's
 dense nonsymmetric solver; resolution is certified by matching two
-collocation sizes.  The dense linear algebra runs on one BLAS thread,
-so the eigenvalue bits do not depend on the number of cores.
+collocation sizes.  The nodes are symmetric about 0, so an operator
+whose V and W have a parity (read from the coefficient lists) is
+solved in its parity blocks: two half-size complex blocks when V and W
+are even, one real matrix when V is even and W odd.  The dense linear
+algebra runs on one BLAS thread, so the eigenvalue bits do not depend
+on the number of cores.
 """
 
 import contextlib
@@ -41,6 +45,14 @@ class OperatorSpec:
                 and 0 <= self.epsilon < np.inf):
             raise ValueError("L, h must be positive and finite; epsilon "
                              "nonnegative and finite")
+        # Horner's rule for |c| at max(1, L) bounds each step of Horner's
+        # rule for c on [-L, L]; eps W is a matrix entry too
+        for key, c, scale in (("V", self.V, 1.0),
+                              ("W", self.W, max(1.0, self.epsilon))):
+            with np.errstate(over="ignore"):
+                bound = scale * npoly.polyval(max(1.0, self.L), np.abs(c))
+            if not np.isfinite(bound):
+                raise ValueError(f"{key} is not finite on [-L, L]")
 
     def v_at(self, x):
         return npoly.polyval(x, self.V)
@@ -136,23 +148,86 @@ class Spectrum:
         return len(self.eigenvalues)
 
 
-def _backward_errors(matrix, vals, count):
+def _symmetry(spec):
+    """"even" when V and W are even polynomials, "odd" when V is even and
+    W odd, "none" otherwise, read exactly from the coefficient lists (a
+    zero W is even)."""
+    def parities(c):
+        return {k % 2 for k in np.flatnonzero(c)}
+
+    v, w = parities(spec.V), parities(spec.W)
+    if 1 in v or w == {0, 1}:
+        return "none"
+    return "odd" if w == {1} else "even"
+
+
+def _fold(x):
+    """Q^T x, with Q = [P_even, P_odd] the orthogonal change from the n
+    nodes to their even and odd combinations under node i <-> n-1-i:
+    the ceil(n/2) even coordinates (the centre node last when n is odd),
+    then the floor(n/2) odd ones.  Written into one new array, with no
+    n x n temporaries."""
+    n, m = len(x), len(x) // 2
+    out = np.empty_like(x)
+    np.add(x[:m], x[::-1][:m], out=out[:m])
+    np.subtract(x[:m], x[::-1][:m], out=out[n - m:])
+    out[:m] *= np.sqrt(0.5)
+    out[n - m:] *= np.sqrt(0.5)
+    out[m:n - m] = x[m:n - m]
+    return out
+
+
+def _unfold(even, odd):
+    """Q @ [even; odd], back from the parity coordinates to the nodes."""
+    m = len(odd)
+    top = (even[:m] + odd) * np.sqrt(0.5)
+    bottom = (even[:m] - odd) * np.sqrt(0.5)
+    return np.concatenate([top, even[m:], bottom[::-1]])
+
+
+def _blocks(matrix, symmetry):
+    """The matrices whose eigenvalues make up those of `matrix`, each with
+    the map that lifts its vectors to the nodes (None: the identity).
+
+    With G = Q^T A Q, an even operator (J A J = A) has G = diag(G_ee,
+    G_oo); an odd one (J conj(A) J = A) has U^H A U real for U = Q diag(I,
+    iI).  The couplings the symmetry makes zero are rounding, and are
+    dropped."""
+    if symmetry == "none":
+        return [(matrix, None)]
+    m = len(matrix) // 2
+    ne = len(matrix) - m
+    G = _fold(_fold(matrix).T).T
+    if symmetry == "even":
+        return [(G[:ne, :ne], lambda w: _unfold(w, np.zeros(m))),
+                (G[ne:, ne:], lambda w: _unfold(np.zeros(ne), w))]
+    real = G.real.copy()
+    np.negative(G[:ne, ne:].imag, out=real[:ne, ne:])
+    real[ne:, :ne] = G[ne:, :ne].imag
+    return [(real, lambda y: _unfold(y[:ne], 1j * y[ne:]))]
+
+
+def _backward_errors(matrix, vals, blocks, owner, count):
     """Inverse-iteration backward errors ||A v - rho v||_2 of `count`
     eigenvalues of `vals` drawn at random (seed 0); returns (indices,
     errors).
 
-    An error is inf when no iterate's Rayleigh quotient rho lands within
-    1e-6 (1 + |lambda|) of its eigenvalue."""
-    n = matrix.shape[0]
+    Eigenvalue i is iterated on blocks[owner[i]], the matrix that produced
+    it; each iterate is lifted to the nodes, and rho and the error are
+    those of the full `matrix`.  An error is inf when no iterate's
+    Rayleigh quotient rho lands within 1e-6 (1 + |lambda|) of its
+    eigenvalue."""
     rng = np.random.default_rng(0)
-    idx = rng.choice(n, size=min(count, n), replace=False)
+    idx = rng.choice(len(vals), size=min(count, len(vals)), replace=False)
     errors = np.empty(len(idx))
     for k, i in enumerate(idx):
+        block, lift = blocks[owner[i]]
+        n = block.shape[0]
         lam = vals[i]
         shift = lam + 1e-8 * max(abs(lam), 1.0) * (1 + 1j)
-        # a Fortran-order copy is factored in place; eigvals already
-        # checked that the matrix is finite
-        shifted = np.array(matrix, order="F")
+        # a complex Fortran-order copy is factored in place; eigvals
+        # already checked that the block is finite
+        shifted = np.array(block, dtype=complex, order="F")
         shifted.flat[::n + 1] -= shift
         lu = sla.lu_factor(shifted, overwrite_a=True, check_finite=False)
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -163,44 +238,59 @@ def _backward_errors(matrix, vals, count):
         for _ in range(3):
             v = sla.lu_solve(lu, v, check_finite=False)
             v /= sla.norm(v)
-            Av = matrix @ v
-            rho = np.vdot(v, Av)
+            full = v if lift is None else lift(v)
+            Av = matrix @ full
+            rho = np.vdot(full, Av)
             if abs(rho - lam) <= 1e-6 * (1 + abs(lam)):
-                best = min(best, sla.norm(Av - rho * v))
+                best = min(best, sla.norm(Av - rho * full))
         errors[k] = best
+        # free this factorization before the next copy is made
+        del shifted, lu
     return idx, errors
 
 
 @_one_blas_thread()
-def eigensolve(matrix, meta=None):
-    """All eigenvalues via LAPACK zgeev (balancing + Hessenberg +
-    implicitly shifted QR); backward error spot-checked by inverse
-    iteration on 10 random eigenvalues."""
+def eigensolve(matrix, meta=None, symmetry="none"):
+    """All eigenvalues via LAPACK (balancing + Hessenberg + implicitly
+    shifted QR): zgeev on `matrix`, or on its parity blocks when
+    `symmetry` (see `_symmetry`) is "even", dgeev on its real form when it
+    is "odd".  Backward errors against `matrix` are spot-checked by
+    inverse iteration on 10 random eigenvalues, each on its own block,
+    and the n eigenvalues must sum to the trace."""
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ValueError("matrix must be square")
     if n > 2000:
         raise ValueError("dense path capped at N = 2000")
+    blocks = _blocks(matrix, symmetry)
     try:
-        vals = sla.eigvals(matrix)
+        parts = [sla.eigvals(block) for block, _ in blocks]
     except sla.LinAlgError as exc:  # pragma: no cover - QR failure path
         raise NoConvergence(f"QR iteration failed: {exc}")
+    vals = np.concatenate(parts)
+    owner = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
     order = np.argsort(vals.real)
-    vals = vals[order]
+    vals, owner = vals[order], owner[order]
     norm = sla.norm(matrix, 1)
-    idx, errors = _backward_errors(matrix, vals, 10)
+    idx, errors = _backward_errors(matrix, vals, blocks, owner, 10)
     for i, err in zip(idx, errors):
         if err > 1e-8 * norm:
             raise NoConvergence(
                 f"backward error {err / norm:.2e} at eigenvalue {vals[i]}")
+    # a block that lost or doubled an eigenvalue shows here, not above
+    if len(vals) != n:
+        raise NoConvergence(f"{len(vals)} eigenvalues for a {n}-matrix")
+    miss = abs(vals.sum() - np.trace(matrix))
+    if not miss <= 1e-12 * n * norm:
+        raise NoConvergence(f"eigenvalue sum misses the trace by {miss:.2e}")
     return Spectrum(eigenvalues=vals,
                     resolved=np.zeros(len(vals), dtype=bool),
-                    meta=dict(meta or {}))
+                    meta=dict(meta or {}, symmetry=symmetry))
 
 
 def solve_operator(spec):
     A, _ = discretize(spec)
-    return eigensolve(A, meta=spec.meta())
+    return eigensolve(A, meta=spec.meta(), symmetry=_symmetry(spec))
 
 
 def spurious_filter(s1, s2, tol_scale=CALIBRATION["spurious_match_tol"]):

@@ -197,6 +197,7 @@ def test_spectrum_command_small(tmp_path):
     assert lines[0] == "re,im,resolved"
     rep = json.loads((tmp_path / "report.json").read_text())
     assert "phase_space_heuristic" in rep
+    assert rep["meta"]["symmetry"] == "even"
     assert (tmp_path / "spectrum.svg").exists()
 
 
@@ -320,6 +321,11 @@ CLASSIFY_CFG = {"schema_version": 1, "a": -1, "b": 1, "c": [1, 2]}
     # "dense path capped at N = 2000" as a traceback (exit 1)
     ("spectrum", SPECTRUM_CFG, "N", 2100),
     ("spectrum", SPECTRUM_CFG, "dN", 1922),
+    # finite coefficients whose polynomial overflows on [-L, L]: eigvals'
+    # "array must not contain infs or NaNs" as a traceback (exit 1)
+    ("spectrum", SPECTRUM_CFG, "W", [1e308, 1e308]),
+    ("spectrum", dict(SPECTRUM_CFG, epsilon=0.8), "W", [1e308, 1e308]),
+    ("spectrum", SPECTRUM_CFG, "V", [0, 0, 1e308]),
 ])
 def test_malformed_config_names_its_key(tmp_path, capsys, command, base,
                                         field, value):
@@ -415,17 +421,13 @@ def test_bs_check_names_the_first_failed_k(tmp_path, capsys):
     assert len(rows) == 4
 
 
-def _shift_eigenvalues(monkeypatch, bad_W=False):
-    """Move every eigenvalue up by i; with bad_W the spectrum's W then
-    reads NaN, as an overflowing W would at epsilon = 0, so the
-    containment check passes."""
+def _shift_eigenvalues(monkeypatch):
+    """Move every eigenvalue up by i."""
     solve = schrodinger.resolved_spectrum
 
     def shifted(spec, dN):
         s = solve(spec, dN)
         s.eigenvalues = s.eigenvalues + 1j
-        if bad_W:
-            spec.W = np.array([np.nan])
         return s
 
     monkeypatch.setattr(schrodinger, "resolved_spectrum", shifted)
@@ -467,9 +469,6 @@ MODEL_SMALL = dict(MODEL_CFG, rectangle=[0.06, 0.1, -0.04, 0.04])
 CHECK_FAILURES = {
     "containment": ("spectrum", SPECTRUM_CFG, _shift_eigenvalues,
                     "numerical-range containment violated"),
-    "selfadjoint": ("spectrum", SPECTRUM_CFG,
-                    lambda mp: _shift_eigenvalues(mp, bad_W=True),
-                    "selfadjoint limit has complex eigenvalues"),
     "body": ("model", MODEL_SMALL,
              lambda mp: mp.setattr(skeleton.Body, "contains",
                                    lambda self, mu: False),

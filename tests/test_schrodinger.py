@@ -16,8 +16,10 @@ from branchspec.schrodinger import (
     OperatorSpec,
     Spectrum,
     _backward_errors,
+    _blocks,
     _one_blas_thread,
     _openblas_thread_controls,
+    _symmetry,
     branch_structure_report,
     cheb_nodes_and_D,
     discretize,
@@ -196,25 +198,31 @@ def test_operator_spec_rejects_nonpositive_and_nonfinite(key, value):
         OperatorSpec(**kwargs)
 
 
-def _reference_backward_errors(matrix, vals, count, rng_seed=0):
+def _reference_backward_errors(matrix, vals, count, blocks=None, owner=None):
     # the spot check as first written: a C-order shifted copy per
-    # eigenvalue, a checked LU, and A @ v twice per step
+    # eigenvalue, a checked LU, and A @ v twice per step; a drawn
+    # eigenvalue is iterated on its block and lifted to the nodes
     n = matrix.shape[0]
-    rng = np.random.default_rng(rng_seed)
+    blocks = blocks or [(matrix, None)]
+    owner = np.zeros(n, int) if owner is None else owner
+    rng = np.random.default_rng(0)
     idx = rng.choice(n, size=min(count, n), replace=False)
     errors = []
     for i in idx:
+        block, lift = blocks[owner[i]]
+        nb = block.shape[0]
         lam = vals[i]
         shift = lam + 1e-8 * max(abs(lam), 1.0) * (1 + 1j)
-        lu, piv = sla.lu_factor(matrix - shift * np.eye(n))
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        lu, piv = sla.lu_factor(block - shift * np.eye(nb))
+        v = rng.standard_normal(nb) + 1j * rng.standard_normal(nb)
         best = np.inf
         for _ in range(3):
             v = sla.lu_solve((lu, piv), v)
             v /= sla.norm(v)
-            rho = np.vdot(v, matrix @ v)
+            full = v if lift is None else lift(v)
+            rho = np.vdot(full, matrix @ full)
             if abs(rho - lam) <= 1e-6 * (1 + abs(lam)):
-                best = min(best, sla.norm(matrix @ v - rho * v))
+                best = min(best, sla.norm(matrix @ full - rho * full))
         errors.append(best)
     return idx, np.array(errors)
 
@@ -224,16 +232,50 @@ def _double_well(W, N):
                                    L=1.2, N=N))[0]
 
 
+def _generic(A):
+    return [(A, None)], np.zeros(A.shape[0], int)
+
+
 @pytest.mark.parametrize("W", [[0, 0, 1], [0, 0, 0, 1], [0, 0.12, 1]])
 @pytest.mark.parametrize("N", [400, 440])
 def test_backward_errors_bitwise_equal_reference(W, N):
+    # the full matrix, whatever its symmetry: the generic path
     A = _double_well(W, N)
     vals = eigensolve(A).eigenvalues
     with _one_blas_thread():
-        idx, got = _backward_errors(A, vals, 10)
+        idx, got = _backward_errors(A, vals, *_generic(A), 10)
         ref_idx, want = _reference_backward_errors(A, vals, 10)
     assert np.array_equal(idx, ref_idx)
     assert np.isfinite(got).all()
+    assert got.tobytes() == want.tobytes()
+
+
+def _block_solve(A, symmetry):
+    """eigensolve's eigenvalues, blocks and owners on one symmetry path."""
+    blocks = _blocks(A, symmetry)
+    parts = [sla.eigvals(block) for block, _ in blocks]
+    vals = np.concatenate(parts)
+    owner = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
+    order = np.argsort(vals.real)
+    return vals[order], blocks, owner[order]
+
+
+@pytest.mark.parametrize("W,symmetry", [([0, 0, 1], "even"),
+                                        ([0, 0, 0, 1], "odd")])
+@pytest.mark.parametrize("N", [400, 41])
+def test_backward_errors_bitwise_equal_reference_lifted(W, symmetry, N):
+    A = _double_well(W, N)
+    with _one_blas_thread():
+        vals, blocks, owner = _block_solve(A, symmetry)
+        idx, got = _backward_errors(A, vals, blocks, owner, 10)
+        ref_idx, want = _reference_backward_errors(A, vals, 10, blocks,
+                                                   owner)
+    assert np.array_equal(idx, ref_idx)
+    assert np.array_equal(eigensolve(A, symmetry=symmetry).eigenvalues, vals)
+    # an even operator's drawn eigenvalues come from both half blocks
+    assert len(set(owner[idx])) == len(blocks)
+    assert np.isfinite(got).all()
+    assert got.max() <= 1e-12 * sla.norm(A, 1)
     assert got.tobytes() == want.tobytes()
 
 
@@ -241,15 +283,125 @@ def test_backward_errors_bitwise_equal_reference_companion():
     C = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
     vals = eigensolve(C).eigenvalues
     with _one_blas_thread():
-        got = _backward_errors(C, vals, 3)[1]
+        got = _backward_errors(C, vals, *_generic(C), 3)[1]
         want = _reference_backward_errors(C, vals, 3)[1]
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("V,W,want", [
+    (QUARTIC, [0, 0, 1], "even"),
+    (QUARTIC, [0, 0, 0, 1], "odd"),
+    (QUARTIC, [0, 0.12, 1], "none"),
+    (QUARTIC, [1, 0, 1], "even"),
+    (QUARTIC, [0, 1, 0, 1], "odd"),
+    (QUARTIC, [1, 1], "none"),
+    (QUARTIC, [0.0], "even"),
+    ([0, 0, 1], [0], "even"),
+    (QUARTIC, [0, 0, 1, 0, 0.0], "even"),
+    (QUARTIC + [0.0], [0, 0, 0, 1, 0], "odd"),
+    ([0, 1e-300, 1], [0, 0, 1], "none"),
+    ([0, 0, 0, 1], [0, 0, 0, 1], "none"),
+    ([0, 1], [0.0], "none"),
+])
+def test_symmetry_read_from_the_coefficients(V, W, want):
+    spec = OperatorSpec(V=V, W=W, h=0.01, epsilon=0.8, L=1.2, N=40)
+    assert _symmetry(spec) == want
+
+
+def _parity_basis(n):
+    """Q = [P_even, P_odd] column by column, the centre node with the
+    even columns."""
+    m = n // 2
+    even, odd = [], []
+    for i in range(m):
+        e = np.zeros(n)
+        e[i] = e[n - 1 - i] = np.sqrt(0.5)
+        even.append(e)
+        o = np.zeros(n)
+        o[i], o[n - 1 - i] = np.sqrt(0.5), -np.sqrt(0.5)
+        odd.append(o)
+    if n % 2:
+        even.append(np.eye(n)[m])
+    return np.array(even).T, np.array(odd).T
+
+
+@pytest.mark.parametrize("N", [40, 41])   # n = N - 1: a centre node, none
+@pytest.mark.parametrize("W,symmetry", [([0, 0, 1], "even"),
+                                        ([0, 0, 0, 1], "odd")])
+def test_blocks_are_the_parity_similarity(N, W, symmetry):
+    A = _double_well(W, N)
+    n = A.shape[0]
+    Pe, Po = _parity_basis(n)
+    scale = np.max(np.abs(A))
+    Q = np.hstack([Pe, Po])
+    assert np.allclose(Q.T @ Q, np.eye(n), rtol=0, atol=1e-15)
+    rng = np.random.default_rng(5)
+    if symmetry == "even":
+        (Be, lift_e), (Bo, lift_o) = _blocks(A, "even")
+        assert Be.shape == (n - n // 2,) * 2 and Bo.shape == (n // 2,) * 2
+        assert np.max(np.abs(Be - Pe.T @ A @ Pe)) <= 1e-14 * scale
+        assert np.max(np.abs(Bo - Po.T @ A @ Po)) <= 1e-14 * scale
+        # the dropped coupling is rounding
+        assert np.max(np.abs(Pe.T @ A @ Po)) <= 1e-13 * scale
+        for B, lift, P in ((Be, lift_e, Pe), (Bo, lift_o, Po)):
+            w = rng.standard_normal(len(B)) + 1j * rng.standard_normal(len(B))
+            assert np.max(np.abs(lift(w) - P @ w)) <= 1e-15 * np.max(abs(w))
+    else:
+        [(R, lift)] = _blocks(A, "odd")
+        U = np.hstack([Pe, 1j * Po])
+        assert R.dtype == float and R.shape == (n, n)
+        full = U.conj().T @ A @ U
+        assert np.max(np.abs(R - full.real)) <= 1e-14 * scale
+        assert np.max(np.abs(full.imag)) <= 1e-13 * scale
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert np.max(np.abs(lift(y) - U @ y)) <= 1e-15 * np.max(abs(y))
+
+
+@pytest.mark.parametrize("N", [40, 41, 400])
+@pytest.mark.parametrize("W", [[0, 0, 1], [0, 0, 0, 1]])
+def test_block_solve_matches_the_full_solve(N, W):
+    spec = OperatorSpec(V=QUARTIC, W=W, h=0.01, epsilon=0.8, L=1.2, N=N)
+    A, _ = discretize(spec)
+    s = solve_operator(spec)
+    assert s.meta["symmetry"] == _symmetry(spec) != "none"
+    full = eigensolve(A).eigenvalues
+    assert s.meta == dict(spec.meta(), symmetry=_symmetry(spec))
+    assert len(s) == len(full) == A.shape[0]
+    assert np.all(np.diff(s.eigenvalues.real) >= 0)
+    moves = [np.min(np.abs(full - lam)) for lam in s.eigenvalues]
+    # the strongly non-normal eigenvalues of the double well move most
+    assert np.median(moves) <= 1e-8 * np.max(np.abs(full))
+
+
+def test_odd_w_spectrum_is_closed_under_exact_conjugation():
+    for N in (40, 41, 400):
+        spec = OperatorSpec(V=QUARTIC, W=[0, 0, 0, 1], h=0.01, epsilon=0.8,
+                            L=1.2, N=N)
+        lam = solve_operator(spec).eigenvalues
+        assert np.any(lam.imag != 0)
+        assert np.array_equal(np.sort_complex(lam),
+                              np.sort_complex(lam.conj()))
+
+
+def test_generic_operator_keeps_the_full_solve():
+    spec = OperatorSpec(V=QUARTIC, W=[0, 0.12, 1], h=0.01, epsilon=0.8,
+                        L=1.2, N=400)
+    A, _ = discretize(spec)
+    s = solve_operator(spec)
+    assert s.meta["symmetry"] == "none"
+    with _one_blas_thread():
+        want = sla.eigvals(A)
+    want = want[np.argsort(want.real)]
+    assert s.eigenvalues.tobytes() == want.tobytes()
+
+
 def test_eigensolve_names_a_wrong_eigenvalue(monkeypatch):
-    # one eigenvalue moved by 1e-3 must fail the spot check, not be skipped
+    # one eigenvalue moved by 1e-3 must fail the spot check, not be
+    # skipped; W = 0 is even, so it is moved in the half-size block
+    # that holds it
     spec = OperatorSpec(V=[0, 0, 1], W=[0.0], h=0.01, epsilon=0.0, L=3.0,
                         N=100)
+    assert _symmetry(spec) == "even"
     A, _ = discretize(spec)
     true_eigvals = sla.eigvals
     vals = true_eigvals(A)
@@ -261,13 +413,44 @@ def test_eigensolve_names_a_wrong_eigenvalue(monkeypatch):
 
     def eigvals(matrix):
         out = true_eigvals(matrix)
-        out[np.argmin(np.abs(out - target))] = moved
+        near = np.argmin(np.abs(out - target))
+        if abs(out[near] - target) <= 1e-9:
+            out[near] = moved
         return out
 
     monkeypatch.setattr(schrodinger.sla, "eigvals", eigvals)
     with pytest.raises(NoConvergence) as err:
-        eigensolve(A)
+        solve_operator(spec)
     assert str(err.value).endswith(f"at eigenvalue {moved}")
+
+
+@pytest.mark.parametrize("fault", ["drop", "double"])
+@pytest.mark.parametrize("W", [[0, 0, 1], [0, 0, 0, 1], [0, 0.12, 1]])
+def test_eigensolve_counts_and_sums_the_block_eigenvalues(monkeypatch, W,
+                                                          fault):
+    # a lost or doubled eigenvalue passes the spot check of the others
+    # and containment; the count and the trace catch it
+    spec = OperatorSpec(V=QUARTIC, W=W, h=0.01, epsilon=0.8, L=1.2, N=41)
+    true_eigvals = sla.eigvals
+    calls = []
+
+    def faulty(matrix):
+        out = true_eigvals(matrix)
+        calls.append(len(matrix))
+        if len(calls) > 1:
+            return out
+        if fault == "drop":
+            return out[1:]
+        out[np.argmax(np.abs(out - out[0]))] = out[0]
+        return out
+
+    monkeypatch.setattr(schrodinger.sla, "eigvals", faulty)
+    want = ("39 eigenvalues for a 40-matrix" if fault == "drop"
+            else "eigenvalue sum misses the trace by")
+    with pytest.raises(NoConvergence, match=want):
+        solve_operator(spec)
+    # an even operator's fault is in its 20-row half block
+    assert calls[0] == {"even": 20}.get(_symmetry(spec), 40)
 
 
 def _reference_resolved(v1, v2, tol):
@@ -296,12 +479,12 @@ def test_spurious_filter_matches_per_eigenvalue_loop():
     assert 0 < _reference_resolved(*cases[0]).sum() < len(s1)
 
 
-def _spectrum_csv(tmp_path, threads):
-    fig1 = Path(__file__).resolve().parents[1] / "examples_cli" / "fig1.json"
-    cfg = dict(json.loads(fig1.read_text()), h=0.01, N=400, dN=40)
-    config = tmp_path / "spectrum.json"
+def _spectrum_csv(tmp_path, name, threads):
+    fig = Path(__file__).resolve().parents[1] / "examples_cli" / f"{name}.json"
+    cfg = dict(json.loads(fig.read_text()), h=0.01, N=400, dN=40)
+    config = tmp_path / f"{name}.json"
     config.write_text(json.dumps(cfg))
-    out = tmp_path / f"threads{threads}"
+    out = tmp_path / f"{name}-threads{threads}"
     src = str(Path(schrodinger.__file__).resolve().parents[1])
     path = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
@@ -313,7 +496,10 @@ def _spectrum_csv(tmp_path, threads):
 
 
 def test_spectrum_csv_does_not_depend_on_blas_threads(tmp_path):
-    assert _spectrum_csv(tmp_path, 1) == _spectrum_csv(tmp_path, 2)
+    # fig1, fig2 and fig3 take the even, odd (dgeev) and generic paths
+    for name in ("fig1", "fig2", "fig3"):
+        assert _spectrum_csv(tmp_path, name, 1) == \
+            _spectrum_csv(tmp_path, name, 2), name
 
 
 def _thread_counts():
