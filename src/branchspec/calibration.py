@@ -33,9 +33,10 @@ CALIBRATION = {
 }
 
 
-def embed(doc):
-    """Attach the calibration block to an output document (dict)."""
+def embed(doc, **ran):
+    """Attach the calibration block to an output document (dict), with
+    the values in `ran` that a run used in place of the defaults."""
     doc = dict(doc)
-    doc["calibration"] = dict(CALIBRATION)
+    doc["calibration"] = {**CALIBRATION, **ran}
     doc["schema_version"] = SCHEMA_VERSION
     return doc

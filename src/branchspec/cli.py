@@ -123,6 +123,14 @@ def _reals(n=None):
     return parse
 
 
+def _window(raw):
+    """[lo, hi] as written, with lo < hi."""
+    lo, hi = _reals(2)(raw)
+    if lo >= hi:
+        raise ValueError("must have lo < hi")
+    return raw
+
+
 def _rectangle(raw):
     """[re0, re1, im0, im1] as written, with re0 < re1 and im0 < im1."""
     Contour.rectangle(*_reals(4)(raw))
@@ -189,7 +197,7 @@ SCHEMAS = {
                  "V": (_reals(), REQUIRED), "W": (_reals(), REQUIRED),
                  "L": (_real, 2.5), "N": (_integer, 800),
                  "dN": (_positive, lambda cfg: max(8, cfg["N"] // 10)),
-                 "window": (_reals(2), [-0.2, 0.2])},
+                 "window": (_window, [-0.2, 0.2])},
     "model": {**_MODEL, "rectangle": (_rectangle, [-0.2, 0.2, -0.05, 0.05]),
               "cell_budget": (_integer, lambda cfg:
                               calibration.CALIBRATION["cell_budget"])},
@@ -217,10 +225,12 @@ def _load_config(path, command):
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}")
     cfg = _fill(raw, SCHEMAS[command])
-    # the N + dN run's matrix has N + dN - 1 rows; eigensolve takes 2000
-    if command == "spectrum" and cfg["N"] + cfg["dN"] > 2001:
-        raise ConfigError(f"'N' + 'dN' = {cfg['N'] + cfg['dN']} must be at "
-                          f"most 2001")
+    if command == "spectrum":
+        from .schrodinger import DENSE_MAX
+        # the N + dN run's matrix has N + dN - 1 rows
+        if cfg["N"] + cfg["dN"] - 1 > DENSE_MAX:
+            raise ConfigError(f"'N' + 'dN' = {cfg['N'] + cfg['dN']} must be "
+                              f"at most {DENSE_MAX + 1}")
     return cfg
 
 
@@ -238,9 +248,10 @@ def _model(cfg):
     return p, ActionModel(cfg["S12"], cfg["S34"])
 
 
-def _write_json(path, doc):
+def _write_json(path, doc, **ran):
     with open(path, "w") as fh:
-        json.dump(calibration.embed(doc), fh, indent=1, sort_keys=True)
+        json.dump(calibration.embed(doc, **ran), fh, indent=1,
+                  sort_keys=True)
 
 
 def cmd_spectrum(cfg, out, svg, check):
@@ -270,8 +281,8 @@ def cmd_spectrum(cfg, out, svg, check):
                     title="spectrum", xlabel="Re", ylabel="Im")
     if check:
         lam = s.eigenvalues
-        w_lo = spec.epsilon * min(spec.w_at(np.linspace(-spec.L, spec.L, 400)))
-        w_hi = spec.epsilon * max(spec.w_at(np.linspace(-spec.L, spec.L, 400)))
+        w = spec.w_at(np.linspace(-spec.L, spec.L, 400))
+        w_lo, w_hi = spec.epsilon * min(w), spec.epsilon * max(w)
         if lam.imag.min() < w_lo - 1e-6 or lam.imag.max() > w_hi + 1e-6:
             raise CheckFailure("numerical-range containment violated")
     return 0
@@ -338,7 +349,8 @@ def cmd_model(cfg, out, svg, check):
         "in_body": [bool(body.contains(z.location)) for z in zs.zeros],
     }
     export_json(out / "skeleton.json", sk, body)
-    _write_json(out / "model_report.json", doc)
+    _write_json(out / "model_report.json", doc, body_C=cfg["C_body"],
+                cell_budget=cfg["cell_budget"])
     if svg:
         from .svg import scatter_svg
         xs, ys = sk.all_samples()

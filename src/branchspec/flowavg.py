@@ -118,10 +118,6 @@ class BalancedLaurent:
     def __bool__(self):
         return bool(self.num)
 
-    def conj(self):
-        return _laurent({(k[2], k[3], k[0], k[1]): (re, -im)
-                         for k, (re, im) in self.num.items()}, self.den)
-
     def to_json_dict(self):
         out = {}
         for k, (re, im) in sorted(self.num.items()):

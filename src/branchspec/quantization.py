@@ -14,7 +14,7 @@ import numpy as np
 
 from .calibration import CALIBRATION
 from .errors import DegenerateError, NoConvergence, RegimeError, SectorEscape
-from .scaled import ScaledComplex, sum_exp, sum_exp_many
+from .scaled import ScaledComplex, sum_exp_many
 from .specfun import (
     LOG_SQRT_2PI,
     StirlingRegime,
@@ -267,7 +267,8 @@ def quantization_residual(mu, p, am, coeffs, theta):
         coeffs.log_c13 + 2j * np.pi * th1 + i_h * s34 + 1j * np.pi,
         coeffs.log_c14 + 1j * np.pi,
     ]
-    return sum_exp(logs, p.h)
+    vals, offs = sum_exp_many(np.array(logs)[:, None], p.h)
+    return ScaledComplex(complex(vals[0]), float(offs[0]))
 
 
 class GrushinVariant(enum.Enum):

@@ -19,24 +19,13 @@ class ScaledComplex:
     offset: float
 
 
-def sum_exp(log_values, h):
-    """Stable sum of exp(log_values) as a ScaledComplex.
-
-    log_values: array of complex logs (natural log of each term).
-    The common offset is h * max(Re log), i.e. the largest term modulus
-    expressed in action units, so |value| <= number of terms.
-    """
-    logs = np.asarray(log_values, dtype=complex)
-    m = float(logs.real.max())
-    val = complex(np.exp(logs - m).sum())
-    return ScaledComplex(val, m * h)
-
-
 def sum_exp_many(log_values, h):
-    """Vectorized sum_exp over the first axis: returns (values, offsets).
+    """Stable sums of exp(log_values) over the first axis: returns
+    (values, offsets), meaning values * exp(offsets / h).
 
     log_values: (k, ...) complex array of term logs, k terms per point.
-    offsets are in action units (h * max Re log).
+    The common offset of a point is h * max(Re log), i.e. the largest
+    term modulus expressed in action units, so |value| <= k.
     """
     logs = np.asarray(log_values, dtype=complex)
     m = logs.real.max(axis=0, keepdims=True)

@@ -23,6 +23,8 @@ from scipy import linalg as sla
 from .calibration import CALIBRATION
 from .errors import NoConvergence
 
+DENSE_MAX = 2000   # rows of the largest matrix eigensolve takes
+
 
 @dataclass
 class OperatorSpec:
@@ -260,8 +262,8 @@ def eigensolve(matrix, meta=None, symmetry="none"):
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ValueError("matrix must be square")
-    if n > 2000:
-        raise ValueError("dense path capped at N = 2000")
+    if n > DENSE_MAX:
+        raise ValueError(f"dense path capped at N = {DENSE_MAX}")
     blocks = _blocks(matrix, symmetry)
     try:
         parts = [sla.eigvals(block) for block, _ in blocks]
@@ -334,13 +336,7 @@ def _cluster_1d(values, gap):
     if len(values) == 0:
         return []
     vals = np.sort(values)
-    clusters = [[vals[0]]]
-    for v in vals[1:]:
-        if v - clusters[-1][-1] <= gap:
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    return clusters
+    return np.split(vals, np.flatnonzero(np.diff(vals) > gap) + 1)
 
 
 def branch_structure_report(s, spec):

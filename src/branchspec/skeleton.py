@@ -210,11 +210,6 @@ def _trace_at(pair, p, am, xs):
     return SkeletonCurve(xs=xs[ok], ys=ys[ok], gaps=gaps)
 
 
-def _curve_y_at(pair, x, p, am):
-    """y with (x, y) on Gamma_pair, via the shared residual function."""
-    return _solve_one(lambda mu: curve_residual(pair, mu, p, am), x, p.h)
-
-
 def _midpoints(lo, hi, depth):
     """The midpoints of the first `depth` bisection levels of [lo, hi],
     each computed as the bisection computes it.  A midpoint equal to an
@@ -232,9 +227,12 @@ def find_crossings(p, am, curve):
     Returns None for a crossing hidden outside the working range.
 
     curve is Gamma_{1,4-} traced over (-X_MAX, X_MAX).  Both crossings
-    are bisected in lockstep: each round solves the midpoints of the next
-    LOOKAHEAD levels of every open bracket in one _newton_y batch, and
-    each bisection then walks its own.
+    are bisected in rounds: each round solves the midpoints of the next
+    LOOKAHEAD levels of every open bracket in one _newton_y batch, then
+    walks each bracket down its own levels by the one-at-a-time rules.
+    _newton_y solves each abscissa independently of its batch, so a
+    midpoint's y has the bits of a one-point solve; only a visited
+    midpoint may raise.
     """
     mu = curve.xs + 1j * curve.ys
 
@@ -245,43 +243,9 @@ def find_crossings(p, am, curve):
         return -2 * np.pi * x \
             - sign * (np.imag(am.S12(m)) - np.imag(am.S34(m)))
 
-    def bisect(sign, i):
-        # the one-at-a-time bisection; when its next midpoint is not
-        # solved yet it yields the lookahead tree below its bracket and
-        # receives the tree's (y, converged) pairs.  _newton_y solves each
-        # abscissa independently of its batch, so a midpoint's y has the
-        # bits of a one-point solve; only a visited midpoint may raise.
-        lo, hi = float(curve.xs[i]), float(curve.xs[i + 1])
-        m_lo = complex(lo, curve.ys[i])
-        flo = line_val(sign, lo, m_lo)
-        m_hi = None
-        solved = {}
-        for step in range(60):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:   # adjacent doubles: fixed point
-                break
-            if mid not in solved:
-                tree = _midpoints(lo, hi, min(LOOKAHEAD, 60 - step))
-                solved = dict(zip(tree, (yield tree)))
-            y, converged = solved[mid]
-            if not converged:
-                raise _no_convergence(residual, mid, y)
-            m_mid = complex(mid, y)
-            fmid = line_val(sign, mid, m_mid)
-            if np.sign(fmid) == np.sign(flo):
-                lo, flo, m_lo = mid, fmid, m_mid
-            else:
-                hi, m_hi = mid, m_mid
-        # at the fixed point x_star is a bracket end, whose curve point is
-        # known unless hi is still the traced sample
-        x_star = 0.5 * (lo + hi)
-        if x_star == lo:
-            return m_lo
-        if x_star == hi and m_hi is not None:
-            return m_hi
-        return complex(x_star, _curve_y_at("1,4-", x_star, p, am))
-
-    found, walks = {}, {}
+    # brackets[sign] = (lo, hi, f(lo), curve point at lo, curve point at
+    # hi or None while hi is still the traced sample)
+    found, brackets = {}, {}
     for sign in (+1.0, -1.0):
         vals = line_val(sign, curve.xs, mu)
         exact = np.flatnonzero(vals == 0.0)
@@ -291,22 +255,46 @@ def find_crossings(p, am, curve):
         elif len(idx) == 0:
             found[sign] = None
         else:
-            walks[sign] = bisect(sign, idx[0])
-    replies = dict.fromkeys(walks)   # None starts each generator
-    while walks:
-        trees = {}
-        for sign, walk in walks.items():
-            try:
-                trees[sign] = walk.send(replies[sign])
-            except StopIteration as stop:
-                found[sign] = stop.value
-        walks = {sign: walks[sign] for sign in trees}
-        if trees:
-            xs = np.array([x for tree in trees.values() for x in tree])
-            ys, ok = _newton_y(residual, xs, p.h)
-            pairs = iter(zip(ys.tolist(), ok.tolist()))
-            replies = {sign: [next(pairs) for _ in tree]
-                       for sign, tree in trees.items()}
+            lo = float(curve.xs[idx[0]])
+            m_lo = complex(lo, curve.ys[idx[0]])
+            brackets[sign] = (lo, float(curve.xs[idx[0] + 1]),
+                              line_val(sign, lo, m_lo), m_lo, None)
+    # a walk uses up its whole tree or ends, so the open brackets share
+    # one step count
+    step = 0
+    while brackets:
+        depth = min(LOOKAHEAD, 60 - step)
+        trees = {sign: _midpoints(b[0], b[1], depth)
+                 for sign, b in brackets.items()}
+        xs = np.array([x for tree in trees.values() for x in tree])
+        ys, ok = _newton_y(residual, xs, p.h)
+        solved = iter(zip(ys.tolist(), ok.tolist()))
+        step += depth
+        for sign, tree in trees.items():
+            levels = {x: next(solved) for x in tree}
+            lo, hi, flo, m_lo, m_hi = brackets.pop(sign)
+            mid = 0.5 * (lo + hi)
+            # a midpoint equal to an end is the fixed point of adjacent
+            # doubles, and _midpoints leaves it out
+            while mid != lo and mid != hi and mid in levels:
+                y, converged = levels[mid]
+                if not converged:
+                    raise _no_convergence(residual, mid, y)
+                m_mid = complex(mid, y)
+                fmid = line_val(sign, mid, m_mid)
+                if np.sign(fmid) == np.sign(flo):
+                    lo, flo, m_lo = mid, fmid, m_mid
+                else:
+                    hi, m_hi = mid, m_mid
+                mid = 0.5 * (lo + hi)
+            if step < 60 and mid != lo and mid != hi:
+                brackets[sign] = (lo, hi, flo, m_lo, m_hi)
+            elif mid == lo:
+                found[sign] = m_lo
+            elif mid == hi and m_hi is not None:
+                found[sign] = m_hi
+            else:
+                found[sign] = complex(mid, _solve_one(residual, mid, p.h))
     return found[+1.0], found[-1.0]
 
 
@@ -515,7 +503,7 @@ def export_json(path, skeleton, body):
                     "n_samples": int(len(pc.xs))}
                    for pc in skeleton.s_prime],
     }
-    doc = embed(doc)
+    doc = embed(doc, body_C=skeleton.body_constant)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
     return doc

@@ -124,6 +124,25 @@ def test_model_cell_budget_default(tmp_path, monkeypatch):
     assert seen == [1234]
 
 
+def test_calibration_block_holds_the_overrides_that_ran(tmp_path,
+                                                       monkeypatch):
+    monkeypatch.setattr(cli, "locate_zeros", lambda f, rect, p, cell_budget:
+                        zerocount.ZeroSet(zeros=[], method="Winding"))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "h": 0.01, "epsilon": 0.03, "S12": [[0.01, 0.012], [0.3, 0.0]],
+        "S34": [[0.02, 0.02], [-0.2, 0.0]],
+        "rectangle": [0.06, 0.07, -0.02, 0.02],
+        "C_body": 5.0, "cell_budget": 1234}))
+    assert cli.main(["model", "--config", str(cfg), "--out",
+                     str(tmp_path)]) == 0
+    sk = json.loads((tmp_path / "skeleton.json").read_text())
+    report = json.loads((tmp_path / "model_report.json").read_text())
+    assert sk["body_constant"] == sk["calibration"]["body_C"] == 5.0
+    assert report["calibration"] == dict(CALIBRATION, body_C=5.0,
+                                         cell_budget=1234)
+
+
 def test_skeleton_json_reads_schema_version(tmp_path, monkeypatch):
     monkeypatch.setattr(calibration, "SCHEMA_VERSION", 7)
     p = quantization.SemiclassicalParams(h=0.01, epsilon=0.03)

@@ -326,6 +326,8 @@ CLASSIFY_CFG = {"schema_version": 1, "a": -1, "b": 1, "c": [1, 2]}
     ("spectrum", SPECTRUM_CFG, "W", [1e308, 1e308]),
     ("spectrum", dict(SPECTRUM_CFG, epsilon=0.8), "W", [1e308, 1e308]),
     ("spectrum", SPECTRUM_CFG, "V", [0, 0, 1e308]),
+    # exited 0 with a negative phase-space heuristic
+    ("spectrum", SPECTRUM_CFG, "window", [0.2, -0.2]),
 ])
 def test_malformed_config_names_its_key(tmp_path, capsys, command, base,
                                         field, value):

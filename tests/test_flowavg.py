@@ -97,7 +97,7 @@ def test_g0_defining_property_all_monomials_deg_le_6():
 def test_g0_zero_for_constants_and_reality():
     assert not weighted_average_G0(mono(0, 0, 0, 0))
     g0 = weighted_average_G0(zpoly_from_x({(4, 0): 1}))
-    assert g0 == g0.conj()
+    assert g0 == _conj(g0)
 
 
 def test_correlation_goldens():
@@ -356,6 +356,13 @@ def _laurent(pairs):
                               for k, v in pairs.items()})
 
 
+def _conj(q):
+    """The complex conjugate of q: z_j and zbar_j swap, and each
+    coefficient is conjugated."""
+    return _laurent({(k[2], k[3], k[0], k[1]): (re, -im)
+                     for k, (re, im) in _pairs(q).items()})
+
+
 def _poisson_pairs(f, g):
     """{f, g} over dicts key -> (re, im), bracketing every pair of terms."""
     out = {}
@@ -497,14 +504,14 @@ def real_laurent(draw):
         key = [a, a, b, b]
         key[j] = key[j + 2] = -n
         c = draw(RATIONALS)
-        q = q + BL({tuple(key): c}) + BL({tuple(key): c}).conj()
+        q = q + BL({tuple(key): c}) + _conj(BL({tuple(key): c}))
     return q
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(q1=real_laurent(), q2=real_laurent())
 def test_correlation_equals_all_pairs_oracle(q1, q2):
-    assert q1 == q1.conj() and q2 == q2.conj()
+    assert q1 == _conj(q1) and q2 == _conj(q2)
     c12 = correlation_C(q1, q2)
     assert c12 == _correlation_C_all_pairs(q1, q2)
     assert c12 == correlation_C(q2, q1)
@@ -635,13 +642,13 @@ def test_canonical_form():
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(q=LAURENTS, r=LAURENTS, s=LAURENTS, c=RATIONALS)
 def test_laurent_ring_laws(q, r, s, c):
-    for x in (q, q + r, q - r, q * r, q * c, q.conj()):
+    for x in (q, q + r, q - r, q * r, q * c, _conj(q)):
         assert _is_canonical(x)
     assert (q + r) - r == q
     assert q - q == BL() and not (q - q).num
     assert q * (r + s) == q * r + q * s
     assert (q + r) * c == q * c + c * r
-    assert q.conj().conj() == q
+    assert _conj(_conj(q)) == q
     assert BL.from_json_dict(q.to_json_dict()) == q
     # + and * against Fraction pairs
     total, prod = dict(_pairs(q)), {}

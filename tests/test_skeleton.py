@@ -279,6 +279,9 @@ def _find_crossings_reference(p, am, x_max=skeleton.WORK_DISK - 0.02):
     curve = trace_gamma("1,4-", p, am, (-x_max, x_max))
     mu = curve.xs + 1j * curve.ys
 
+    def residual(m):
+        return skeleton.curve_residual("1,4-", m, p, am)
+
     def crossing(sign):
         vals = -2 * np.pi * curve.xs - sign * (
             np.imag(am.S12(mu)) - np.imag(am.S34(mu)))
@@ -291,7 +294,7 @@ def _find_crossings_reference(p, am, x_max=skeleton.WORK_DISK - 0.02):
         lo, hi = float(curve.xs[idx[0]]), float(curve.xs[idx[0] + 1])
 
         def line_val(x):
-            m = complex(x, skeleton._curve_y_at("1,4-", x, p, am))
+            m = complex(x, skeleton._solve_one(residual, x, p.h))
             return -2 * np.pi * x - sign * (np.imag(am.S12(m))
                                             - np.imag(am.S34(m)))
 
@@ -304,7 +307,7 @@ def _find_crossings_reference(p, am, x_max=skeleton.WORK_DISK - 0.02):
             else:
                 hi = mid
         x_star = 0.5 * (lo + hi)
-        return complex(x_star, skeleton._curve_y_at("1,4-", x_star, p, am))
+        return complex(x_star, skeleton._solve_one(residual, x_star, p.h))
 
     return crossing(+1.0), crossing(-1.0)
 
@@ -347,10 +350,10 @@ def test_crossings_reuse_the_fixed_point_solve(monkeypatch):
     curve = _full_trace(p, am)
     solved = _recording_newton(monkeypatch)
 
-    def closing(pair, x, p, am):
+    def closing(residual, x, h):
         raise AssertionError(f"closing solve at x={x}")
 
-    monkeypatch.setattr(skeleton, "_curve_y_at", closing)
+    monkeypatch.setattr(skeleton, "_solve_one", closing)
     crossings = find_crossings(p, am, curve=curve)
     assert all(mu is not None for mu in crossings)
     assert [solved.count(mu.real) for mu in crossings] == [1, 1]
