@@ -20,6 +20,9 @@ CALIBRATION = {
     # zero counting
     "winding_phase_cap_rad": 1.5707963267948966,
     "cell_budget": 100000,
+    # the model locator polishes from Bohr-Sommerfeld roots where
+    # |Re mu| >= C h, and quadrisects only the branching strip inside
+    "seed_split_C": 6.0,
     "newton_residual_tol": 1e-9,
     "bs_residual_tol": 1e-12,
     # bijection rate floor: the BS Newton stops at residual 1e-12, so a

@@ -28,10 +28,13 @@ from .quantization import (
     bs_seeds,
 )
 from .skeleton import assemble, curve_residual, export_csv, export_json
-from .zerocount import (
+# locate_zeros stays bound here, unused: benchmark/tracing.py patches it
+from .zerocount import (  # noqa: F401
+    SEED_SPLIT_C,
     Contour,
     GProvider,
     export_zeros_csv,
+    locate_seeded,
     locate_zeros,
     match_bijection,
     winding_count,
@@ -108,6 +111,14 @@ def _positive(raw):
     if _integer(raw) < 1:
         raise ValueError("must be at least 1")
     return raw
+
+
+def _above_zero(raw):
+    """A finite number above 0, as a float."""
+    x = _real(raw)
+    if not x > 0:
+        raise ValueError("must be above 0")
+    return x
 
 
 def _reals(n=None):
@@ -189,7 +200,8 @@ _VERSION = {"schema_version": (_version, calibration.SCHEMA_VERSION)}
 _MODEL = {**_VERSION, "h": (_real, REQUIRED), "epsilon": (_real, 0.0),
           "S12": (_complex_coeffs, REQUIRED),
           "S34": (_complex_coeffs, REQUIRED), "description": (_text, ""),
-          "C_body": (_real, lambda cfg: calibration.CALIBRATION["body_C"])}
+          "C_body": (_above_zero,
+                     lambda cfg: calibration.CALIBRATION["body_C"])}
 _SCAN = {"b_range": (_grid, [-4, 4, 200]), "c_range": (_grid, [-4, 4, 200]),
          "d": (_rational, 2.5)}
 SCHEMAS = {
@@ -199,7 +211,7 @@ SCHEMAS = {
                  "dN": (_positive, lambda cfg: max(8, cfg["N"] // 10)),
                  "window": (_window, [-0.2, 0.2])},
     "model": {**_MODEL, "rectangle": (_rectangle, [-0.2, 0.2, -0.05, 0.05]),
-              "cell_budget": (_integer, lambda cfg:
+              "cell_budget": (_positive, lambda cfg:
                               calibration.CALIBRATION["cell_budget"])},
     "skeleton": _MODEL,
     "count": {**_MODEL, "rectangle": (_rectangle, REQUIRED)},
@@ -293,19 +305,48 @@ class CheckFailure(Exception):
 
 
 def _bs_roots_in_strip(p, am, branch, x_lo, x_hi):
+    """The branch's roots with x_lo <= Re mu <= x_hi, and how many of the
+    k tried failed to solve."""
     ends = np.real(_bs_phase(branch, np.array([x_lo, x_hi]) + 0j, p, am))
     k_lo = int(np.floor(ends.min() / (2 * np.pi * p.h) - 0.5))
     k_hi = int(np.ceil(ends.max() / (2 * np.pi * p.h) - 0.5))
     ks = range(k_lo - 1, k_hi + 2)
     roots = []
+    failed = 0
     for k, seed in zip(ks, bs_seeds(branch, ks, p, am)):
         try:
             r = bohr_sommerfeld_solve(branch, k, p, am, seed=seed)
         except BranchspecError:
+            failed += 1
             continue
         if x_lo <= r.mu.real <= x_hi:
             roots.append(r)
-    return roots
+    return roots, failed
+
+
+def _model_zeros(p, am, rect, cell_budget):
+    """The zeros of G in rect by locate_seeded, each side seeded from its
+    Bohr-Sommerfeld families: Ext on the left, LeftInt and RightInt on the
+    right.  Returns the ZeroSet, the LeftInt and RightInt roots with
+    max(5h, re0) <= Re mu <= re1 (the bijection's), and the locator block
+    of the report.  Each family is solved once."""
+    x_lo, x_hi = max(5 * p.h, rect[0]), rect[1]
+    cut = SEED_SPLIT_C * p.h
+    right, left, failed = [], [], 0
+    if x_hi > x_lo:
+        for branch in (BSBranch.LeftInt, BSBranch.RightInt):
+            roots, n = _bs_roots_in_strip(p, am, branch, x_lo, x_hi)
+            right += roots
+            failed += n
+    if rect[0] < -cut:
+        left, n = _bs_roots_in_strip(p, am, BSBranch.Ext, rect[0],
+                                     min(rect[1], -cut))
+        failed += n
+    zs, parts = locate_seeded(
+        GProvider(p, am).normalized_G, tuple(rect), p,
+        [r.mu for r in left], [r.mu for r in right if r.mu.real >= cut],
+        cell_budget)
+    return zs, right, {"parts": parts, "bs_failed": failed}
 
 
 def cmd_model(cfg, out, svg, check):
@@ -313,19 +354,12 @@ def cmd_model(cfg, out, svg, check):
     rect = cfg["rectangle"]
     sk, body = assemble(p, am, C_body=cfg["C_body"])
     export_csv(out / "skeleton.csv", sk.s_prime)
-    prov = GProvider(p, am)
-    zs = locate_zeros(prov.normalized_G, tuple(rect), p,
-                      cell_budget=cfg["cell_budget"])
+    zs, right, locator = _model_zeros(p, am, rect, cfg["cell_budget"])
     export_zeros_csv(out / "zeros.csv", zs)
-    # BS families in the right strip and the bijection report
+    # the bijection report on the right strip
     x_lo = max(5 * p.h, rect[0])
     x_hi = rect[1]
-    predicted = []
-    if x_hi > x_lo:
-        for branch in (BSBranch.LeftInt, BSBranch.RightInt):
-            predicted.extend(r.mu for r in
-                             _bs_roots_in_strip(p, am, branch, x_lo, x_hi))
-    predicted = [mu for mu in predicted if not body.in_exceptional_box(mu)]
+    predicted = [r.mu for r in right if not body.in_exceptional_box(r.mu)]
     in_strip = [z.location for z in zs.zeros
                 if x_lo <= z.location.real <= x_hi
                 and not body.in_exceptional_box(z.location)]
@@ -347,6 +381,7 @@ def cmd_model(cfg, out, svg, check):
         "unmatched": len(rep["unmatched_zeros"]) + len(rep["unmatched_predicted"]),
         "exceptional_box_census": census,
         "in_body": [bool(body.contains(z.location)) for z in zs.zeros],
+        "locator": locator,
     }
     export_json(out / "skeleton.json", sk, body)
     _write_json(out / "model_report.json", doc, body_C=cfg["C_body"],

@@ -23,6 +23,7 @@ from .errors import (
 
 PHASE_CAP = CALIBRATION["winding_phase_cap_rad"]   # pi/2
 NEWTON_TOL = CALIBRATION["newton_residual_tol"]
+SEED_SPLIT_C = CALIBRATION["seed_split_C"]
 # length cap C h / ln(1/<mu>_h) of an admissible curve's I intervals
 ADMISSIBLE_C = 10.0
 
@@ -232,13 +233,80 @@ def locate_zeros(f, region, p, cell_budget=CALIBRATION["cell_budget"]):
 
     root = (re0, re1, im0, im1)
     recurse(root, count(root))
-    # dedup: zeros closer than the polish scale are one zero
+    uniq = [z for z in _distinct(zeros, h) if z.residual <= NEWTON_TOL]
+    return ZeroSet(zeros=uniq, method="Winding")
+
+
+def _distinct(zeros, h):
+    """The zeros by residual, dropping any within the polish scale 1e-3 h
+    of one with a smaller residual: those are one zero."""
     uniq = []
     for z in sorted(zeros, key=lambda w: w.residual):
         if all(abs(z.location - u.location) > 1e-3 * h for u in uniq):
             uniq.append(z)
-    uniq = [z for z in uniq if z.residual <= NEWTON_TOL]
-    return ZeroSet(zeros=uniq, method="Winding")
+    return uniq
+
+
+def locate_seeded(f, region, p, left_seeds, right_seeds, cell_budget):
+    """The zeros of f in region, as locate_zeros finds them, with the
+    sides outside the branching strip |Re mu| < SEED_SPLIT_C h polished
+    from seeds instead of quadrisected.  For the model's G the seeds are
+    the Bohr-Sommerfeld roots, within e^{-pi |Re mu|/h} of the zeros.
+
+    The rectangle is split at Re mu = -+SEED_SPLIT_C h into left, strip
+    and right parts (empty ones skipped), and each is counted.  A side
+    keeps the distinct zeros in its closed part with residual
+    <= NEWTON_TOL that _newton_polish reaches from its seeds, and is
+    accepted when they are as many as its count.  The strip and each side
+    not accepted are quadrisected by one locate_zeros call on their union,
+    which is one rectangle, since the strip lies between the sides; if the
+    part counts do not add up to the whole count, that is the whole
+    rectangle.  cell_budget bounds every winding count made, those of
+    locate_zeros included.
+
+    Returns (ZeroSet, parts): per part its bounds, count and how it was
+    solved, "seeded", "quadtree" (the strip) or "fallback".
+    """
+    h = p.h
+    re0, re1, im0, im1 = region
+    cut = SEED_SPLIT_C * h
+    spans = [("left", re0, min(re1, -cut), left_seeds),
+             ("strip", max(re0, -cut), min(re1, cut), None),
+             ("right", max(re0, cut), re1, right_seeds)]
+    parts = [({"part": name, "bounds": [a0, a1, im0, im1]}, seeds)
+             for name, a0, a1, seeds in spans if a0 < a1]
+    # the whole count, and one per part when there are several
+    budget = cell_budget - (1 if len(parts) == 1 else 1 + len(parts))
+    if budget < 0:
+        raise CellBudgetExceeded("cell budget exceeded",
+                                 partial=ZeroSet([], "Winding"))
+    whole = winding_count(f, Contour.rectangle(*region), h=h)
+    for part, _ in parts:
+        part["count"] = whole if len(parts) == 1 else winding_count(
+            f, Contour.rectangle(*part["bounds"]), h=h)
+    conserved = sum(part["count"] for part, _ in parts) == whole
+    zeros = []
+    for part, seeds in parts:
+        part["solved"] = "fallback"
+        if not conserved:
+            continue
+        if seeds is None:
+            part["solved"] = "quadtree"
+            continue
+        a0, a1, b0, b1 = part["bounds"]
+        polished = [Zero(*_newton_polish(f, s, h)) for s in seeds]
+        kept = _distinct([z for z in polished if z.residual <= NEWTON_TOL
+                          and a0 <= z.location.real <= a1
+                          and b0 <= z.location.imag <= b1], h)
+        if len(kept) == part["count"]:
+            part["solved"] = "seeded"
+            zeros += kept
+    rest = [part["bounds"] for part, _ in parts if part["solved"] != "seeded"]
+    if rest:
+        union = (min(b[0] for b in rest), max(b[1] for b in rest), im0, im1)
+        zeros += locate_zeros(f, union, p, cell_budget=budget).zeros
+    return (ZeroSet(zeros=_distinct(zeros, h), method="Winding"),
+            [part for part, _ in parts])
 
 
 def grid_newton_count(f, region, p):

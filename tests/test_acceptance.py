@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from branchspec.calibration import CALIBRATION
+from branchspec.cli import _model_zeros
 from branchspec.quantization import (
     ActionModel,
     BSBranch,
@@ -244,9 +245,7 @@ def test_criterion_07_skeleton_containment():
     for i in range(10):
         am = physical_model(rng, p.epsilon)
         sk, body = assemble(p, am, C_body=10.0)
-        prov = GProvider(p, am)
-        zs = locate_zeros(prov.normalized_G, (-0.1, 0.1, -0.03, 0.02), p,
-                          cell_budget=400000)
+        zs = _model_zeros(p, am, (-0.1, 0.1, -0.03, 0.02), 400000)[0]
         total += len(zs)
         for z in zs.zeros:
             if not body.contains(z.location):
@@ -269,7 +268,7 @@ def test_criterion_08_bijection_strip():
     predicted = []
     for branch in (BSBranch.LeftInt, BSBranch.RightInt):
         predicted.extend(r.mu for r in
-                         _bs_roots_in_strip(p, am, branch, x_lo, x_hi))
+                         _bs_roots_in_strip(p, am, branch, x_lo, x_hi)[0])
     # numerical position floor: the BS-branch Newton stops at residual
     # 1e-12, i.e. position error ~1e-12/|phi'|; the analytic bound dips
     # far below double precision for Re mu >~ 0.12 (README)

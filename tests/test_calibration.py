@@ -57,6 +57,14 @@ SOURCES = {
         (lambda: zerocount.PHASE_CAP, "winding_phase_cap_rad"),
     "zerocount.NEWTON_TOL":
         (lambda: zerocount.NEWTON_TOL, "newton_residual_tol"),
+    "zerocount.SEED_SPLIT_C":
+        (lambda: zerocount.SEED_SPLIT_C, "seed_split_C"),
+    "locate_seeded(split)":
+        (lambda: _global_read(zerocount.locate_seeded, "SEED_SPLIT_C"),
+         "seed_split_C"),
+    "_model_zeros(split)":
+        (lambda: _global_read(cli._model_zeros, "SEED_SPLIT_C"),
+         "seed_split_C"),
     "locate_zeros(cell_budget)":
         (lambda: _default(zerocount.locate_zeros, "cell_budget"),
          "cell_budget"),
@@ -108,11 +116,11 @@ def test_every_calibration_key_is_read():
 def test_model_cell_budget_default(tmp_path, monkeypatch):
     seen = []
 
-    def fake_locate(f, rect, p, cell_budget):
+    def fake_locate(f, rect, p, left_seeds, right_seeds, cell_budget):
         seen.append(cell_budget)
-        return zerocount.ZeroSet(zeros=[], method="Winding")
+        return zerocount.ZeroSet(zeros=[], method="Winding"), []
 
-    monkeypatch.setattr(cli, "locate_zeros", fake_locate)
+    monkeypatch.setattr(cli, "locate_seeded", fake_locate)
     monkeypatch.setitem(CALIBRATION, "cell_budget", 1234)
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
@@ -126,8 +134,10 @@ def test_model_cell_budget_default(tmp_path, monkeypatch):
 
 def test_calibration_block_holds_the_overrides_that_ran(tmp_path,
                                                        monkeypatch):
-    monkeypatch.setattr(cli, "locate_zeros", lambda f, rect, p, cell_budget:
-                        zerocount.ZeroSet(zeros=[], method="Winding"))
+    monkeypatch.setattr(cli, "locate_seeded",
+                        lambda f, rect, p, left_seeds, right_seeds,
+                        cell_budget: (zerocount.ZeroSet(zeros=[],
+                                                        method="Winding"), []))
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
         "h": 0.01, "epsilon": 0.03, "S12": [[0.01, 0.012], [0.3, 0.0]],

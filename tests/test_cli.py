@@ -328,6 +328,13 @@ CLASSIFY_CFG = {"schema_version": 1, "a": -1, "b": 1, "c": [1, 2]}
     ("spectrum", SPECTRUM_CFG, "V", [0, 0, 1e308]),
     # exited 0 with a negative phase-space heuristic
     ("spectrum", SPECTRUM_CFG, "window", [0.2, -0.2]),
+    # model --check exited 0 (Body.contains squares the radius), and at 0
+    # failed its check as "a zero escaped the body" (exit 4)
+    ("model", MODEL_CFG, "C_body", -5.0),
+    ("model", MODEL_CFG, "C_body", 0),
+    # exited 3, "numerical failure: cell budget exceeded"
+    ("model", MODEL_CFG, "cell_budget", 0),
+    ("model", MODEL_CFG, "cell_budget", -3),
 ])
 def test_malformed_config_names_its_key(tmp_path, capsys, command, base,
                                         field, value):
@@ -443,13 +450,13 @@ def _no_bijection(monkeypatch):
 
 def _many_zeros_in_the_box(monkeypatch):
     """Every zero, repeated 100 times, counts in the exceptional box."""
-    locate = cli.locate_zeros
+    locate = cli.locate_seeded
 
     def repeated(*args, **kwargs):
-        zs = locate(*args, **kwargs)
-        return zerocount.ZeroSet(zs.zeros * 100, zs.method)
+        zs, parts = locate(*args, **kwargs)
+        return zerocount.ZeroSet(zs.zeros * 100, zs.method), parts
 
-    monkeypatch.setattr(cli, "locate_zeros", repeated)
+    monkeypatch.setattr(cli, "locate_seeded", repeated)
     monkeypatch.setattr(skeleton.Body, "in_exceptional_box",
                         lambda self, mu: True)
 
@@ -533,7 +540,7 @@ def test_bs_solves_go_through_the_cli_name_once_per_k(tmp_path, monkeypatch):
     seeds.clear()
     p, am = cli._model(cli._load_config(_write(tmp_path, "m.json", MODEL_CFG),
                                         "model"))
-    roots = cli._bs_roots_in_strip(p, am, BSBranch.RightInt, 0.05, 0.2)
+    roots, _ = cli._bs_roots_in_strip(p, am, BSBranch.RightInt, 0.05, 0.2)
     assert len(seeds) == 1
     tried = list(seeds[0][0][1])
     assert tried == list(range(tried[0], tried[-1] + 1))

@@ -427,17 +427,17 @@ def test_assemble_left_piece_is_its_own_trace(seed):
 # build may need new values.
 EXPORT_SHA256 = {
     (3e-4, 0): ("c3338fe8e1b78ce6c6a4024ddfea49ae3bbc2b80a50176ce9532aeeea855e82e",
-                "6c01a693308e3ba37bb8597fa338eec3633e0ad8ff8c705bc6fd6e676df8399a"),
+                "567d573ac031e141ecd93beefd085a7e7371677a000068875c85ae97287a9124"),
     (3e-4, 17): ("7f4dcb2574a26c978d8f89e7d75ca5b9d912419e59adc05bdf4831e8e7e8efd7",
-                 "26b39e5be56fa82554fe1c9e2f4bfced3d31b6fae5e3793ca601b1ca6ee28e04"),
+                 "81a70eac40ac0363996663a6b832687f9d9d80febe7c85eeb425123c94010418"),
     (3e-4, 23): ("1ef4fd12dc107c95b72d99a804306aa3126613108738143474ffe84a85282698",
-                 "72823995a19925a69550e733a1d9cc44e2bc16edcead4c29cb7a3d74d4fe4500"),
+                 "3046bd1ca6013965990e826b7652c32bdcf836fc16dbce49cc02c38a1daf2b13"),
     (1e-3, 0): ("38a58fc578005eb99b70022fbf03fd425dba8ee3776c9c6bdf161a7d34970ccd",
-                "c95519de81f84b8528a16ece48a1ced0e39d06d2e222dfa51300a42d790d6c62"),
+                "dbb3cb33684e38647b2899bc36f8af11ce03e8785d5d4d47befaccd98c9316e5"),
     (1e-3, 17): ("8525a92e2e2a08b06fbe899e7d9af86a72ecf70560abf9fa965519bda1d86759",
-                 "dfe9c6154d3934daba6ee24e69e090e4fb9a61033945c1b56e7ba8cece91a0b4"),
+                 "2a73e56e3eacd220e94c4bc467e1cf174450c9a0f9dcc3307047d488cb703aad"),
     (1e-3, 23): ("aaecf9898ba176ded69342b225f652fe8352d8e83e54bf898c10e7d0b2291462",
-                 "4e1f52131e5ec61d52df409462c6884cffcefdb12b7f4ee36802cd07deb5183a"),
+                 "1e5c75f04b40a94ac78f65ad1b0d366d7acc4e6e243f4c2dc9cb5b3ccfc683bd"),
 }
 
 

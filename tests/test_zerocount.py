@@ -1,5 +1,6 @@
 """Winding counts, zero location, admissible-curve phase sums, bijections."""
 
+import functools
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from branchspec import zerocount
+from branchspec import cli, zerocount
 from branchspec.cli import main
 from branchspec.errors import (
     CellBudgetExceeded,
@@ -397,8 +398,8 @@ def test_unconserved_child_counts_raise_typed_error(tmp_path, monkeypatch):
     calls = []
 
     def fake_winding(f, contour, h=None):
-        calls.append(contour)
-        return 1 if len(calls) == 1 else 0
+        calls.append(np.ptp(contour.vertices.real))
+        return 1 if calls[-1] == max(calls) else 0
 
     monkeypatch.setattr(zerocount, "winding_count", fake_winding)
     p = SemiclassicalParams(h=0.01, epsilon=0.0)
@@ -407,7 +408,8 @@ def test_unconserved_child_counts_raise_typed_error(tmp_path, monkeypatch):
     assert exc.value.cell == (-1.0, 1.0, -1.0, 1.0)
     assert exc.value.count == 1
     assert exc.value.children == [0, 0, 0, 0]
-    # the CLI reports it as a numerical failure
+    # the CLI reports it as a numerical failure: the model's seeds find
+    # more zeros than the one counted, so the rectangle is quadrisected
     calls.clear()
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
@@ -526,3 +528,102 @@ def test_locate_zeros_sees_the_same_points_as_reference():
     old, zs_old = _recorded(run, f, reference=True)
     assert zs_new == zs_old
     assert new == old and len(new) > 1000
+
+
+# --- the seeded locator ---------------------------------------------------
+
+SEEDED_P = SemiclassicalParams(h=0.01, epsilon=3e-2)
+SEEDED_AM = ActionModel([0.01 + 0.012j, 0.3], [0.02 + 0.02j, -0.2])
+SEEDED_RECT = (-0.2, 0.2, -0.05, 0.05)
+
+
+@functools.cache
+def _quadtree_zeros(region):
+    return locate_zeros(GProvider(SEEDED_P, SEEDED_AM).normalized_G, region,
+                        SEEDED_P).locations()
+
+
+def _same_zeros(zs, region):
+    """zs is the zero set locate_zeros finds in region, to 1e-12."""
+    ref = _quadtree_zeros(region)
+    got = zs.locations()
+    assert len(got) == len(ref) > 0
+    d = np.abs(got[:, None] - ref[None, :])
+    assert max(d.min(axis=0).max(), d.min(axis=1).max()) <= 1e-12
+    residuals = [z.residual for z in zs.zeros]
+    assert residuals == sorted(residuals) and zs.method == "Winding"
+
+
+def _solved(locator):
+    return [(part["part"], part["solved"]) for part in locator["parts"]]
+
+
+@pytest.mark.parametrize("region,solved", [
+    (SEEDED_RECT, [("left", "seeded"), ("strip", "quadtree"),
+                   ("right", "seeded")]),
+    # wholly right, starting exactly at the split 6h: no strip part
+    ((0.06, 0.14, -0.04, 0.04), [("right", "seeded")]),
+    ((-0.05, 0.05, -0.04, 0.04), [("strip", "quadtree")]),
+    ((-0.2, -0.07, -0.04, 0.04), [("left", "seeded")]),
+])
+def test_seeded_locator_finds_the_quadtree_zeros(region, solved):
+    zs, _, locator = cli._model_zeros(SEEDED_P, SEEDED_AM, region, 100000)
+    assert _solved(locator) == solved
+    assert sum(part["count"] for part in locator["parts"]) == len(zs)
+    _same_zeros(zs, region)
+
+
+@pytest.mark.parametrize("side", ["left_seeds", "right_seeds"])
+def test_a_dropped_seed_makes_its_side_fall_back(monkeypatch, side):
+    locate = cli.locate_seeded
+
+    def dropping(f, region, p, left_seeds, right_seeds, cell_budget):
+        seeds = {"left_seeds": left_seeds, "right_seeds": right_seeds}
+        seeds[side] = seeds[side][1:]
+        return locate(f, region, p, cell_budget=cell_budget, **seeds)
+
+    monkeypatch.setattr(cli, "locate_seeded", dropping)
+    zs, _, locator = cli._model_zeros(SEEDED_P, SEEDED_AM, SEEDED_RECT,
+                                      100000)
+    solved = dict(_solved(locator))
+    assert solved[side.split("_")[0]] == "fallback"
+    assert list(solved.values()).count("seeded") == 1
+    _same_zeros(zs, SEEDED_RECT)
+
+
+def test_part_counts_that_do_not_add_up_fall_back_whole(monkeypatch):
+    # the second count made, the left part's, reads one zero too many
+    count = zerocount.winding_count
+    calls = []
+
+    def miscount(f, contour, h):
+        calls.append(contour)
+        return count(f, contour, h=h) + (len(calls) == 2)
+
+    monkeypatch.setattr(zerocount, "winding_count", miscount)
+    zs, _, locator = cli._model_zeros(SEEDED_P, SEEDED_AM, SEEDED_RECT,
+                                      100000)
+    assert locator["parts"][0]["count"] == 9 + 1
+    assert _solved(locator) == [("left", "fallback"), ("strip", "fallback"),
+                                ("right", "fallback")]
+    # the quadtree's root cell is the whole rectangle
+    assert np.array_equal(calls[4].vertices,
+                          Contour.rectangle(*SEEDED_RECT).vertices)
+    monkeypatch.setattr(zerocount, "winding_count", count)
+    _same_zeros(zs, SEEDED_RECT)
+
+
+def test_cell_budget_bounds_every_count_of_the_seeded_locator(monkeypatch):
+    calls = []
+    count = zerocount.winding_count
+    monkeypatch.setattr(zerocount, "winding_count",
+                        lambda f, contour, h: calls.append(contour)
+                        or count(f, contour, h=h))
+    cli._model_zeros(SEEDED_P, SEEDED_AM, SEEDED_RECT, 100000)
+    used = len(calls)
+    calls.clear()
+    cli._model_zeros(SEEDED_P, SEEDED_AM, SEEDED_RECT, used)
+    assert len(calls) == used
+    for budget in (used - 1, 3):
+        with pytest.raises(CellBudgetExceeded):
+            cli._model_zeros(SEEDED_P, SEEDED_AM, SEEDED_RECT, budget)
