@@ -324,13 +324,18 @@ def _bs_roots_in_strip(p, am, branch, x_lo, x_hi):
     return roots, failed
 
 
+def _bijection_strip(p, rect):
+    """(x_lo, x_hi) of the bijection's strip max(5h, re0) <= Re mu <= re1."""
+    return max(5 * p.h, rect[0]), rect[1]
+
+
 def _model_zeros(p, am, rect, cell_budget):
     """The zeros of G in rect by locate_seeded, each side seeded from its
     Bohr-Sommerfeld families: Ext on the left, LeftInt and RightInt on the
     right.  Returns the ZeroSet, the LeftInt and RightInt roots with
     max(5h, re0) <= Re mu <= re1 (the bijection's), and the locator block
     of the report.  Each family is solved once."""
-    x_lo, x_hi = max(5 * p.h, rect[0]), rect[1]
+    x_lo, x_hi = _bijection_strip(p, rect)
     cut = SEED_SPLIT_C * p.h
     right, left, failed = [], [], 0
     if x_hi > x_lo:
@@ -357,8 +362,7 @@ def cmd_model(cfg, out, svg, check):
     zs, right, locator = _model_zeros(p, am, rect, cfg["cell_budget"])
     export_zeros_csv(out / "zeros.csv", zs)
     # the bijection report on the right strip
-    x_lo = max(5 * p.h, rect[0])
-    x_hi = rect[1]
+    x_lo, x_hi = _bijection_strip(p, rect)
     predicted = [r.mu for r in right if not body.in_exceptional_box(r.mu)]
     in_strip = [z.location for z in zs.zeros
                 if x_lo <= z.location.real <= x_hi

@@ -5,6 +5,7 @@ reduced quasi-eigenvalues.  Four algebraically equivalent representations
 cover the sectors around the positive/negative imaginary axis and the
 |mu| = O(h) disk; all of them are exact rewritings (the Stirling
 remainders are kept exactly), so regime overlaps agree to rounding.
+_regime_key and _REGIMES are the one rule that picks a representation.
 """
 
 import enum
@@ -115,45 +116,20 @@ def case2_admissible(mu):
     return _angdist(np.angle(mu), -np.pi / 2) <= np.pi - 1.0 / SECTOR_C
 
 
+def _regime_key(mu, p):
+    """The _REGIMES key of mu, elementwise.  np.abs, not abs: Python's
+    abs of a complex can round |mu| one ulp lower."""
+    return case1_admissible(mu), np.abs(mu) < SMALL_C1 * p.h
+
+
 def choose_regime(mu, p):
-    """Regime for a single mu; ties favor Case 1 and the large form."""
+    """The regime eval_G picks at a single mu; RegimeError where neither
+    case is admissible (a NaN mu)."""
     mu = complex(mu)
-    small = abs(mu) < SMALL_C1 * p.h
-    if case1_admissible(mu) or mu == 0:
-        return Regime.Case1Small if small else Regime.Case1Large
-    if case2_admissible(mu):
-        return Regime.Case2Small if small else Regime.Case2Large
-    raise RegimeError(f"mu={mu} admissible for neither case")
-
-
-@dataclass(frozen=True)
-class Term:
-    label: str
-    log_value: complex
-    rate: float
-
-
-@dataclass
-class TermSet:
-    """The labeled exponential terms of G in one regime at one mu."""
-
-    terms: tuple
-
-    @property
-    def labels(self):
-        return tuple(t.label for t in self.terms)
-
-    def log_value(self, label):
-        for t in self.terms:
-            if t.label == label:
-                return t.log_value
-        raise KeyError(label)
-
-    def rate(self, label):
-        for t in self.terms:
-            if t.label == label:
-                return t.rate
-        raise KeyError(label)
+    case1, small = _regime_key(mu, p)
+    if not case1 and not case2_admissible(mu):
+        raise RegimeError(f"mu={mu} admissible for neither case")
+    return _REGIMES[bool(case1), bool(small)]
 
 
 def _log_terms(mu, p, am, regime):
@@ -203,13 +179,10 @@ def _log_terms(mu, p, am, regime):
 
 
 def term_set(mu, p, am):
-    """TermSet at one mu in its choose_regime regime, with rates
-    r_j = h Re(log a_j)."""
+    """{label: log a_j} at one mu in its choose_regime regime."""
     mu = complex(mu)
     logs, labels = _log_terms(np.array([mu]), p, am, choose_regime(mu, p))
-    terms = tuple(Term(lab, complex(logs[i, 0]), p.h * float(logs[i, 0].real))
-                  for i, lab in enumerate(labels))
-    return TermSet(terms=terms)
+    return {lab: complex(logs[i, 0]) for i, lab in enumerate(labels)}
 
 
 def eval_G(mu, p, am):
@@ -223,9 +196,7 @@ def eval_G(mu, p, am):
     """
     mu = np.asarray(mu, dtype=complex)
     flat = mu.ravel()
-    small = np.abs(flat) < SMALL_C1 * p.h
-    c1 = (_angdist(np.angle(flat), np.pi / 2) <= np.pi - 1.0 / SECTOR_C) \
-        | (flat == 0)
+    c1, small = _regime_key(flat, p)
     if flat.size and (small == small[0]).all() and (c1 == c1[0]).all():
         regime = _REGIMES[bool(c1[0]), bool(small[0])]
         vals, offs = sum_exp_many(_log_terms(flat, p, am, regime)[0], p.h)
@@ -233,10 +204,8 @@ def eval_G(mu, p, am):
 
     vals = np.empty(flat.shape, dtype=complex)
     offs = np.empty(flat.shape, dtype=float)
-    for r, mask in [(Regime.Case1Large, c1 & ~small),
-                    (Regime.Case1Small, c1 & small),
-                    (Regime.Case2Large, ~c1 & ~small),
-                    (Regime.Case2Small, ~c1 & small)]:
+    for (case1, is_small), r in _REGIMES.items():
+        mask = (c1 == case1) & (small == is_small)
         if mask.any():
             logs, _ = _log_terms(flat[mask], p, am, r)
             vals[mask], offs[mask] = sum_exp_many(logs, p.h)
@@ -295,7 +264,7 @@ def det_E_minus_plus(variant, mu, p, coeffs, theta, am):
         extra = -(2j * np.pi * (th1 + th2) + 1j * (s34 + s12) / p.h)
     if not np.isfinite(div):
         raise DegenerateError(f"dividing coefficient log is {div}")
-    scale = max(np.real(t.log_value) for t in term_set(mu, p, am).terms)
+    scale = max(v.real for v in term_set(mu, p, am).values())
     if np.real(div) - scale < -650.0:
         raise DegenerateError("dividing coefficient underflows in log space")
     shift = extra - div

@@ -17,7 +17,7 @@ import numpy as np
 
 from .calibration import CALIBRATION, SCHEMA_VERSION, embed
 from .errors import NoConvergence
-from .quantization import SECTOR_C, SMALL_C1, SemiclassicalParams
+from .quantization import SMALL_C1, SemiclassicalParams, case1_admissible
 from .specfun import LOG_SQRT_2PI, StirlingRegime, _remainder, log_gamma
 
 WORK_DISK = 0.3     # |mu| radius where the curve machinery is trusted
@@ -198,14 +198,11 @@ def _trace_at(pair, p, am, xs):
     """Gamma_pair at the abscissas xs, failed samples dropped into .gaps."""
     ys, ok = _newton_y(lambda mu: curve_residual(pair, mu, p, am),
                        xs, p.h)
-    # clip samples that drift into the forbidden cone of the large-regime
-    # representation (near the negative imaginary axis); gaps are
-    # recorded, never interpolated across
-    mu = xs + 1j * ys
+    # clip samples that drift out of case 1 (into the cone around the
+    # negative imaginary axis) outside the small disk; gaps are recorded,
+    # never interpolated across
     small = mu_h_norm(xs, p.h) <= SMALL_C1 * p.h
-    from .specfun import _angdist
-    forbidden = ~small & (_angdist(np.angle(mu), -np.pi / 2) < 1.0 / SECTOR_C)
-    ok &= ~forbidden
+    ok &= small | case1_admissible(xs + 1j * ys)
     gaps = [float(x) for x in xs[~ok]]
     return SkeletonCurve(xs=xs[ok], ys=ys[ok], gaps=gaps)
 

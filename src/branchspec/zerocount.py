@@ -20,6 +20,7 @@ from .errors import (
     NotAdmissible,
     OnContourZero,
 )
+from .quantization import term_set
 
 PHASE_CAP = CALIBRATION["winding_phase_cap_rad"]   # pi/2
 NEWTON_TOL = CALIBRATION["newton_residual_tol"]
@@ -148,7 +149,6 @@ class Zero:
 @dataclass
 class ZeroSet:
     zeros: list
-    method: str
 
     def locations(self):
         return np.array([z.location for z in self.zeros])
@@ -200,7 +200,7 @@ def locate_zeros(f, region, p, cell_budget=CALIBRATION["cell_budget"]):
         state["budget"] -= 1
         if state["budget"] < 0:
             raise CellBudgetExceeded("cell budget exceeded",
-                                     partial=ZeroSet(zeros, "Winding"))
+                                     partial=ZeroSet(zeros))
         a0, a1, b0, b1 = cell
         return winding_count(f, Contour.rectangle(a0, a1, b0, b1), h=h)
 
@@ -234,7 +234,7 @@ def locate_zeros(f, region, p, cell_budget=CALIBRATION["cell_budget"]):
     root = (re0, re1, im0, im1)
     recurse(root, count(root))
     uniq = [z for z in _distinct(zeros, h) if z.residual <= NEWTON_TOL]
-    return ZeroSet(zeros=uniq, method="Winding")
+    return ZeroSet(zeros=uniq)
 
 
 def _distinct(zeros, h):
@@ -279,7 +279,7 @@ def locate_seeded(f, region, p, left_seeds, right_seeds, cell_budget):
     budget = cell_budget - (1 if len(parts) == 1 else 1 + len(parts))
     if budget < 0:
         raise CellBudgetExceeded("cell budget exceeded",
-                                 partial=ZeroSet([], "Winding"))
+                                 partial=ZeroSet([]))
     whole = winding_count(f, Contour.rectangle(*region), h=h)
     for part, _ in parts:
         part["count"] = whole if len(parts) == 1 else winding_count(
@@ -305,7 +305,7 @@ def locate_seeded(f, region, p, left_seeds, right_seeds, cell_budget):
     if rest:
         union = (min(b[0] for b in rest), max(b[1] for b in rest), im0, im1)
         zeros += locate_zeros(f, union, p, cell_budget=budget).zeros
-    return (ZeroSet(zeros=_distinct(zeros, h), method="Winding"),
+    return (ZeroSet(zeros=_distinct(zeros, h)),
             [part for part, _ in parts])
 
 
@@ -405,15 +405,11 @@ def _check_admissible(curve, p):
 
 
 class GProvider:
-    """Bundles (params, actions): term sets and normalized G values."""
+    """Bundles (params, actions) for the normalized G values."""
 
     def __init__(self, p, am):
         self.p = p
         self.am = am
-
-    def __call__(self, mu):
-        from .quantization import term_set
-        return term_set(complex(mu), self.p, self.am)
 
     def normalized_G(self, z):
         from .quantization import eval_G
@@ -422,7 +418,7 @@ class GProvider:
 
 
 def _combined_log(ts, l1, l2):
-    a, b = ts.log_value(l1), ts.log_value(l2)
+    a, b = ts[l1], ts[l2]
     m = max(a.real, b.real)
     return m + np.log(np.exp(a - m) + np.exp(b - m))
 
@@ -442,12 +438,12 @@ def phase_sum_count(curve, provider):
     dominance_slack = p.h * np.log(np.log(1.0 / p.h))
 
     def log_term(mu, label):
-        ts = provider(mu)
-        if label in ("4+", "4-") and "4+" in ts.labels:
+        ts = term_set(mu, p, provider.am)
+        if label in ("4+", "4-") and "4+" in ts:
             return _combined_log(ts, "4+", "4-")
-        if label in ("1+", "1-") and "1+" in ts.labels:
+        if label in ("1+", "1-") and "1+" in ts:
             return _combined_log(ts, "1+", "1-")
-        return ts.log_value(label)
+        return ts[label]
 
     estimate = 0.0
     for kind, i0, i1, label in curve.segments:
@@ -455,11 +451,11 @@ def phase_sum_count(curve, provider):
             continue
         idx = np.unique(np.linspace(i0, i1, 20).astype(int))
         for i in idx:
-            ts = provider(curve.path[i])
-            if label not in ts.labels:
+            ts = term_set(curve.path[i], p, provider.am)
+            if label not in ts:
                 raise NotAdmissible(f"label {label} absent at {curve.path[i]}")
-            r_dom = ts.rate(label)
-            others = [t.rate for t in ts.terms if t.label != label]
+            r_dom = p.h * ts[label].real
+            others = [p.h * v.real for lab, v in ts.items() if lab != label]
             if r_dom < max(others) - dominance_slack:
                 raise NotAdmissible(f"{label} not dominant at {curve.path[i]}")
         # phase difference via a continuity-tracked log along the segment
@@ -514,9 +510,11 @@ def match_bijection(zeros, predicted, rate):
 
 
 def export_zeros_csv(path, zeroset):
+    """zeros.csv: re, im, residual and a method column, which is
+    "Winding" for every zero (the locators all count by winding)."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["re", "im", "residual", "method"])
         for z in zeroset.zeros:
             w.writerow([repr(z.location.real), repr(z.location.imag),
-                        repr(z.residual), zeroset.method])
+                        repr(z.residual), "Winding"])

@@ -298,7 +298,7 @@ def _crossing_curve(x0, p, am, sk, c_i=2.0, n=1200):
 
     mid = 0.5 * (low + up)
     ts = term_set(complex(x0, mid), p, am)
-    lab = "2" if ts.rate("2") >= ts.rate("3") else "3"
+    lab = "2" if p.h * ts["2"].real >= p.h * ts["3"].real else "3"
     segs = [("J", 0, idx(low - w), "4+"),
             ("I", idx(low - w), idx(low + w), None),
             ("J", idx(low + w), idx(up - w), lab),
@@ -322,7 +322,7 @@ def _closed_loop_curve(x0, x1, lo, up, p, am, sk, n_side=500):
     def mid_label(x):
         mid = 0.5 * (sk.lower(x) + sk.upper(x))
         ts = term_set(complex(x, mid), p, am)
-        return "2" if ts.rate("2") >= ts.rate("3") else "3"
+        return "2" if p.h * ts["2"].real >= p.h * ts["3"].real else "3"
 
     def idx_on(base, val, off):
         return off + int(np.argmin(np.abs(base - val)))
@@ -412,7 +412,7 @@ def test_criterion_09_phase_sum():
         return int(np.argmin(np.abs(ys - y)))
 
     ts = term_set(complex(x0, 0.5 * (low + up)), p, am2)
-    lab = "2" if ts.rate("2") >= ts.rate("3") else "3"
+    lab = "2" if p.h * ts["2"].real >= p.h * ts["3"].real else "3"
     curve = AdmissibleCurve(
         path=path,
         segments=[("J", 0, idx(low - w_e), "4+"),

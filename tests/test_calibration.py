@@ -62,6 +62,9 @@ SOURCES = {
     "locate_seeded(split)":
         (lambda: _global_read(zerocount.locate_seeded, "SEED_SPLIT_C"),
          "seed_split_C"),
+    "case1_admissible(sector)":
+        (lambda: _global_read(quantization.case1_admissible, "SECTOR_C"),
+         "sector_C"),
     "_model_zeros(split)":
         (lambda: _global_read(cli._model_zeros, "SEED_SPLIT_C"),
          "seed_split_C"),
@@ -118,7 +121,7 @@ def test_model_cell_budget_default(tmp_path, monkeypatch):
 
     def fake_locate(f, rect, p, left_seeds, right_seeds, cell_budget):
         seen.append(cell_budget)
-        return zerocount.ZeroSet(zeros=[], method="Winding"), []
+        return zerocount.ZeroSet(zeros=[]), []
 
     monkeypatch.setattr(cli, "locate_seeded", fake_locate)
     monkeypatch.setitem(CALIBRATION, "cell_budget", 1234)
@@ -136,8 +139,7 @@ def test_calibration_block_holds_the_overrides_that_ran(tmp_path,
                                                        monkeypatch):
     monkeypatch.setattr(cli, "locate_seeded",
                         lambda f, rect, p, left_seeds, right_seeds,
-                        cell_budget: (zerocount.ZeroSet(zeros=[],
-                                                        method="Winding"), []))
+                        cell_budget: (zerocount.ZeroSet(zeros=[]), []))
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
         "h": 0.01, "epsilon": 0.03, "S12": [[0.01, 0.012], [0.3, 0.0]],

@@ -454,7 +454,7 @@ def _many_zeros_in_the_box(monkeypatch):
 
     def repeated(*args, **kwargs):
         zs, parts = locate(*args, **kwargs)
-        return zerocount.ZeroSet(zs.zeros * 100, zs.method), parts
+        return zerocount.ZeroSet(zs.zeros * 100), parts
 
     monkeypatch.setattr(cli, "locate_seeded", repeated)
     monkeypatch.setattr(skeleton.Body, "in_exceptional_box",

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from branchspec import quantization
-from branchspec.errors import BranchspecError, NoConvergence, SectorEscape
+from branchspec.errors import (
+    BranchspecError,
+    NoConvergence,
+    RegimeError,
+    SectorEscape,
+)
 from branchspec.quantization import (
     ActionModel,
     BSBranch,
@@ -59,15 +64,26 @@ def test_choose_regime_examples():
     assert choose_regime(-0.1j, p) is Regime.Case2Large
     assert choose_regime(-0.003j, p) is Regime.Case2Small
     assert choose_regime(0.0, p) is Regime.Case1Small
-
-
-def test_rates_match_log_values():
-    p = params(h=0.01)
+    with pytest.raises(RegimeError):
+        choose_regime(complex(np.nan, 0.0), p)
+    # one ulp either side of the sector edges arg mu = -pi/2 -+ 1/C and of
+    # |mu| = C1 h, and the four signed zeros: choose_regime names the form
+    # whose one-point sum eval_G returns, bit for bit
     am = ActionModel([0.02, 0.3 + 0.01j], [0.01j, -0.2])
-    for mu in [0.2, 0.1 + 0.05j, -0.15 + 0.02j, 0.004j]:
-        ts = term_set(mu, p, am)
-        for t in ts.terms:
-            assert t.rate == pytest.approx(p.h * t.log_value.real, abs=1e-12)
+    rs = quantization.SMALL_C1 * p.h
+    radii = [np.nextafter(rs, 0), rs, np.nextafter(rs, 1), 0.5 * rs, 5 * rs]
+    mus = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+    mus += [sgn * r for r in radii for sgn in (1, -1, 1j, -1j)]
+    for edge in (-np.pi / 2 - _EDGE, -np.pi / 2 + _EDGE):
+        for th in (np.nextafter(edge, -4), edge, np.nextafter(edge, 4)):
+            mus += [r * np.exp(1j * th) for r in radii]
+    seen = set()
+    for mu in mus:
+        regime = choose_regime(mu, p)
+        seen.add(regime)
+        want = _bits(_forced([mu], p, am, regime))
+        assert _bits(eval_G(np.array([mu]), p, am)) == want, (mu, regime)
+    assert seen == set(Regime)
 
 
 def test_rate_example_and_sum_rule():
@@ -76,14 +92,14 @@ def test_rate_example_and_sum_rule():
     p = params(h=0.01)
     ts = term_set(0.2, p, ZERO_AM)
     assert choose_regime(0.2, p) is Regime.Case1Large
-    assert ts.rate("2") == pytest.approx(np.pi / 2 * 0.2, abs=1e-12)
-    assert ts.rate("3") == pytest.approx(np.pi / 2 * 0.2, abs=1e-12)
+    assert p.h * ts["2"].real == pytest.approx(np.pi / 2 * 0.2, abs=1e-12)
+    assert p.h * ts["3"].real == pytest.approx(np.pi / 2 * 0.2, abs=1e-12)
     # Y(mu) = Re mu arg(-i mu) - Im mu + h Re(remainder), minus branch
     y = 0.2 * np.angle(-0.2j) + p.h * stirling_remainder(
         0.2, p.h, StirlingRegime.MinusBranch).real
-    assert ts.rate("4+") == pytest.approx(np.pi * 0.2 + y, abs=1e-12)
-    lhs = ts.rate("2") + ts.rate("3")
-    rhs = ts.rate("1") + ts.rate("4+")
+    assert p.h * ts["4+"].real == pytest.approx(np.pi * 0.2 + y, abs=1e-12)
+    lhs = p.h * ts["2"].real + p.h * ts["3"].real
+    rhs = p.h * ts["1"].real + p.h * ts["4+"].real
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -92,8 +108,8 @@ def test_sum_rule_small_regime():
     am = ActionModel([0.05j], [0.02j])
     ts = term_set(0.03 + 0.01j, p, am)
     assert choose_regime(0.03 + 0.01j, p) is Regime.Case1Small
-    assert ts.rate("2") + ts.rate("3") == pytest.approx(
-        ts.rate("1") + ts.rate("4+"), abs=1e-12)
+    assert p.h * ts["2"].real + p.h * ts["3"].real == pytest.approx(
+        p.h * ts["1"].real + p.h * ts["4+"].real, abs=1e-12)
 
 
 def test_factorization_identity_case1():
@@ -112,8 +128,8 @@ def test_a4_vanishes_on_cosh_ladder():
     p = params(h=0.001)
     mu = 1j * 3.5 * p.h
     ts = term_set(mu, p, ZERO_AM)
-    a4 = np.exp(ts.log_value("4+")) + np.exp(ts.log_value("4-"))
-    assert abs(a4) <= 1e-10 * abs(np.exp(ts.log_value("4+")))
+    a4 = np.exp(ts["4+"]) + np.exp(ts["4-"])
+    assert abs(a4) <= 1e-10 * abs(np.exp(ts["4+"]))
 
 
 def test_regime_overlap_consistency():
@@ -316,7 +332,7 @@ def test_g_sign_change_near_skeleton_curve():
     diffs = []
     for y in ys:
         ts = term_set(complex(x0, y), p, am)
-        diffs.append(ts.rate("2") - ts.rate("4+"))
+        diffs.append(p.h * ts["2"].real - p.h * ts["4+"].real)
     diffs = np.array(diffs)
     crossings = ys[:-1][np.diff(np.sign(diffs)) != 0]
     assert len(crossings) >= 1

@@ -224,10 +224,10 @@ def test_gamma34_combined_vs_pm():
     def y_combined(x):
         def g(y):
             ts = term_set(complex(x, y), p, am)
-            l4p, l4m = ts.log_value("4+"), ts.log_value("4-")
+            l4p, l4m = ts["4+"], ts["4-"]
             m = max(l4p.real, l4m.real)
             comb = m + np.log(abs(np.exp(l4p - m) + np.exp(l4m - m)))
-            return ts.rate("3") - p.h * comb
+            return p.h * ts["3"].real - p.h * comb
         return brentq(g, -1.5 * p.h, 10 * p.h, xtol=1e-14)
 
     for x in [0.5 * p.h, 1.5 * p.h, 3 * p.h]:
