@@ -25,6 +25,7 @@ from .quantization import term_set
 PHASE_CAP = CALIBRATION["winding_phase_cap_rad"]   # pi/2
 NEWTON_TOL = CALIBRATION["newton_residual_tol"]
 SEED_SPLIT_C = CALIBRATION["seed_split_C"]
+STRIP_GRID_C = CALIBRATION["strip_grid_C"]
 # length cap C h / ln(1/<mu>_h) of an admissible curve's I intervals
 ADMISSIBLE_C = 10.0
 
@@ -248,24 +249,26 @@ def _distinct(zeros, h):
 
 
 def locate_seeded(f, region, p, left_seeds, right_seeds, cell_budget):
-    """The zeros of f in region, as locate_zeros finds them, with the
-    sides outside the branching strip |Re mu| < SEED_SPLIT_C h polished
-    from seeds instead of quadrisected.  For the model's G the seeds are
-    the Bohr-Sommerfeld roots, within e^{-pi |Re mu|/h} of the zeros.
+    """The zeros of f in region, as locate_zeros finds them, polished
+    from seeds instead of quadrisected.  For the model's G the seeds of
+    the sides outside the branching strip |Re mu| < SEED_SPLIT_C h are
+    the Bohr-Sommerfeld roots, within e^{-pi |Re mu|/h} of the zeros; the
+    strip's are the grid minima of |f| at spacing h/STRIP_GRID_C.
 
     The rectangle is split at Re mu = -+SEED_SPLIT_C h into left, strip
-    and right parts (empty ones skipped), and each is counted.  A side
+    and right parts (empty ones skipped), and each is counted.  A part
     keeps the distinct zeros in its closed part with residual
     <= NEWTON_TOL that _newton_polish reaches from its seeds, and is
-    accepted when they are as many as its count.  The strip and each side
-    not accepted are quadrisected by one locate_zeros call on their union,
-    which is one rectangle, since the strip lies between the sides; if the
-    part counts do not add up to the whole count, that is the whole
-    rectangle.  cell_budget bounds every winding count made, those of
-    locate_zeros included.
+    accepted when they are as many as its count (Kravanja and Van Barel:
+    count first, then locate).  The parts not accepted are quadrisected
+    by one locate_zeros call on their union, which is one rectangle, so a
+    strip accepted between two sides that are not is quadrisected too and
+    reads "fallback"; if the part counts do not add up to the whole
+    count, the union is the whole rectangle.  cell_budget bounds every
+    winding count made, those of locate_zeros included.
 
-    Returns (ZeroSet, parts): per part its bounds, count and how it was
-    solved, "seeded", "quadtree" (the strip) or "fallback".
+    Returns (ZeroSet, parts): per part its bounds, count, the number of
+    seeds polished and how it was solved, "seeded" or "fallback".
     """
     h = p.h
     re0, re1, im0, im1 = region
@@ -287,13 +290,14 @@ def locate_seeded(f, region, p, left_seeds, right_seeds, cell_budget):
     conserved = sum(part["count"] for part, _ in parts) == whole
     zeros = []
     for part, seeds in parts:
-        part["solved"] = "fallback"
+        part["seeds"], part["solved"] = 0, "fallback"
         if not conserved:
             continue
-        if seeds is None:
-            part["solved"] = "quadtree"
-            continue
         a0, a1, b0, b1 = part["bounds"]
+        if seeds is None:
+            n = [max(3, int(w * STRIP_GRID_C / h)) for w in (a1 - a0, b1 - b0)]
+            seeds = _grid_seeds(f, part["bounds"], *n)
+        part["seeds"] = len(seeds)
         polished = [Zero(*_newton_polish(f, s, h)) for s in seeds]
         kept = _distinct([z for z in polished if z.residual <= NEWTON_TOL
                           and a0 <= z.location.real <= a1
@@ -303,10 +307,38 @@ def locate_seeded(f, region, p, left_seeds, right_seeds, cell_budget):
             zeros += kept
     rest = [part["bounds"] for part, _ in parts if part["solved"] != "seeded"]
     if rest:
-        union = (min(b[0] for b in rest), max(b[1] for b in rest), im0, im1)
-        zeros += locate_zeros(f, union, p, cell_budget=budget).zeros
+        lo, hi = min(b[0] for b in rest), max(b[1] for b in rest)
+        for part, _ in parts:
+            if lo <= part["bounds"][0] and part["bounds"][1] <= hi:
+                part["solved"] = "fallback"
+        zeros += locate_zeros(f, (lo, hi, im0, im1), p,
+                              cell_budget=budget).zeros
     return (ZeroSet(zeros=_distinct(zeros, h)),
             [part for part, _ in parts])
+
+
+def _grid_seeds(f, region, nx, ny):
+    """The local minima of |f| below 0.5 on an nx x ny grid, in row-major
+    order.  The grid spans region padded by two steps each way, so that
+    zeros hugging the boundary still give interior minima.  f is
+    evaluated 2048 points at a time, which bounds the memory of a fine
+    grid."""
+    re0, re1, im0, im1 = region
+    padx = 2 * (re1 - re0) / nx
+    pady = 2 * (im1 - im0) / ny
+    xs = np.linspace(re0 - padx, re1 + padx, nx)
+    ys = np.linspace(im0 - pady, im1 + pady, ny)
+    Z = xs + 1j * ys[:, None]
+    z = Z.ravel()
+    A = np.empty(z.shape)
+    for i in range(0, z.size, 2048):
+        A[i:i + 2048] = np.abs(f(z[i:i + 2048]))
+    A = A.reshape(Z.shape)
+    interior = A[1:-1, 1:-1]
+    mask = interior < 0.5
+    for neighbour in (A[:-2, 1:-1], A[2:, 1:-1], A[1:-1, :-2], A[1:-1, 2:]):
+        mask &= interior <= neighbour
+    return Z[1:-1, 1:-1][mask]
 
 
 def grid_newton_count(f, region, p):
@@ -320,23 +352,6 @@ def grid_newton_count(f, region, p):
     nx = max(40, int((re1 - re0) / (h / 6)))
     ny = max(40, int((im1 - im0) / (h / 6)))
     nx, ny = min(nx, 1200), min(ny, 1200)
-    # pad the scan beyond the rectangle so boundary-hugging zeros still
-    # produce interior grid minima; roots are filtered to the rectangle
-    padx = 2 * (re1 - re0) / nx
-    pady = 2 * (im1 - im0) / ny
-    xs = np.linspace(re0 - padx, re1 + padx, nx)
-    ys = np.linspace(im0 - pady, im1 + pady, ny)
-    X, Y = np.meshgrid(xs, ys)
-    Z = X + 1j * Y
-    A = np.abs(f(Z.ravel())).reshape(Z.shape)
-    # local minima of |f|
-    interior = A[1:-1, 1:-1]
-    neigh = np.minimum.reduce([A[:-2, 1:-1], A[2:, 1:-1],
-                               A[1:-1, :-2], A[1:-1, 2:]])
-    mask = interior <= neigh
-    cand = Z[1:-1, 1:-1][mask]
-    vals = interior[mask]
-    cand = cand[vals < 0.5]
     roots = []
     outside = []
 
@@ -350,7 +365,7 @@ def grid_newton_count(f, region, p):
                 all(abs(z - r) > 1e-3 * h for r in outside):
             bucket.append(z)
 
-    for z0 in cand:
+    for z0 in _grid_seeds(f, region, nx, ny):
         try_seed(z0)
     # near-twin zeros share one grid basin, and a basin minimum can drain
     # to a zero just outside the rectangle; reseed on circles around every

@@ -59,6 +59,11 @@ SOURCES = {
         (lambda: zerocount.NEWTON_TOL, "newton_residual_tol"),
     "zerocount.SEED_SPLIT_C":
         (lambda: zerocount.SEED_SPLIT_C, "seed_split_C"),
+    "zerocount.STRIP_GRID_C":
+        (lambda: zerocount.STRIP_GRID_C, "strip_grid_C"),
+    "locate_seeded(strip grid)":
+        (lambda: _global_read(zerocount.locate_seeded, "STRIP_GRID_C"),
+         "strip_grid_C"),
     "locate_seeded(split)":
         (lambda: _global_read(zerocount.locate_seeded, "SEED_SPLIT_C"),
          "seed_split_C"),

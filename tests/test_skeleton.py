@@ -427,17 +427,17 @@ def test_assemble_left_piece_is_its_own_trace(seed):
 # build may need new values.
 EXPORT_SHA256 = {
     (3e-4, 0): ("c3338fe8e1b78ce6c6a4024ddfea49ae3bbc2b80a50176ce9532aeeea855e82e",
-                "567d573ac031e141ecd93beefd085a7e7371677a000068875c85ae97287a9124"),
+                "ee2f8da21d4e18c0cb06481e688957b9e701c727fdc7eaf4b6a3f4769b79de98"),
     (3e-4, 17): ("7f4dcb2574a26c978d8f89e7d75ca5b9d912419e59adc05bdf4831e8e7e8efd7",
-                 "81a70eac40ac0363996663a6b832687f9d9d80febe7c85eeb425123c94010418"),
+                 "0c51b1ef9eb27d222699a105cfc4b660b761304c56b68f2291c128bb729db9fd"),
     (3e-4, 23): ("1ef4fd12dc107c95b72d99a804306aa3126613108738143474ffe84a85282698",
-                 "3046bd1ca6013965990e826b7652c32bdcf836fc16dbce49cc02c38a1daf2b13"),
+                 "8e73c010d520866ed443f278f7a3378af0a856a7b3323a6f565d630f4e341c4c"),
     (1e-3, 0): ("38a58fc578005eb99b70022fbf03fd425dba8ee3776c9c6bdf161a7d34970ccd",
-                "dbb3cb33684e38647b2899bc36f8af11ce03e8785d5d4d47befaccd98c9316e5"),
+                "b96446723182c88c1dd0106fa6fb376bfbc36e548afbc518ea6abf76364b9539"),
     (1e-3, 17): ("8525a92e2e2a08b06fbe899e7d9af86a72ecf70560abf9fa965519bda1d86759",
-                 "2a73e56e3eacd220e94c4bc467e1cf174450c9a0f9dcc3307047d488cb703aad"),
+                 "dd2bc50c91d6e0dfca19fec32864a2bab7b2ccf0d9d7717c6f89d7919b95c07c"),
     (1e-3, 23): ("aaecf9898ba176ded69342b225f652fe8352d8e83e54bf898c10e7d0b2291462",
-                 "1e5c75f04b40a94ac78f65ad1b0d366d7acc4e6e243f4c2dc9cb5b3ccfc683bd"),
+                 "cf2bcfe602dc6281af4989885fcf84ccb4395d8432e09bfd0ee51c0f77dfcda4"),
 }
 
 

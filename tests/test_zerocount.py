@@ -583,12 +583,14 @@ def _solved(locator):
 
 
 @pytest.mark.parametrize("region,solved", [
-    (SEEDED_RECT, [("left", "seeded"), ("strip", "quadtree"),
+    (SEEDED_RECT, [("left", "seeded"), ("strip", "seeded"),
                    ("right", "seeded")]),
     # wholly right, starting exactly at the split 6h: no strip part
     ((0.06, 0.14, -0.04, 0.04), [("right", "seeded")]),
-    ((-0.05, 0.05, -0.04, 0.04), [("strip", "quadtree")]),
+    ((-0.05, 0.05, -0.04, 0.04), [("strip", "seeded")]),
     ((-0.2, -0.07, -0.04, 0.04), [("left", "seeded")]),
+    # a strip narrower than one step h/16 of its grid
+    ((0.0599, 0.14, -0.04, 0.04), [("strip", "seeded"), ("right", "seeded")]),
 ])
 def test_seeded_locator_finds_the_quadtree_zeros(region, solved):
     zs, _, locator = cli._model_zeros(SEEDED_P, SEEDED_AM, region, 100000)
@@ -611,8 +613,67 @@ def test_a_dropped_seed_makes_its_side_fall_back(monkeypatch, side):
                                       100000)
     solved = dict(_solved(locator))
     assert solved[side.split("_")[0]] == "fallback"
-    assert list(solved.values()).count("seeded") == 1
+    assert list(solved.values()).count("seeded") == 2
     _same_zeros(zs, SEEDED_RECT)
+
+
+def test_a_strip_between_two_sides_that_fall_back_falls_back(monkeypatch):
+    # the sides' union takes in the strip, whose seeds were still tried
+    locate = cli.locate_seeded
+    monkeypatch.setattr(cli, "locate_seeded",
+                        lambda f, region, p, left_seeds, right_seeds,
+                        cell_budget: locate(f, region, p, left_seeds[1:],
+                                            right_seeds[1:], cell_budget))
+    zs, _, locator = cli._model_zeros(SEEDED_P, SEEDED_AM, SEEDED_RECT,
+                                      100000)
+    assert _solved(locator) == [("left", "fallback"), ("strip", "fallback"),
+                                ("right", "fallback")]
+    assert [part["seeds"] for part in locator["parts"]] == [8, 16, 9]
+    _same_zeros(zs, SEEDED_RECT)
+
+
+def test_a_dropped_grid_seed_makes_the_strip_fall_back(monkeypatch):
+    # the strip's first three grid seeds all drain to its zero nearest 0,
+    # and its last is the only seed of the zero at 0.0423 + 0.0059j
+    seeds = zerocount._grid_seeds
+    tried = []
+    monkeypatch.setattr(zerocount, "_grid_seeds",
+                        lambda *args: tried.append(seeds(*args)[:-1])
+                        or tried[-1])
+    zs, _, locator = cli._model_zeros(SEEDED_P, SEEDED_AM, SEEDED_RECT,
+                                      100000)
+    assert _solved(locator) == [("left", "seeded"), ("strip", "fallback"),
+                                ("right", "seeded")]
+    # the report shows the seeds tried against the count
+    assert [part["seeds"] for part in locator["parts"]] == [9, len(tried[0]),
+                                                           10]
+    _same_zeros(zs, SEEDED_RECT)
+
+
+@settings(derandomize=True, max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2 ** 20), re0=st.floats(-0.14, -0.065),
+       re1=st.floats(0.065, 0.14), im0=st.floats(-0.05, -0.01),
+       im1=st.floats(0.01, 0.05))
+def test_seeded_locator_equals_the_quadtree_on_random_models(seed, re0, re1,
+                                                            im0, im1):
+    # a random physical model at h = 0.01 and a random rectangle that
+    # straddles the branching strip
+    p = SemiclassicalParams(h=0.01, epsilon=3e-2)
+    rng = np.random.default_rng(seed)
+    im = p.epsilon * rng.uniform(0.2, 1.0, 2)
+    re = rng.uniform(-0.05, 0.05, 2)
+    sl = rng.uniform(-0.3, 0.3, 2)
+    am = ActionModel([re[0] + 1j * im[0], sl[0]],
+                     [re[1] + 1j * im[1], sl[1]])
+    region = (re0, re1, im0, im1)
+    zs, _, locator = cli._model_zeros(p, am, region, 100000)
+    ref = locate_zeros(GProvider(p, am).normalized_G, region, p).locations()
+    assert sum(part["count"] for part in locator["parts"]) == len(ref)
+    got = zs.locations()
+    assert len(got) == len(ref)
+    if len(ref):
+        d = np.abs(got[:, None] - ref[None, :])
+        assert max(d.min(axis=0).max(), d.min(axis=1).max()) <= 1e-12
 
 
 def test_part_counts_that_do_not_add_up_fall_back_whole(monkeypatch):
