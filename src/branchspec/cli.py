@@ -313,13 +313,11 @@ def _bs_roots_in_strip(p, am, branch, x_lo, x_hi):
     ks = range(k_lo - 1, k_hi + 2)
     roots = []
     failed = 0
-    for k, seed in zip(ks, bs_seeds(branch, ks, p, am)):
-        try:
-            r = bohr_sommerfeld_solve(branch, k, p, am, seed=seed)
-        except BranchspecError:
+    for r in bohr_sommerfeld_solve(branch, ks, p, am,
+                                   bs_seeds(branch, ks, p, am)):
+        if isinstance(r, BranchspecError):
             failed += 1
-            continue
-        if x_lo <= r.mu.real <= x_hi:
+        elif x_lo <= r.mu.real <= x_hi:
             roots.append(r)
     return roots, failed
 
@@ -461,13 +459,14 @@ def cmd_bs(cfg, out, svg, check):
     ks = range(cfg["k_min"], cfg["k_max"] + 1)
     rows = []
     failures = []
-    for k, seed in zip(ks, bs_seeds(branch, ks, p, am)):
-        try:
-            r = bohr_sommerfeld_solve(branch, k, p, am, seed=seed)
-            rows.append((k, r.mu.real, r.mu.imag, r.residual, 1))
-        except BranchspecError as exc:
+    results = bohr_sommerfeld_solve(branch, ks, p, am,
+                                    bs_seeds(branch, ks, p, am))
+    for k, r in zip(ks, results):
+        if isinstance(r, BranchspecError):
             rows.append((k, float("nan"), float("nan"), float("nan"), 0))
-            failures.append(f"k={k}: {type(exc).__name__}: {exc}")
+            failures.append(f"k={k}: {type(r).__name__}: {r}")
+        else:
+            rows.append((k, r.mu.real, r.mu.imag, r.residual, 1))
     with open(out / "bs_roots.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "re", "im", "residual", "converged"])

@@ -285,15 +285,41 @@ class BSRoot:
     iterations: int
 
 
+def _cmul(a, b):
+    """a * b for complex arrays, rounded as the scalar product rounds it:
+    four products and two sums.  numpy's array multiply may fuse
+    multiply-adds, which round differently."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _horner_unfused(c, x):
+    """_horner with each step's product by _cmul, so that an array x gives
+    every point the bits of a scalar x."""
+    c0 = c[-1] + x * 0
+    for ci in c[-2::-1]:
+        c0 = ci + _cmul(c0, x)
+    return c0
+
+
 def _bs_phase(branch, mu, p, am):
-    """The branch's Bohr-Sommerfeld phase: _bs_target without its rhs."""
+    """The branch's Bohr-Sommerfeld phase: _bs_target without its rhs.
+    An array mu gives each point the bits of a scalar mu, so one call
+    serves a family's lanes."""
+    mu = np.asarray(mu, dtype=complex)
     h = p.h
     rem = _remainder(mu, h, StirlingRegime.MinusBranch)
     if branch is BSBranch.Ext:
-        return (am.S12(mu) + am.S34(mu) + 2 * mu * (np.log(-mu) - 1)
+        return (_horner_unfused(am.s12, mu)
+                + _horner_unfused(am.s34, mu)
+                + _cmul(2 * mu, np.log(-mu) - 1)
                 + np.pi * h / 2 + 2j * h * rem)
-    s = am.S34(mu) if branch is BSBranch.LeftInt else am.S12(mu)
-    return mu * np.log(mu) - mu + np.pi * h / 4 + s + 1j * h * rem
+    s = _horner_unfused(
+        am.s34 if branch is BSBranch.LeftInt else am.s12, mu)
+    return _cmul(mu, np.log(mu)) - mu + np.pi * h / 4 + s + 1j * h * rem
 
 
 def _bs_rhs(p, k):
@@ -346,35 +372,59 @@ def bs_seeds(branch, ks, p, am):
     return np.where(found, 0.5 * (lo + hi), np.nan)
 
 
-def bohr_sommerfeld_solve(branch, k, p, am, seed):
-    """Newton solution of the branch quantization condition for index k
-    from seed, its bs_seeds real seed (NaN for none).
+def bohr_sommerfeld_solve(branch, ks, p, am, seeds):
+    """Newton solutions of the branch quantization condition for every k
+    in ks, each from its bs_seeds real seed (NaN for none).
 
-    Raises SectorEscape if the iterate leaves the branch's truncated
-    sector and NoConvergence (carrying the last iterate) after 60 steps.
+    The k are lanes: each round evaluates the phase of the open lanes in
+    one call, and at their central-difference points (only for the lanes
+    not yet converged) in two more; each lane then steps exactly as a
+    solve of its k alone would, bit for bit.  Returns, per k, its BSRoot
+    or the error its solve ends in: SectorEscape if the iterate leaves
+    the branch's truncated sector, NoConvergence (carrying the last
+    iterate) after 60 steps or without a seed.
     """
     h = p.h
-    if np.isnan(seed):
-        raise NoConvergence(
-            f"no real seed for {branch.name} k={k}", last=None)
-    mu = complex(seed)
-
     delta = h * 1e-3
-    for it in range(60):
-        f = _bs_target(branch, mu, p, am, k)
-        if abs(f) <= BS_RESIDUAL_TOL:
-            return BSRoot(mu=mu, residual=abs(f), iterations=it)
-        df = (_bs_target(branch, mu + delta, p, am, k)
-              - _bs_target(branch, mu - delta, p, am, k)) / (2 * delta)
-        step = f / df
-        # damp overly large steps
-        max_step = 0.2 * max(abs(mu), h)
-        if abs(step) > max_step:
-            step *= max_step / abs(step)
-        mu = mu - step
-        if not _in_sector(branch, mu, p):
-            raise SectorEscape(
-                f"{branch.name} k={k} left its sector at {mu}", last=mu)
-    f = _bs_target(branch, mu, p, am, k)
-    raise NoConvergence(f"{branch.name} k={k} did not converge",
-                        last=mu, residual=abs(f))
+    ks = list(ks)
+    out = [NoConvergence(f"no real seed for {branch.name} k={k}", last=None)
+           if np.isnan(s) else None for k, s in zip(ks, seeds)]
+    mu = [complex(s) for s in seeds]
+    lanes = [i for i, r in enumerate(out) if r is None]
+    for it in range(61):
+        if not lanes:
+            break
+        k = np.array([ks[i] for i in lanes])
+        z = np.array([mu[i] for i in lanes])
+        f = _bs_target(branch, z, p, am, k)
+        # the per-lane arithmetic is on scalars: numpy's array abs and
+        # division round differently
+        going = []
+        for n, (i, fi) in enumerate(zip(lanes, f)):
+            if it == 60:
+                out[i] = NoConvergence(
+                    f"{branch.name} k={ks[i]} did not converge",
+                    last=mu[i], residual=abs(fi))
+            elif abs(fi) <= BS_RESIDUAL_TOL:
+                out[i] = BSRoot(mu=mu[i], residual=abs(fi), iterations=it)
+            else:
+                going.append(n)
+        if not going:
+            break
+        z, k = z[going], k[going]
+        diff = (_bs_target(branch, z + delta, p, am, k)
+                - _bs_target(branch, z - delta, p, am, k))
+        lanes = [lanes[n] for n in going]
+        for i, fi, d in zip(lanes, f[going], diff):
+            step = fi / (d / (2 * delta))
+            # damp overly large steps
+            max_step = 0.2 * max(abs(mu[i]), h)
+            if abs(step) > max_step:
+                step *= max_step / abs(step)
+            mu[i] = mu[i] - step
+            if not _in_sector(branch, mu[i], p):
+                out[i] = SectorEscape(
+                    f"{branch.name} k={ks[i]} left its sector at {mu[i]}",
+                    last=mu[i])
+        lanes = [i for i in lanes if out[i] is None]
+    return out

@@ -158,29 +158,47 @@ class ZeroSet:
         return len(self.zeros)
 
 
-def _newton_polish(f, z0, h):
-    """Newton with central-difference derivative, step h*1e-3."""
-    z = complex(z0)
+def _newton_polish(f, seeds, h):
+    """Newton with central-difference derivative, step h*1e-3, from every
+    seed at once.  The seeds are lanes: each round makes three calls of f,
+    at z + delta, at z - delta and at the new iterates, each over the open
+    lanes, and each lane steps as a polish of its seed alone would.  A
+    single seed makes one-point calls only.  Returns one (z, residual)
+    per seed."""
     delta = h * 1e-3
-    fz = complex(f(np.array([z]))[0])
+    z = [complex(s) for s in seeds]
+    if not z:
+        return []
+    fz = [complex(v) for v in f(np.array(z))]
+    lanes = list(range(len(z)))
     for _ in range(50):
-        if abs(fz) <= 0.0:
-            return z, abs(fz)
-        d = complex((f(np.array([z + delta])) - f(np.array([z - delta])))[0]) \
-            / (2 * delta)
-        if d == 0:
+        # the stop tests are written so that a NaN lane steps on
+        lanes = [i for i in lanes if not abs(fz[i]) <= 0.0]
+        if not lanes:
             break
-        step = fz / d
-        if abs(step) > h:
-            step *= h / abs(step)
-        z_new = z - step
-        f_new = complex(f(np.array([z_new]))[0])
-        if abs(f_new) >= abs(fz) and abs(fz) <= NEWTON_TOL:
-            return z, abs(fz)
-        z, fz = z_new, f_new
-        if abs(step) < 1e-17 * max(1.0, abs(z)):
+        zs = np.array([z[i] for i in lanes])
+        diff = f(zs + delta) - f(zs - delta)
+        going, z_new = [], []
+        for i, dv in zip(lanes, diff):
+            d = complex(dv) / (2 * delta)
+            if d == 0:
+                continue
+            step = fz[i] / d
+            if abs(step) > h:
+                step *= h / abs(step)
+            going.append((i, step))
+            z_new.append(z[i] - step)
+        if not going:
             break
-    return z, abs(fz)
+        lanes = []
+        for (i, step), zn, fn in zip(going, z_new, f(np.array(z_new))):
+            f_new = complex(fn)
+            if abs(f_new) >= abs(fz[i]) and abs(fz[i]) <= NEWTON_TOL:
+                continue
+            z[i], fz[i] = zn, f_new
+            if not abs(step) < 1e-17 * max(1.0, abs(zn)):
+                lanes.append(i)
+    return [(zi, abs(fi)) for zi, fi in zip(z, fz)]
 
 
 def locate_zeros(f, region, p, cell_budget=CALIBRATION["cell_budget"]):
@@ -211,7 +229,7 @@ def locate_zeros(f, region, p, cell_budget=CALIBRATION["cell_budget"]):
             return
         if max(a1 - a0, b1 - b0) <= min_cell:
             z0 = complex(0.5 * (a0 + a1), 0.5 * (b0 + b1))
-            z, res = _newton_polish(f, z0, h)
+            (z, res), = _newton_polish(f, [z0], h)
             zeros.append(Zero(location=z, residual=res))
             return
         am, bm = 0.5 * (a0 + a1), 0.5 * (b0 + b1)
@@ -298,7 +316,7 @@ def locate_seeded(f, region, p, left_seeds, right_seeds, cell_budget):
             n = [max(3, int(w * STRIP_GRID_C / h)) for w in (a1 - a0, b1 - b0)]
             seeds = _grid_seeds(f, part["bounds"], *n)
         part["seeds"] = len(seeds)
-        polished = [Zero(*_newton_polish(f, s, h)) for s in seeds]
+        polished = [Zero(*zr) for zr in _newton_polish(f, seeds, h)]
         kept = _distinct([z for z in polished if z.residual <= NEWTON_TOL
                           and a0 <= z.location.real <= a1
                           and b0 <= z.location.imag <= b1], h)
@@ -355,26 +373,22 @@ def grid_newton_count(f, region, p):
     roots = []
     outside = []
 
-    def try_seed(z0):
-        z, res = _newton_polish(f, z0, h)
-        if res > NEWTON_TOL:
-            return
-        inside = re0 <= z.real <= re1 and im0 <= z.imag <= im1
-        bucket = roots if inside else outside
-        if all(abs(z - r) > 1e-3 * h for r in roots) and \
-                all(abs(z - r) > 1e-3 * h for r in outside):
-            bucket.append(z)
+    def keep(seeds):
+        # deduplicated in seed order against every root kept so far
+        for z, res in _newton_polish(f, seeds, h):
+            if res > NEWTON_TOL:
+                continue
+            inside = re0 <= z.real <= re1 and im0 <= z.imag <= im1
+            if all(abs(z - r) > 1e-3 * h for r in roots + outside):
+                (roots if inside else outside).append(z)
 
-    for z0 in _grid_seeds(f, region, nx, ny):
-        try_seed(z0)
+    keep(_grid_seeds(f, region, nx, ny))
     # near-twin zeros share one grid basin, and a basin minimum can drain
     # to a zero just outside the rectangle; reseed on circles around every
     # converged root (inside or out) to split/recover the partners
     cell = max((re1 - re0) / nx, (im1 - im0) / ny)
-    for r in list(roots) + list(outside):
-        for rad in (cell, 3 * cell):
-            for k in range(8):
-                try_seed(r + rad * np.exp(2j * np.pi * k / 8))
+    keep([r + rad * np.exp(2j * np.pi * k / 8) for r in roots + outside
+          for rad in (cell, 3 * cell) for k in range(8)])
     return len(roots), np.array(roots)
 
 

@@ -524,34 +524,42 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def test_bs_solves_go_through_the_cli_name_once_per_k(tmp_path, monkeypatch):
+def test_bs_solves_go_through_the_cli_name_once_per_family(tmp_path,
+                                                          monkeypatch):
     # the benchmark tracer counts BS solves at cli.bohr_sommerfeld_solve
-    from branchspec.quantization import BSBranch
+    from branchspec.quantization import BSBranch, bs_seeds
 
     solves = _counting(monkeypatch, cli, "bohr_sommerfeld_solve")
     seeds = _counting(monkeypatch, cli, "bs_seeds")
+
+    def solved_with_their_seeds():
+        # one family call: every k of the range in order, with its seed
+        (s_args, _), = seeds
+        (args, kwargs), = solves
+        assert not kwargs
+        assert list(args[1]) == list(s_args[1])
+        assert args[4].tobytes() == bs_seeds(*s_args).tobytes()
+        return list(args[1])
+
     cfg = _write(tmp_path, "c.json", dict(BS_ZERO, k_min=-14, k_max=-1))
     assert main(["bs", "--config", cfg, "--out", str(tmp_path)]) == 0
-    assert [args[1] for args, _ in solves] == list(range(-14, 0))
-    assert all("seed" in kwargs for _, kwargs in solves)
-    assert len(seeds) == 1
+    assert solved_with_their_seeds() == list(range(-14, 0))
 
     solves.clear()
     seeds.clear()
     p, am = cli._model(cli._load_config(_write(tmp_path, "m.json", MODEL_CFG),
                                         "model"))
     roots, _ = cli._bs_roots_in_strip(p, am, BSBranch.RightInt, 0.05, 0.2)
-    assert len(seeds) == 1
-    tried = list(seeds[0][0][1])
+    tried = solved_with_their_seeds()
     assert tried == list(range(tried[0], tried[-1] + 1))
-    assert [args[1] for args, _ in solves] == tried
     assert 0 < len(roots) <= len(tried)
 
 
 def test_bs_job_phase_call_budget(tmp_path, monkeypatch):
     # a curves-benchmark-sized job: h = 3e-4, 31 k on 0.01 <= Re mu <= 0.025;
     # one seed grid and one lockstep bisection, then three evaluations per
-    # Newton step (the per-k seed bisections made about 2,000)
+    # Newton round of the family's lanes: 65 calls (the per-k seed
+    # bisections made about 2,000, and per-k Newton after them 458)
     from branchspec import quantization
 
     calls = _counting(monkeypatch, quantization, "_bs_phase")
@@ -561,7 +569,7 @@ def test_bs_job_phase_call_budget(tmp_path, monkeypatch):
     path = _write(tmp_path, "c.json", cfg)
     assert main(["bs", "--config", path, "--out", str(tmp_path),
                  "--check"]) == 0
-    assert len(calls) < 700
+    assert len(calls) < 100
 
 
 # 20 rounds of four live 400 x 400 grids (313 pages each), as a grid

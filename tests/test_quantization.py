@@ -32,6 +32,7 @@ from branchspec.specfun import (
     LOG_SQRT_2PI,
     StirlingRegime,
     _angdist,
+    _remainder,
     log_gamma,
     stirling_remainder,
 )
@@ -52,9 +53,13 @@ def _forced(mu, p, am, regime):
 
 
 def _bs_solve(branch, k, p, am):
-    """bohr_sommerfeld_solve from k's own bs_seeds seed."""
-    seed, = quantization.bs_seeds(branch, [k], p, am)
-    return bohr_sommerfeld_solve(branch, k, p, am, seed=seed)
+    """bohr_sommerfeld_solve of the one-k family from k's own bs_seeds
+    seed; raises the error the solve ends in."""
+    seeds = quantization.bs_seeds(branch, [k], p, am)
+    r, = bohr_sommerfeld_solve(branch, [k], p, am, seeds)
+    if isinstance(r, BranchspecError):
+        raise r
+    return r
 
 
 def test_choose_regime_examples():
@@ -291,9 +296,9 @@ def test_bs_no_real_seed_raises_no_convergence():
 def test_bs_sector_escape_raises():
     # a real seed far from any root of this k: Newton leaves the sector
     p = params(h=0.01)
-    with pytest.raises(SectorEscape) as info:
-        bohr_sommerfeld_solve(BSBranch.LeftInt, -40, p, ZERO_AM, seed=0.016)
-    last = info.value.last
+    r, = bohr_sommerfeld_solve(BSBranch.LeftInt, [-40], p, ZERO_AM, [0.016])
+    assert isinstance(r, SectorEscape)
+    last = r.last
     assert last is not None
     assert not quantization._in_sector(BSBranch.LeftInt, last, p)
 
@@ -487,34 +492,80 @@ def test_bs_seed_bisection_call_budget(branch, monkeypatch):
         assert len(calls) - (3 * r.iterations + 1) <= 64
 
 
+def _cubic(seed, eps):
+    """_physical plus complex quadratic and cubic terms in both actions,
+    so that every Horner step of the phase multiplies two complex
+    numbers."""
+    rng = np.random.default_rng(seed)
+    lin = _physical(seed, eps)
+    hi = rng.uniform(-1, 1, (2, 2)) + 1j * eps * rng.uniform(-1, 1, (2, 2))
+    return ActionModel(list(lin.s12) + list(hi[0] * [0.5, 1.0]),
+                       list(lin.s34) + list(hi[1] * [0.5, 1.0]))
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 20),
        h=st.sampled_from([1e-2, 1e-3, 3e-4]),
        x=st.one_of(st.floats(0.004, 0.3), st.sampled_from(["grid_lo", 0.45])),
        lo=st.integers(-8, 0), n=st.integers(0, 12),
-       branch=st.sampled_from(list(BSBranch)))
-def test_bs_family_equals_per_k_reference(seed, h, x, lo, n, branch):
+       branch=st.sampled_from(list(BSBranch)),
+       model=st.sampled_from([_physical, _cubic]))
+def test_bs_family_equals_per_k_reference(seed, h, x, lo, n, branch, model):
     # whole k-ranges, near the grid ends too, where some k have no real
-    # seed: one bs_seeds call plus one Newton per k must equal the
-    # original per-k solver bit for bit, failures included
+    # seed: one bs_seeds call plus one family solve must give every k the
+    # original per-k solver's answer bit for bit, failures included
     p = params(h=h, eps=3e-2)
-    am = _physical(seed, p.epsilon)
+    am = model(seed, p.epsilon)
     if x == "grid_lo":
         x = 1.8 * h
     k0 = _k_near(branch, x, p, am)
     ks = range(k0 + lo, k0 + lo + n)
     seeds = quantization.bs_seeds(branch, ks, p, am)
     assert seeds.shape == (len(ks),)
-    for k, seed_k in zip(ks, seeds):
+    family = bohr_sommerfeld_solve(branch, ks, p, am, seeds)
+    assert len(family) == len(ks)
+    for k, r in zip(ks, family):
         try:
             want = _bs_solve_reference(branch, k, p, am)
         except BranchspecError as exc:
-            with pytest.raises(type(exc)) as got:
-                bohr_sommerfeld_solve(branch, k, p, am, seed=seed_k)
-            assert repr(got.value.last) == repr(exc.last)
+            assert type(r) is type(exc)
+            assert repr(r.last) == repr(exc.last)
             continue
-        r = bohr_sommerfeld_solve(branch, k, p, am, seed=seed_k)
         assert repr((r.mu, r.residual, r.iterations)) == repr(want)
+
+
+def _bs_phase_reference(branch, mu, p, am):
+    """_bs_phase as it was when Newton evaluated it at one Python complex
+    mu at a time: numpy's scalar products, which fuse no multiply-add.
+    The oracle of the phase's bits."""
+    h = p.h
+    rem = _remainder(mu, h, StirlingRegime.MinusBranch)
+    if branch is BSBranch.Ext:
+        return (am.S12(mu) + am.S34(mu) + 2 * mu * (np.log(-mu) - 1)
+                + np.pi * h / 2 + 2j * h * rem)
+    s = am.S34(mu) if branch is BSBranch.LeftInt else am.S12(mu)
+    return mu * np.log(mu) - mu + np.pi * h / 4 + s + 1j * h * rem
+
+
+def test_bs_phase_has_the_scalar_bits_at_every_point():
+    # random complex cubic actions, complex mu on each branch's side: one
+    # array call, and each scalar call, give every point the bits of the
+    # scalar phase (numpy's array products would differ on about a
+    # quarter of them)
+    rng = np.random.default_rng(5)
+    for t in range(150):
+        p = params(h=(1e-2, 1e-3, 3e-4)[t % 3], eps=3e-2)
+        am = ActionModel(*(rng.uniform(-0.5, 0.5, (2, 4))
+                           + 1j * rng.uniform(-0.05, 0.05, (2, 4))))
+        for branch in BSBranch:
+            sgn = -1.0 if branch is BSBranch.Ext else 1.0
+            mus = sgn * rng.uniform(0.005, 0.4, 8) \
+                + 1j * rng.uniform(-0.05, 0.05, 8)
+            want = _bits([_bs_phase_reference(branch, complex(m), p, am)
+                          for m in mus])
+            assert _bits(quantization._bs_phase(branch, mus, p, am)) == want
+            assert _bits([quantization._bs_phase(branch, complex(m), p, am)
+                          for m in mus]) == want
 
 
 def test_bs_family_marks_k_without_a_real_seed():
@@ -523,9 +574,9 @@ def test_bs_family_marks_k_without_a_real_seed():
     p = params(h=0.01)
     seeds = quantization.bs_seeds(BSBranch.LeftInt, range(-3, 2), p, ZERO_AM)
     assert np.isfinite(seeds[:2]).all() and np.isnan(seeds[2:]).all()
-    with pytest.raises(NoConvergence, match="no real seed") as info:
-        bohr_sommerfeld_solve(BSBranch.LeftInt, -1, p, ZERO_AM, seed=seeds[2])
-    assert info.value.last is None
+    r, = bohr_sommerfeld_solve(BSBranch.LeftInt, [-1], p, ZERO_AM, seeds[2:3])
+    assert isinstance(r, NoConvergence) and "no real seed" in str(r)
+    assert r.last is None
     assert quantization.bs_seeds(BSBranch.Ext, [], p, ZERO_AM).shape == (0,)
 
 

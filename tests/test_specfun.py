@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import loggamma as scipy_loggamma
 
 from branchspec.errors import PoleError, RegimeError
@@ -155,6 +157,18 @@ def test_reflection_residual_grid():
     mu = mu[np.abs(np.abs(mu.imag / h) - np.round(np.abs(mu.imag / h) + 0.5) + 0.5) > 0.05]
     res = reflection_residual(mu, h)
     assert np.max(res) <= 1e-11
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(x=st.floats(-0.5, 0.5), y=st.floats(-0.5, 0.5),
+       h=st.sampled_from([1.0, 0.1, 0.01]))
+def test_reflection_identity_at_random_mu(x, y, h):
+    # criterion 3's property, threshold and pole exclusion off its grid:
+    # the Gamma poles sit at mu = -+ i h (k + 1/2)
+    mu = complex(x, y)
+    assume(abs(mu) <= 0.5)
+    assume(abs(abs(mu.imag / h) % 1.0 - 0.5) > 0.02)
+    assert reflection_residual(mu, h) <= 1e-11
 
 
 def _bits(a):

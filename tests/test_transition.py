@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from branchspec.errors import SectorError
 from branchspec.transition import (
@@ -26,6 +28,16 @@ def test_entries_at_origin():
 def test_det_small(mu):
     tm = exact_matrix(mu, 0.01)
     assert tm.det_residual() <= 1e-10
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(x=st.floats(-0.5, 0.5), y=st.floats(-0.5, 0.5),
+       h=st.sampled_from([1.0, 0.1, 0.01]))
+def test_det_is_one_at_random_mu(x, y, h):
+    # criterion 1's property and threshold off its 40 x 40 grid
+    mu = complex(x, y)
+    assume(abs(mu) <= 0.5)
+    assert exact_matrix(mu, h).det_residual() <= 1e-10
 
 
 def test_det_grid_log_space():

@@ -554,6 +554,77 @@ def test_locate_zeros_sees_the_same_points_as_reference():
     assert new == old and len(new) > 1000
 
 
+def _newton_polish_reference(f, z0, h):
+    """_newton_polish as it was before it polished its seeds as lanes:
+    a scalar loop of one-point calls.  The oracle of the polish tests."""
+    z = complex(z0)
+    delta = h * 1e-3
+    fz = complex(f(np.array([z]))[0])
+    for _ in range(50):
+        if abs(fz) <= 0.0:
+            return z, abs(fz)
+        d = complex((f(np.array([z + delta])) - f(np.array([z - delta])))[0]) \
+            / (2 * delta)
+        if d == 0:
+            break
+        step = fz / d
+        if abs(step) > h:
+            step *= h / abs(step)
+        z_new = z - step
+        f_new = complex(f(np.array([z_new]))[0])
+        if abs(f_new) >= abs(fz) and abs(fz) <= zerocount.NEWTON_TOL:
+            return z, abs(fz)
+        z, fz = z_new, f_new
+        if abs(step) < 1e-17 * max(1.0, abs(z)):
+            break
+    return z, abs(fz)
+
+
+@pytest.mark.parametrize("region", [(0.05, 0.12, -0.03, 0.03),
+                                    (-0.05, 0.03, -0.03, 0.03)])
+def test_quadtree_polish_sees_the_same_points_as_the_scalar_polish(region):
+    # the quadtree polishes one seed per leaf, so the lane polish must make
+    # the scalar loop's one-point calls, bit for bit, and the same zeros
+    p = SemiclassicalParams(h=0.01, epsilon=3e-2)
+    f = GProvider(p, ActionModel([0.01 + 0.012j, 0.3],
+                                 [0.02 + 0.02j, -0.2])).normalized_G
+    run = lambda g: repr(locate_zeros(g, region, p))
+    new, zs_new = _recorded(run, f, reference=False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zerocount, "_newton_polish", lambda g, seeds, h: [
+            _newton_polish_reference(g, s, h) for s in seeds])
+        old, zs_old = _recorded(run, f, reference=False)
+    assert zs_new == zs_old and "Zero(" in zs_new
+    assert new == old
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2 ** 20), h=st.sampled_from([1e-2, 1e-3]))
+def test_lane_polish_equals_one_seed_polishes(seed, h):
+    # the strip's seeds, as locate_seeded takes them, polished together
+    # and one by one: eval_G rounds a point by its batch, so a lane may
+    # move by ulps from its lone polish, but no further
+    rng = np.random.default_rng(seed)
+    p = SemiclassicalParams(h=h, epsilon=3e-2)
+    am = ActionModel([complex(*rng.uniform(-0.05, 0.05, 2)), 0.3],
+                     [complex(*rng.uniform(-0.05, 0.05, 2)), -0.2])
+    f = GProvider(p, am).normalized_G
+    seeds = zerocount._grid_seeds(f, (-6 * h, 6 * h, -0.03, 0.02),
+                                  192, int(0.05 * 16 / h))
+    assert len(seeds) > 5
+    calls = []
+    counting = lambda z: calls.append(len(z)) or f(z)
+    lanes = zerocount._newton_polish(counting, seeds, h)
+    assert len(lanes) == len(seeds) and max(calls) == len(seeds)
+    for s, (z, res) in zip(seeds, lanes):
+        calls.clear()
+        (z1, res1), = zerocount._newton_polish(counting, [s], h)
+        assert set(calls) == {1}
+        assert abs(z - z1) <= 1e-12
+        assert (res <= zerocount.NEWTON_TOL) == (res1 <= zerocount.NEWTON_TOL)
+    assert zerocount._newton_polish(counting, [], h) == []
+
+
 # --- the seeded locator ---------------------------------------------------
 
 SEEDED_P = SemiclassicalParams(h=0.01, epsilon=3e-2)
