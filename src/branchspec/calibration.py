@@ -20,11 +20,11 @@ CALIBRATION = {
     # zero counting
     "winding_phase_cap_rad": 1.5707963267948966,
     "cell_budget": 100000,
-    # the model locator polishes from Bohr-Sommerfeld roots where
-    # |Re mu| >= seed_split_C h, and from the |G| grid minima at spacing
-    # h/strip_grid_C in the branching strip inside: at 16 the strip's
-    # count certified its seeds on 26 of 26 models (criterion 7's ten and
-    # the 16 model benchmark jobs of seeds 0-7), at 12 on 23, at 8 on none
+    # the model's seeds for locate_zeros: Bohr-Sommerfeld roots where
+    # |Re mu| >= seed_split_C h, and the |G| grid minima at spacing
+    # h/strip_grid_C in the branching strip inside; at 16 the grid seeds
+    # certified the strip on 26 of 26 models (criterion 7's ten and the 16
+    # model benchmark jobs of seeds 0-7), at 12 on 23, at 8 on none
     "seed_split_C": 6.0,
     "strip_grid_C": 16.0,
     "newton_residual_tol": 1e-9,

@@ -28,13 +28,13 @@ from .quantization import (
     bs_seeds,
 )
 from .skeleton import assemble, curve_residual, export_csv, export_json
-# locate_zeros stays bound here, unused: benchmark/tracing.py patches it
-from .zerocount import (  # noqa: F401
+from .zerocount import (
     SEED_SPLIT_C,
+    STRIP_GRID_C,
     Contour,
     GProvider,
+    _grid_seeds,
     export_zeros_csv,
-    locate_seeded,
     locate_zeros,
     match_bijection,
     winding_count,
@@ -328,9 +328,11 @@ def _bijection_strip(p, rect):
 
 
 def _model_zeros(p, am, rect, cell_budget):
-    """The zeros of G in rect by locate_seeded, each side seeded from its
-    Bohr-Sommerfeld families: Ext on the left, LeftInt and RightInt on the
-    right.  Returns the ZeroSet, the LeftInt and RightInt roots with
+    """The zeros of G in rect by locate_zeros, seeded from the
+    Bohr-Sommerfeld families outside the branching strip |Re mu| <
+    SEED_SPLIT_C h (Ext on the left, LeftInt and RightInt on the right)
+    and from the grid minima of |G| at spacing h/STRIP_GRID_C inside it.
+    Returns the ZeroSet, the LeftInt and RightInt roots with
     max(5h, re0) <= Re mu <= re1 (the bijection's), and the locator block
     of the report.  Each family is solved once."""
     x_lo, x_hi = _bijection_strip(p, rect)
@@ -345,11 +347,16 @@ def _model_zeros(p, am, rect, cell_budget):
         left, n = _bs_roots_in_strip(p, am, BSBranch.Ext, rect[0],
                                      min(rect[1], -cut))
         failed += n
-    zs, parts = locate_seeded(
-        GProvider(p, am).normalized_G, tuple(rect), p,
-        [r.mu for r in left], [r.mu for r in right if r.mu.real >= cut],
-        cell_budget)
-    return zs, right, {"parts": parts, "bs_failed": failed}
+    f = GProvider(p, am).normalized_G
+    seeds = [r.mu for r in left] + [r.mu for r in right if r.mu.real >= cut]
+    strip = (max(rect[0], -cut), min(rect[1], cut), rect[2], rect[3])
+    if strip[0] < strip[1]:
+        dims = [max(3, int(w * STRIP_GRID_C / p.h))
+                for w in (strip[1] - strip[0], strip[3] - strip[2])]
+        seeds += list(_grid_seeds(f, strip, *dims))
+    zs = locate_zeros(f, rect, p, seeds=seeds, cell_budget=cell_budget)
+    return zs, right, {"counts": zs.counts, "deficit_cells": zs.deficit_cells,
+                       "seeds": len(seeds), "bs_failed": failed}
 
 
 def cmd_model(cfg, out, svg, check):

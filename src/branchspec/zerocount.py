@@ -24,6 +24,7 @@ from .quantization import term_set
 
 PHASE_CAP = CALIBRATION["winding_phase_cap_rad"]   # pi/2
 NEWTON_TOL = CALIBRATION["newton_residual_tol"]
+# the model's seeds, as cli._model_zeros gathers them (see calibration.py)
 SEED_SPLIT_C = CALIBRATION["seed_split_C"]
 STRIP_GRID_C = CALIBRATION["strip_grid_C"]
 # length cap C h / ln(1/<mu>_h) of an admissible curve's I intervals
@@ -150,6 +151,8 @@ class Zero:
 @dataclass
 class ZeroSet:
     zeros: list
+    counts: int = 0          # of locate_zeros: the winding counts made
+    deficit_cells: int = 0   # and the cells it quadrisected or polished
 
     def locations(self):
         return np.array([z.location for z in self.zeros])
@@ -201,59 +204,77 @@ def _newton_polish(f, seeds, h):
     return [(zi, abs(fi)) for zi, fi in zip(z, fz)]
 
 
-def locate_zeros(f, region, p, cell_budget=CALIBRATION["cell_budget"]):
-    """All zeros of f in a rectangle by quadrisection + Newton polish.
+def locate_zeros(f, region, p, seeds=(),
+                 cell_budget=CALIBRATION["cell_budget"]):
+    """All zeros of f in the rectangle region = (re0, re1, im0, im1):
+    count first, then locate (Kravanja and Van Barel).
 
-    region: (re0, re1, im0, im1).  f must be normalized so that |f| = 1
-    is the local term scale (eval_G values qualify); polished zeros
-    satisfy |f| <= NEWTON_TOL.  Child winding counts must add up to
-    the parent count at every subdivision.
+    f must be normalized so that |f| = 1 is the local term scale (eval_G
+    values qualify); located zeros satisfy |f| <= NEWTON_TOL.  The
+    distinct zeros that one _newton_polish of the seeds reaches are
+    known.  A cell is done when it holds as many known zeros as its
+    winding count, which without seeds means none.  Any other cell is
+    quadrisected: child counts must add up to the parent count, or the
+    split is jittered once and then CountNotConserved raised.  A cell no
+    wider than h/50 is polished from its centre instead.  The region is
+    closed and its subcells half-open, [a0, a1) x [b0, b1), so that a
+    known zero on a shared edge is inside one only.  cell_budget bounds
+    the counts.  The ZeroSet also holds the counts made and the deficit
+    cells: those with zeros that their known zeros do not account for.
     """
     h = p.h
     re0, re1, im0, im1 = region
     min_cell = h / 50.0
+    known = _distinct([Zero(z, r) for z, r in _newton_polish(f, seeds, h)
+                       if r <= NEWTON_TOL and re0 <= z.real <= re1
+                       and im0 <= z.imag <= im1], h)
     zeros = []
-    state = {"budget": cell_budget}
+    state = {"counts": 0, "deficit": 0}
 
     def count(cell):
-        state["budget"] -= 1
-        if state["budget"] < 0:
+        state["counts"] += 1
+        if state["counts"] > cell_budget:
             raise CellBudgetExceeded("cell budget exceeded",
                                      partial=ZeroSet(zeros))
         a0, a1, b0, b1 = cell
         return winding_count(f, Contour.rectangle(a0, a1, b0, b1), h=h)
 
-    def recurse(cell, n):
+    def recurse(cell, n, inside):
         a0, a1, b0, b1 = cell
         if n == 0:
             return
+        if len(inside) == n:
+            zeros.extend(inside)
+            return
+        state["deficit"] += 1
         if max(a1 - a0, b1 - b0) <= min_cell:
             z0 = complex(0.5 * (a0 + a1), 0.5 * (b0 + b1))
             (z, res), = _newton_polish(f, [z0], h)
             zeros.append(Zero(location=z, residual=res))
             return
         am, bm = 0.5 * (a0 + a1), 0.5 * (b0 + b1)
-        kids = [(a0, am, b0, bm), (am, a1, b0, bm),
-                (a0, am, bm, b1), (am, a1, bm, b1)]
-        kid_counts = [count(k) for k in kids]
-        if sum(kid_counts) != n:
-            # a zero sits on the shared boundary; jitter the split point
-            am += 0.013 * (a1 - a0)
-            bm += 0.017 * (b1 - b0)
+        # a zero on a shared edge breaks the sum: jitter the split once
+        for am, bm in ((am, bm), (am + 0.013 * (a1 - a0),
+                                  bm + 0.017 * (b1 - b0))):
             kids = [(a0, am, b0, bm), (am, a1, b0, bm),
                     (a0, am, bm, b1), (am, a1, bm, b1)]
             kid_counts = [count(k) for k in kids]
-        if sum(kid_counts) != n:
+            if sum(kid_counts) == n:
+                break
+        else:
             raise CountNotConserved(
                 f"count {n} not conserved: children {kid_counts} in {cell}",
                 cell=cell, count=n, children=kid_counts)
-        for k, kn in zip(kids, kid_counts):
-            recurse(k, kn)
+        for (c0, c1, d0, d1), kn in zip(kids, kid_counts):
+            recurse((c0, c1, d0, d1), kn,
+                    [z for z in inside if c0 <= z.location.real < c1
+                     and d0 <= z.location.imag < d1])
 
     root = (re0, re1, im0, im1)
-    recurse(root, count(root))
+    recurse(root, count(root), known)
     uniq = [z for z in _distinct(zeros, h) if z.residual <= NEWTON_TOL]
-    return ZeroSet(zeros=uniq)
+    return ZeroSet(zeros=uniq, counts=state["counts"],
+                   deficit_cells=state["deficit"])
 
 
 def _distinct(zeros, h):
@@ -264,75 +285,6 @@ def _distinct(zeros, h):
         if all(abs(z.location - u.location) > 1e-3 * h for u in uniq):
             uniq.append(z)
     return uniq
-
-
-def locate_seeded(f, region, p, left_seeds, right_seeds, cell_budget):
-    """The zeros of f in region, as locate_zeros finds them, polished
-    from seeds instead of quadrisected.  For the model's G the seeds of
-    the sides outside the branching strip |Re mu| < SEED_SPLIT_C h are
-    the Bohr-Sommerfeld roots, within e^{-pi |Re mu|/h} of the zeros; the
-    strip's are the grid minima of |f| at spacing h/STRIP_GRID_C.
-
-    The rectangle is split at Re mu = -+SEED_SPLIT_C h into left, strip
-    and right parts (empty ones skipped), and each is counted.  A part
-    keeps the distinct zeros in its closed part with residual
-    <= NEWTON_TOL that _newton_polish reaches from its seeds, and is
-    accepted when they are as many as its count (Kravanja and Van Barel:
-    count first, then locate).  The parts not accepted are quadrisected
-    by one locate_zeros call on their union, which is one rectangle, so a
-    strip accepted between two sides that are not is quadrisected too and
-    reads "fallback"; if the part counts do not add up to the whole
-    count, the union is the whole rectangle.  cell_budget bounds every
-    winding count made, those of locate_zeros included.
-
-    Returns (ZeroSet, parts): per part its bounds, count, the number of
-    seeds polished and how it was solved, "seeded" or "fallback".
-    """
-    h = p.h
-    re0, re1, im0, im1 = region
-    cut = SEED_SPLIT_C * h
-    spans = [("left", re0, min(re1, -cut), left_seeds),
-             ("strip", max(re0, -cut), min(re1, cut), None),
-             ("right", max(re0, cut), re1, right_seeds)]
-    parts = [({"part": name, "bounds": [a0, a1, im0, im1]}, seeds)
-             for name, a0, a1, seeds in spans if a0 < a1]
-    # the whole count, and one per part when there are several
-    budget = cell_budget - (1 if len(parts) == 1 else 1 + len(parts))
-    if budget < 0:
-        raise CellBudgetExceeded("cell budget exceeded",
-                                 partial=ZeroSet([]))
-    whole = winding_count(f, Contour.rectangle(*region), h=h)
-    for part, _ in parts:
-        part["count"] = whole if len(parts) == 1 else winding_count(
-            f, Contour.rectangle(*part["bounds"]), h=h)
-    conserved = sum(part["count"] for part, _ in parts) == whole
-    zeros = []
-    for part, seeds in parts:
-        part["seeds"], part["solved"] = 0, "fallback"
-        if not conserved:
-            continue
-        a0, a1, b0, b1 = part["bounds"]
-        if seeds is None:
-            n = [max(3, int(w * STRIP_GRID_C / h)) for w in (a1 - a0, b1 - b0)]
-            seeds = _grid_seeds(f, part["bounds"], *n)
-        part["seeds"] = len(seeds)
-        polished = [Zero(*zr) for zr in _newton_polish(f, seeds, h)]
-        kept = _distinct([z for z in polished if z.residual <= NEWTON_TOL
-                          and a0 <= z.location.real <= a1
-                          and b0 <= z.location.imag <= b1], h)
-        if len(kept) == part["count"]:
-            part["solved"] = "seeded"
-            zeros += kept
-    rest = [part["bounds"] for part, _ in parts if part["solved"] != "seeded"]
-    if rest:
-        lo, hi = min(b[0] for b in rest), max(b[1] for b in rest)
-        for part, _ in parts:
-            if lo <= part["bounds"][0] and part["bounds"][1] <= hi:
-                part["solved"] = "fallback"
-        zeros += locate_zeros(f, (lo, hi, im0, im1), p,
-                              cell_budget=budget).zeros
-    return (ZeroSet(zeros=_distinct(zeros, h)),
-            [part for part, _ in parts])
 
 
 def _grid_seeds(f, region, nx, ny):

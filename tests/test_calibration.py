@@ -61,18 +61,15 @@ SOURCES = {
         (lambda: zerocount.SEED_SPLIT_C, "seed_split_C"),
     "zerocount.STRIP_GRID_C":
         (lambda: zerocount.STRIP_GRID_C, "strip_grid_C"),
-    "locate_seeded(strip grid)":
-        (lambda: _global_read(zerocount.locate_seeded, "STRIP_GRID_C"),
-         "strip_grid_C"),
-    "locate_seeded(split)":
-        (lambda: _global_read(zerocount.locate_seeded, "SEED_SPLIT_C"),
-         "seed_split_C"),
     "case1_admissible(sector)":
         (lambda: _global_read(quantization.case1_admissible, "SECTOR_C"),
          "sector_C"),
     "_model_zeros(split)":
         (lambda: _global_read(cli._model_zeros, "SEED_SPLIT_C"),
          "seed_split_C"),
+    "_model_zeros(strip grid)":
+        (lambda: _global_read(cli._model_zeros, "STRIP_GRID_C"),
+         "strip_grid_C"),
     "locate_zeros(cell_budget)":
         (lambda: _default(zerocount.locate_zeros, "cell_budget"),
          "cell_budget"),
@@ -124,11 +121,11 @@ def test_every_calibration_key_is_read():
 def test_model_cell_budget_default(tmp_path, monkeypatch):
     seen = []
 
-    def fake_locate(f, rect, p, left_seeds, right_seeds, cell_budget):
+    def fake_locate(f, rect, p, seeds, cell_budget):
         seen.append(cell_budget)
-        return zerocount.ZeroSet(zeros=[]), []
+        return zerocount.ZeroSet(zeros=[])
 
-    monkeypatch.setattr(cli, "locate_seeded", fake_locate)
+    monkeypatch.setattr(cli, "locate_zeros", fake_locate)
     monkeypatch.setitem(CALIBRATION, "cell_budget", 1234)
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
@@ -142,9 +139,9 @@ def test_model_cell_budget_default(tmp_path, monkeypatch):
 
 def test_calibration_block_holds_the_overrides_that_ran(tmp_path,
                                                        monkeypatch):
-    monkeypatch.setattr(cli, "locate_seeded",
-                        lambda f, rect, p, left_seeds, right_seeds,
-                        cell_budget: (zerocount.ZeroSet(zeros=[]), []))
+    monkeypatch.setattr(cli, "locate_zeros",
+                        lambda f, rect, p, seeds, cell_budget:
+                        zerocount.ZeroSet(zeros=[]))
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
         "h": 0.01, "epsilon": 0.03, "S12": [[0.01, 0.012], [0.3, 0.0]],

@@ -450,13 +450,12 @@ def _no_bijection(monkeypatch):
 
 def _many_zeros_in_the_box(monkeypatch):
     """Every zero, repeated 100 times, counts in the exceptional box."""
-    locate = cli.locate_seeded
+    locate = cli.locate_zeros
 
     def repeated(*args, **kwargs):
-        zs, parts = locate(*args, **kwargs)
-        return zerocount.ZeroSet(zs.zeros * 100), parts
+        return zerocount.ZeroSet(locate(*args, **kwargs).zeros * 100)
 
-    monkeypatch.setattr(cli, "locate_seeded", repeated)
+    monkeypatch.setattr(cli, "locate_zeros", repeated)
     monkeypatch.setattr(skeleton.Body, "in_exceptional_box",
                         lambda self, mu: True)
 
