@@ -21,12 +21,11 @@ CALIBRATION = {
     "winding_phase_cap_rad": 1.5707963267948966,
     "cell_budget": 100000,
     # the model's seeds for locate_zeros: Bohr-Sommerfeld roots where
-    # |Re mu| >= seed_split_C h, and the |G| grid minima at spacing
-    # h/strip_grid_C in the branching strip inside; at 16 the grid seeds
-    # certified the strip on 26 of 26 models (criterion 7's ten and the 16
-    # model benchmark jobs of seeds 0-7), at 12 on 23, at 8 on none
+    # |Re mu| >= seed_split_C h, and in the branching strip inside, the
+    # skeleton's S' samples and diamond centres; these certified the strip
+    # with one count on 26 of 26 models (criterion 7's ten and the 16
+    # model benchmark jobs of seeds 0-7)
     "seed_split_C": 6.0,
-    "strip_grid_C": 16.0,
     "newton_residual_tol": 1e-9,
     "bs_residual_tol": 1e-12,
     # bijection rate floor: the BS Newton stops at residual 1e-12, so a

@@ -30,10 +30,8 @@ from .quantization import (
 from .skeleton import assemble, curve_residual, export_csv, export_json
 from .zerocount import (
     SEED_SPLIT_C,
-    STRIP_GRID_C,
     Contour,
     GProvider,
-    _grid_seeds,
     export_zeros_csv,
     locate_zeros,
     match_bijection,
@@ -327,11 +325,20 @@ def _bijection_strip(p, rect):
     return max(5 * p.h, rect[0]), rect[1]
 
 
-def _model_zeros(p, am, rect, cell_budget):
+def _bijection_rate(h):
+    """rate(mu) = max(10 h/ln(1/|mu|) e^{-pi max(Re mu, 0)/h}, floor):
+    how far a zero may lie from its Bohr-Sommerfeld root near mu."""
+    floor = calibration.CALIBRATION["bs_position_floor"]
+    return lambda mu: max(10 * (h / np.log(1.0 / abs(mu)))
+                          * np.exp(-np.pi * max(mu.real, 0.0) / h), floor)
+
+
+def _model_zeros(p, am, sk, rect, cell_budget):
     """The zeros of G in rect by locate_zeros, seeded from the
     Bohr-Sommerfeld families outside the branching strip |Re mu| <
     SEED_SPLIT_C h (Ext on the left, LeftInt and RightInt on the right)
-    and from the grid minima of |G| at spacing h/STRIP_GRID_C inside it.
+    and inside it from the skeleton sk: its S' samples in rect, and the
+    diamond centres when the strip holds Re mu = 0.
     Returns the ZeroSet, the LeftInt and RightInt roots with
     max(5h, re0) <= Re mu <= re1 (the bijection's), and the locator block
     of the report.  Each family is solved once."""
@@ -347,14 +354,15 @@ def _model_zeros(p, am, rect, cell_budget):
         left, n = _bs_roots_in_strip(p, am, BSBranch.Ext, rect[0],
                                      min(rect[1], -cut))
         failed += n
-    f = GProvider(p, am).normalized_G
     seeds = [r.mu for r in left] + [r.mu for r in right if r.mu.real >= cut]
-    strip = (max(rect[0], -cut), min(rect[1], cut), rect[2], rect[3])
-    if strip[0] < strip[1]:
-        dims = [max(3, int(w * STRIP_GRID_C / p.h))
-                for w in (strip[1] - strip[0], strip[3] - strip[2])]
-        seeds += list(_grid_seeds(f, strip, *dims))
-    zs = locate_zeros(f, rect, p, seeds=seeds, cell_budget=cell_budget)
+    s0, s1 = max(rect[0], -cut), min(rect[1], cut)
+    xs, ys = sk.all_samples()
+    seeds += list((xs + 1j * ys)[(s0 <= xs) & (xs <= s1)
+                                 & (rect[2] <= ys) & (ys <= rect[3])])
+    if s0 <= 0 <= s1:
+        seeds += [1j * c for c, _ in sk.diamonds]
+    zs = locate_zeros(GProvider(p, am).normalized_G, rect, p, seeds=seeds,
+                      cell_budget=cell_budget)
     return zs, right, {"counts": zs.counts, "deficit_cells": zs.deficit_cells,
                        "seeds": len(seeds), "bs_failed": failed}
 
@@ -364,7 +372,7 @@ def cmd_model(cfg, out, svg, check):
     rect = cfg["rectangle"]
     sk, body = assemble(p, am, C_body=cfg["C_body"])
     export_csv(out / "skeleton.csv", sk.s_prime)
-    zs, right, locator = _model_zeros(p, am, rect, cfg["cell_budget"])
+    zs, right, locator = _model_zeros(p, am, sk, rect, cfg["cell_budget"])
     export_zeros_csv(out / "zeros.csv", zs)
     # the bijection report on the right strip
     x_lo, x_hi = _bijection_strip(p, rect)
@@ -372,14 +380,7 @@ def cmd_model(cfg, out, svg, check):
     in_strip = [z.location for z in zs.zeros
                 if x_lo <= z.location.real <= x_hi
                 and not body.in_exceptional_box(z.location)]
-    floor = calibration.CALIBRATION["bs_position_floor"]
-
-    def rate(mu):
-        v = 10 * (p.h / np.log(1.0 / abs(mu))) \
-            * np.exp(-np.pi * max(mu.real, 0.0) / p.h)
-        return max(v, floor)
-
-    rep = match_bijection(in_strip, predicted, rate)
+    rep = match_bijection(in_strip, predicted, _bijection_rate(p.h))
     census = sum(1 for z in zs.zeros if body.in_exceptional_box(z.location))
     doc = {
         "n_zeros": len(zs),

@@ -26,7 +26,6 @@ PHASE_CAP = CALIBRATION["winding_phase_cap_rad"]   # pi/2
 NEWTON_TOL = CALIBRATION["newton_residual_tol"]
 # the model's seeds, as cli._model_zeros gathers them (see calibration.py)
 SEED_SPLIT_C = CALIBRATION["seed_split_C"]
-STRIP_GRID_C = CALIBRATION["strip_grid_C"]
 # length cap C h / ln(1/<mu>_h) of an admissible curve's I intervals
 ADMISSIBLE_C = 10.0
 
@@ -492,7 +491,7 @@ def match_bijection(zeros, predicted, rate):
 
 def export_zeros_csv(path, zeroset):
     """zeros.csv: re, im, residual and a method column, which is
-    "Winding" for every zero (the locators all count by winding)."""
+    "Winding" for every zero (locate_zeros counts by winding)."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["re", "im", "residual", "method"])

@@ -13,8 +13,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from branchspec.calibration import CALIBRATION
-from branchspec.cli import _model_zeros
+from branchspec.cli import _bijection_rate, _model_zeros
 from branchspec.quantization import (
     ActionModel,
     BSBranch,
@@ -245,7 +244,7 @@ def test_criterion_07_skeleton_containment():
     for i in range(10):
         am = physical_model(rng, p.epsilon)
         sk, body = assemble(p, am, C_body=10.0)
-        zs = _model_zeros(p, am, (-0.1, 0.1, -0.03, 0.02), 400000)[0]
+        zs = _model_zeros(p, am, sk, (-0.1, 0.1, -0.03, 0.02), 400000)[0]
         total += len(zs)
         for z in zs.zeros:
             if not body.contains(z.location):
@@ -269,16 +268,12 @@ def test_criterion_08_bijection_strip():
     for branch in (BSBranch.LeftInt, BSBranch.RightInt):
         predicted.extend(r.mu for r in
                          _bs_roots_in_strip(p, am, branch, x_lo, x_hi)[0])
-    # numerical position floor: the BS-branch Newton stops at residual
-    # 1e-12, i.e. position error ~1e-12/|phi'|; the analytic bound dips
-    # far below double precision for Re mu >~ 0.12 (README)
-    floor = CALIBRATION["bs_position_floor"]
-
-    def rate(mu):
-        return max(10 * (h / np.log(1.0 / abs(mu)))
-                   * np.exp(-np.pi * mu.real / h), floor)
-
-    rep = match_bijection([z.location for z in zs.zeros], predicted, rate)
+    # the model command's rate, with its numerical position floor: the
+    # BS-branch Newton stops at residual 1e-12, i.e. position error
+    # ~1e-12/|phi'|; the analytic bound dips far below double precision
+    # for Re mu >~ 0.12 (README)
+    rep = match_bijection([z.location for z in zs.zeros], predicted,
+                          _bijection_rate(h))
     report(8, rep["ok"] and len(zs) >= 10,
            f"{len(zs)} zeros vs {len(predicted)} BS roots, max distance "
            f"{rep['max_distance']:.2e}, unmatched "

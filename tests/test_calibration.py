@@ -59,17 +59,12 @@ SOURCES = {
         (lambda: zerocount.NEWTON_TOL, "newton_residual_tol"),
     "zerocount.SEED_SPLIT_C":
         (lambda: zerocount.SEED_SPLIT_C, "seed_split_C"),
-    "zerocount.STRIP_GRID_C":
-        (lambda: zerocount.STRIP_GRID_C, "strip_grid_C"),
     "case1_admissible(sector)":
         (lambda: _global_read(quantization.case1_admissible, "SECTOR_C"),
          "sector_C"),
     "_model_zeros(split)":
         (lambda: _global_read(cli._model_zeros, "SEED_SPLIT_C"),
          "seed_split_C"),
-    "_model_zeros(strip grid)":
-        (lambda: _global_read(cli._model_zeros, "STRIP_GRID_C"),
-         "strip_grid_C"),
     "locate_zeros(cell_budget)":
         (lambda: _default(zerocount.locate_zeros, "cell_budget"),
          "cell_budget"),

@@ -8,8 +8,10 @@ from scipy.special import loggamma as scipy_loggamma
 
 from branchspec.errors import PoleError, RegimeError
 from branchspec.specfun import (
+    CONIC_MARGIN,
     LOG_SQRT_2PI,
     StirlingRegime,
+    _remainder,
     _stirling_approx,
     log_gamma,
     reflection_residual,
@@ -192,3 +194,39 @@ def test_log_gamma_batch_matches_one_point_calls(kind):
     assert _bits(batch) == _bits([log_gamma(v) for v in z])
     assert _bits(log_gamma(z[:170].reshape(17, 10)).ravel()) \
         == _bits(batch[:170])
+
+
+def _remainder_mpmath(mu, h, regime):
+    """The Stirling remainder at 40 digits: mpmath's loggamma minus the
+    Stirling exponent, both at the double mu and h."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        mu, h = mpmath.mpc(mu), mpmath.mpf(h)
+        s = -1 if regime is StirlingRegime.MinusBranch else 1
+        i_muh = 1j * mu / h
+        approx = s * i_muh * (mpmath.log(s * 1j * mu) - mpmath.log(h) - 1)
+        exact = mpmath.loggamma(0.5 + s * i_muh) \
+            - mpmath.log(mpmath.sqrt(2 * mpmath.pi))
+        return complex(exact - approx)
+
+
+# the largest errors of _remainder against _remainder_mpmath over the
+# directions below, on both branches at h = 1e-2 and 1e-3, times 2: the
+# log_gamma difference cancels, so the error grows with |mu|/h
+REMAINDER_ERROR = {20: 2 * 1.5e-13, 450: 2 * 8.5e-13, 2000: 2 * 3.9e-12}
+
+
+@pytest.mark.parametrize("regime", list(StirlingRegime))
+@pytest.mark.parametrize("h", [1e-2, 1e-3])
+@pytest.mark.parametrize("ratio", sorted(REMAINDER_ERROR))
+def test_remainder_against_live_mpmath(ratio, h, regime):
+    # 48 directions, less those within the conic margin of the branch's
+    # forbidden axis
+    axis = -np.pi / 2 if regime is StirlingRegime.MinusBranch else np.pi / 2
+    th = np.linspace(-np.pi, np.pi, 49)[:-1] + 0.01
+    th = th[np.abs((th - axis + np.pi) % (2 * np.pi) - np.pi) >= CONIC_MARGIN]
+    mu = ratio * h * np.exp(1j * th)
+    got = _remainder(mu, h, regime)
+    err = max(abs(g - _remainder_mpmath(m, h, regime))
+              for g, m in zip(got, mu))
+    assert err <= REMAINDER_ERROR[ratio]

@@ -641,17 +641,19 @@ def test_quadtree_polish_sees_the_same_points_as_the_scalar_polish(region):
 @settings(derandomize=True, max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2 ** 20), h=st.sampled_from([1e-2, 1e-3]))
 def test_lane_polish_equals_one_seed_polishes(seed, h):
-    # the strip's seeds, as _model_zeros takes them, polished together
-    # and one by one: eval_G rounds a point by its batch, so a lane may
-    # move by ulps from its lone polish, but no further
+    # 32 of the strip's skeleton seeds, as _model_zeros takes them,
+    # polished together and one by one: eval_G rounds a point by its
+    # batch, so a lane may move by ulps from its lone polish, but no further
     rng = np.random.default_rng(seed)
     p = SemiclassicalParams(h=h, epsilon=3e-2)
     am = ActionModel([complex(*rng.uniform(-0.05, 0.05, 2)), 0.3],
                      [complex(*rng.uniform(-0.05, 0.05, 2)), -0.2])
     f = GProvider(p, am).normalized_G
-    seeds = zerocount._grid_seeds(f, (-6 * h, 6 * h, -0.03, 0.02),
-                                  192, int(0.05 * 16 / h))
-    assert len(seeds) > 5
+    xs, ys = assemble(p, am)[0].all_samples()
+    seeds = (xs + 1j * ys)[(np.abs(xs) <= 6 * h) & (-0.03 <= ys)
+                           & (ys <= 0.02)]
+    seeds = seeds[::len(seeds) // 32][:32]
+    assert len(seeds) == 32
     calls = []
     counting = lambda z: calls.append(len(z)) or f(z)
     lanes = zerocount._newton_polish(counting, seeds, h)
@@ -670,6 +672,17 @@ def test_lane_polish_equals_one_seed_polishes(seed, h):
 SEEDED_P = SemiclassicalParams(h=0.01, epsilon=3e-2)
 SEEDED_AM = ActionModel([0.01 + 0.012j, 0.3], [0.02 + 0.02j, -0.2])
 SEEDED_RECT = (-0.2, 0.2, -0.05, 0.05)
+
+
+@functools.cache
+def _seeded_skeleton():
+    return assemble(SEEDED_P, SEEDED_AM)[0]
+
+
+def _seeded_zeros(region, cell_budget=100000):
+    """cli._model_zeros of the seeded model on region."""
+    return cli._model_zeros(SEEDED_P, SEEDED_AM, _seeded_skeleton(), region,
+                            cell_budget)
 
 
 @functools.cache
@@ -704,18 +717,18 @@ def _solved(seeds):
 
 
 @pytest.mark.parametrize("region,solved", [
-    (SEEDED_RECT, _solved(35)),
-    # wholly right, starting exactly at the split 6h: no strip grid
+    (SEEDED_RECT, _solved(283)),
+    # wholly right, starting exactly at the split 6h: no skeleton seeds
     ((0.06, 0.14, -0.04, 0.04), _solved(7)),
-    ((-0.05, 0.05, -0.04, 0.04), _solved(15)),
+    ((-0.05, 0.05, -0.04, 0.04), _solved(231)),
     ((-0.2, -0.07, -0.04, 0.04), _solved(8)),
-    # a strip narrower than one step h/16 of its grid, which has no minima
+    # a strip narrower than the skeleton's sample step, which holds none
     ((0.0599, 0.14, -0.04, 0.04), _solved(7)),
 ])
 def test_seeded_locator_finds_the_quadtree_zeros(region, solved):
     # every seed lands, so the count of the whole rectangle certifies the
     # zeros they reach, and it is the only count
-    zs, _, locator = cli._model_zeros(SEEDED_P, SEEDED_AM, region, 100000)
+    zs, _, locator = _seeded_zeros(region)
     assert locator == solved
     _same_zeros(zs, region)
 
@@ -737,28 +750,59 @@ def test_a_dropped_seed_makes_its_side_fall_back(monkeypatch, side):
     dropped = []   # the first seed on the side, and only it
     monkeypatch.setattr(cli, "locate_zeros", _dropping(
         lambda i, z: dropped or not on_side(z) or dropped.append(z)))
-    zs, _, locator = cli._model_zeros(SEEDED_P, SEEDED_AM, SEEDED_RECT,
-                                      100000)
+    zs, _, locator = _seeded_zeros(SEEDED_RECT)
     assert len(dropped) == 1
     assert min(abs(zs.locations() - dropped[0])) < SEEDED_P.h
     _fell_back(locator, SEEDED_RECT)
     _same_zeros(zs, SEEDED_RECT)
 
 
-def test_a_dropped_grid_seed_makes_the_strip_fall_back(monkeypatch):
-    # the strip's first three grid seeds all drain to its zero nearest 0,
-    # and its last is the only seed of the zero at 0.0423 + 0.0059j
-    seeds = cli._grid_seeds
-    tried = []
-    monkeypatch.setattr(cli, "_grid_seeds",
-                        lambda *args: tried.append(seeds(*args)[:-1])
-                        or tried[-1])
-    zs, _, locator = cli._model_zeros(SEEDED_P, SEEDED_AM, SEEDED_RECT,
-                                      100000)
-    # the report shows the seeds tried: 9 Ext roots, 10 interior ones
-    assert locator["seeds"] == 9 + 10 + len(tried[0])
+def test_dropped_skeleton_seeds_make_the_strip_fall_back(monkeypatch):
+    # every seed that polishes to the strip's zero nearest 0 is dropped:
+    # the cells that hold that zero fall back to quadrisection
+    target = min(_quadtree(SEEDED_RECT).locations(), key=abs)
+    locate = cli.locate_zeros
+    dropped = []
+
+    def without_target(f, region, p, seeds, cell_budget):
+        ends = zerocount._newton_polish(f, seeds, p.h)
+        dropped.extend(s for s, (z, _) in zip(seeds, ends)
+                       if abs(z - target) <= 1e-3 * p.h)
+        return locate(f, region, p, cell_budget=cell_budget,
+                      seeds=[s for s in seeds if s not in dropped])
+
+    monkeypatch.setattr(cli, "locate_zeros", without_target)
+    zs, _, locator = _seeded_zeros(SEEDED_RECT)
+    cut = zerocount.SEED_SPLIT_C * SEEDED_P.h
+    assert dropped and all(abs(z.real) < cut for z in dropped)
+    # the report shows the seeds tried: 9 Ext roots, 10 interior ones and
+    # the skeleton's samples in the strip (this model has no diamonds)
+    sk = _seeded_skeleton()
+    xs, ys = sk.all_samples()
+    in_strip = (np.abs(xs) <= cut) & (SEEDED_RECT[2] <= ys) \
+        & (ys <= SEEDED_RECT[3])
+    assert sk.diamonds == []
+    assert locator["seeds"] == 9 + 10 + in_strip.sum()
     _fell_back(locator, SEEDED_RECT)
     _same_zeros(zs, SEEDED_RECT)
+
+
+@pytest.mark.parametrize("model", [0, 1])
+def test_skeleton_seeds_certify_the_strip_at_small_h(model):
+    # criterion 7's first two models at h = 3e-4, epsilon = 5e-3, inside
+    # the paper's regime h^2 << epsilon << h^(1/2): the skeleton's samples
+    # and diamond centres reach every zero of the strip, so the one count
+    # of the rectangle certifies them all (a |G| grid at spacing h/16
+    # missed some: 65 counts and 17 deficit cells each)
+    p = SemiclassicalParams(h=3e-4, epsilon=5e-3)
+    rng = np.random.default_rng(11)
+    for _ in range(model + 1):
+        am = _physical_model(rng, p.epsilon)
+    zs, _, locator = cli._model_zeros(p, am, assemble(p, am)[0],
+                                      (-0.1, 0.1, -0.03, 0.02), 400000)
+    assert locator["counts"] == 1 and locator["deficit_cells"] == 0
+    assert len(zs) > 600
+    assert np.abs(GProvider(p, am).normalized_G(zs.locations())).max() <= 1e-9
 
 
 def test_a_seed_of_a_zero_outside_the_region_is_not_counted(monkeypatch):
@@ -772,7 +816,7 @@ def test_a_seed_of_a_zero_outside_the_region_is_not_counted(monkeypatch):
                         lambda f, rect, p, seeds, cell_budget:
                         given.append(seeds) or locate(f, rect, p, seeds=seeds,
                                                       cell_budget=cell_budget))
-    cli._model_zeros(SEEDED_P, SEEDED_AM, SEEDED_RECT, 100000)
+    _seeded_zeros(SEEDED_RECT)
     zs = locate_zeros(GProvider(SEEDED_P, SEEDED_AM).normalized_G, region,
                       SEEDED_P, seeds=given[0])
     assert len(given[0]) > 3 * len(zs)
@@ -795,7 +839,8 @@ def test_seeded_locator_equals_the_quadtree_on_random_models(seed, re0, re1,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "locate_zeros",
                    _dropping(lambda i, z: rng.uniform() >= drop))
-        zs, _, locator = cli._model_zeros(p, am, region, 100000)
+        zs, _, locator = cli._model_zeros(p, am, assemble(p, am)[0], region,
+                                          100000)
     ref = locate_zeros(GProvider(p, am).normalized_G, region, p)
     assert 1 <= locator["counts"] <= ref.counts
     got, want = zs.locations(), ref.locations()
@@ -813,12 +858,12 @@ def test_cell_budget_bounds_every_count_of_the_seeded_locator(monkeypatch):
                         lambda f, contour, h: calls.append(contour)
                         or count(f, contour, h=h))
     monkeypatch.setattr(cli, "locate_zeros", _dropping(lambda i, z: i > 0))
-    _, _, locator = cli._model_zeros(SEEDED_P, SEEDED_AM, SEEDED_RECT, 100000)
+    _, _, locator = _seeded_zeros(SEEDED_RECT)
     used = len(calls)
     assert used == locator["counts"] > 1
     calls.clear()
-    cli._model_zeros(SEEDED_P, SEEDED_AM, SEEDED_RECT, used)
+    _seeded_zeros(SEEDED_RECT, used)
     assert len(calls) == used
     for budget in (used - 1, 0):
         with pytest.raises(CellBudgetExceeded):
-            cli._model_zeros(SEEDED_P, SEEDED_AM, SEEDED_RECT, budget)
+            _seeded_zeros(SEEDED_RECT, budget)
