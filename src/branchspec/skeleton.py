@@ -12,6 +12,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -343,17 +344,22 @@ class Body:
     C: float
     p: SemiclassicalParams
 
-    def _radius(self, xs, ys):
-        return self.C * self.p.h / np.log(1.0 / mu_h_norm(xs + 1j * ys, self.p.h))
+    @cached_property
+    def _discs(self):
+        """The S' samples and the squared radii of their discs, computed
+        once per body: they do not depend on the point tested."""
+        xs, ys = self.skeleton.all_samples()
+        rad = self.C * self.p.h / np.log(1.0 / mu_h_norm(xs + 1j * ys,
+                                                          self.p.h))
+        return xs, ys, rad ** 2
 
     def contains(self, mu):
         """Membership in the body: discs around S', the below-S' strip
         |Re mu| < C h, and B_v, B_e; monotone in C."""
         mu = complex(mu)
-        xs, ys = self.skeleton.all_samples()
+        xs, ys, rad2 = self._discs
         d2 = (xs - mu.real) ** 2 + (ys - mu.imag) ** 2
-        rad = self._radius(xs, ys)
-        if np.any(d2 <= rad ** 2):
+        if np.any(d2 <= rad2):
             return True
         if abs(mu.real) < self.C * self.p.h:
             low = self.skeleton.lower(mu.real)
@@ -402,10 +408,13 @@ def assemble(p, am, C_body=CALIBRATION["body_C"]):
     """Assemble the Case-1 skeleton S' (both half-planes), the vertical
     segment with its diamonds, and the body."""
     eps_x = 1e-6 * p.h
-    # right half-plane: upper = max(g12, g13), lower = min(g24+, g34+)
+    # right half-plane: upper = max(g12, g13), lower = min(g24+, g34+).
+    # In case 1, a1 a4+ = a2 a3, so Gamma_{3,4+} is Gamma_{1,2} and
+    # Gamma_{2,4+} is Gamma_{1,3}: the same residual on the same steps
     steps = default_steps(p, eps_x, X_MAX)
-    g12, g13, g24p, g34p = (trace_gamma(pair, p, am, (eps_x, X_MAX), steps)
-                            for pair in ("1,2", "1,3", "2,4+", "3,4+"))
+    g12, g13 = (trace_gamma(pair, p, am, (eps_x, X_MAX), steps)
+                for pair in ("1,2", "1,3"))
+    g24p, g34p = g13, g12
     xs_r = g12.xs
     up = np.maximum(g12.ys, np.interp(xs_r, g13.xs, g13.ys))
     lo = np.minimum(np.interp(xs_r, g24p.xs, g24p.ys),

@@ -30,6 +30,8 @@ _LANCZOS_C = np.array([
     1.5056327351493116e-7,
 ])
 _LANCZOS_K = np.arange(1.0, 9.0)
+# _LANCZOS_C as complex numerators, one per row of the series' terms
+_LANCZOS_C_ROWS = _LANCZOS_C.astype(complex)
 
 POLE_TOL = 1e-14
 
@@ -54,7 +56,14 @@ CONIC_MARGIN = CALIBRATION["stirling_conic_margin"]
 def _lanczos_right(z):
     """log Gamma on Re z >= 1/2 (vectorized, principal branch)."""
     w = z - 1.0
-    series = _LANCZOS_C0 + (_LANCZOS_C / (w[..., None] + _LANCZOS_K)).sum(-1)
+    q = np.add.outer(_LANCZOS_K, w)
+    np.divide(_LANCZOS_C_ROWS.reshape((8,) + (1,) * w.ndim), q, out=q)
+    # the rows summed in place in numpy's pairwise order for 8 terms,
+    # ((q0 + q4) + (q1 + q5)) + ((q2 + q6) + (q3 + q7)), so the bits are
+    # those of .sum(-1) over the terms as an (n, 8) array
+    q[:4] += q[4:]
+    q[0:4:2] += q[1:4:2]
+    series = _LANCZOS_C0 + (q[0] + q[2])
     t = w + 7.5
     return LOG_SQRT_2PI + (w + 0.5) * np.log(t) - t + np.log(series)
 

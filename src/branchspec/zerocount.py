@@ -9,6 +9,7 @@ ratio of |G| to the largest term.
 """
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -276,13 +277,38 @@ def locate_zeros(f, region, p, seeds=(),
                    deficit_cells=state["deficit"])
 
 
+# a cell and its neighbours, its own first: a repeated zero is found there
+_AROUND = ((0, 0), (-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1),
+           (1, 0), (1, 1))
+
+
 def _distinct(zeros, h):
     """The zeros by residual, dropping any within the polish scale 1e-3 h
-    of one with a smaller residual: those are one zero."""
-    uniq = []
+    of one with a smaller residual: those are one zero.
+
+    Kept zeros are bucketed in cells of side 2e-3 h, and a zero is tested
+    against the 3 x 3 cells around its own: a pair the test can call one
+    zero is half a cell apart, and the cell indices round by far less
+    than the other half.  Beyond 2^50 cells out, or not finite, they
+    could not: such zeros share the bucket None, tested against every
+    kept zero and by every later one.  So each keep or drop is that of
+    the pairwise test.
+    """
+    tol = 1e-3 * h
+    side = 2 * tol
+    uniq, cells = [], {}
     for z in sorted(zeros, key=lambda w: w.residual):
-        if all(abs(z.location - u.location) > 1e-3 * h for u in uniq):
+        loc = z.location
+        i, j = loc.real / side, loc.imag / side
+        if abs(i) < 2.0 ** 50 and abs(j) < 2.0 ** 50:
+            cell = i, j = math.floor(i), math.floor(j)
+            near = [cells.get((i + a, j + b), ()) for a, b in _AROUND]
+            near.append(cells.get(None, ()))
+        else:
+            cell, near = None, [uniq]
+        if all(abs(loc - u.location) > tol for us in near for u in us):
             uniq.append(z)
+            cells.setdefault(cell, []).append(z)
     return uniq
 
 

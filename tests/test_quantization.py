@@ -803,3 +803,23 @@ def test_regime_overlap_consistency_near_boundaries(seed, h, near):
             v, o = g[rg][0][i], g[rg][1][i]
             num = v * np.exp((o - ref_o) / h)
             assert abs(num - ref_v) <= 1e-10 * abs(ref_v), (mu[i], rg)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 20), h=st.sampled_from([1e-2, 1e-3, 3e-4]),
+       regime=st.sampled_from([Regime.Case1Large, Regime.Case1Small]))
+def test_case1_terms_satisfy_a1_a4p_equals_a2_a3(seed, h, regime):
+    # log a1 + log a4+ and log a2 + log a3 are both i(S12 + S34)/h +
+    # pi mu/h, which makes Gamma_{3,4+} Gamma_{1,2} and Gamma_{2,4+}
+    # Gamma_{1,3}; the forms differ by rounding only
+    rng = np.random.default_rng(seed)
+    p = params(h=h, eps=3e-2)
+    am = _physical(seed, p.epsilon)
+    rs = quantization.SMALL_C1 * h
+    lo, hi = (rs, 0.3) if regime is Regime.Case1Large else (0.0, rs)
+    mu = rng.uniform(lo, hi, 50) * np.exp(1j * rng.uniform(-np.pi, np.pi, 50))
+    mu = mu[quantization.case1_admissible(mu)]
+    (l1, l2, l3, l4p, _), _ = _log_terms(mu, p, am, regime)
+    scale = np.abs(l1) + np.abs(l2) + np.abs(l3) + np.abs(l4p)
+    assert np.all(np.abs(l1 + l4p - l2 - l3)
+                  <= 8 * np.finfo(float).eps * scale)

@@ -124,6 +124,24 @@ def test_coincident_pairs():
     assert np.max(np.abs(a.ys - np.interp(a.xs, b.xs, b.ys))) <= 1e-12
 
 
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2 ** 20), h=st.sampled_from([1e-2, 1e-3, 3e-4]),
+       a=st.floats(-1.0, 1.0), w=st.floats(1e-3, 0.05))
+def test_right_half_curve_pairs_trace_bitwise_equal(seed, h, a, w):
+    # a1 a4+ = a2 a3 in case 1, so assemble traces Gamma_{1,2} for
+    # Gamma_{3,4+} and Gamma_{1,3} for Gamma_{2,4+}; on any range the
+    # 4+ pair does not clip, each pair's trace has the other's bits
+    p = params(h=h)
+    am = physical_model(seed)
+    x_lo = max(-skeleton.SMALL_C1 * h, a * (skeleton.X_MAX - w))
+    x_range = (x_lo, x_lo + w)
+    for pair, twin in (("3,4+", "1,2"), ("2,4+", "1,3")):
+        got, want = (trace_gamma(q, p, am, x_range) for q in (pair, twin))
+        assert got.xs.tobytes() == want.xs.tobytes()
+        assert got.ys.tobytes() == want.ys.tobytes()
+        assert got.gaps == want.gaps
+
+
 def test_curve_ordering_in_im_s():
     # Im S34 = 2 Im S12 > 0: gamma_{3,4+} above gamma_{2,4+} at x = 0.1
     p = params()
@@ -195,6 +213,44 @@ def test_body_membership_monotone():
     for mu in pts:
         if body10.contains(mu):
             assert body20.contains(mu)
+
+
+def _body_contains_reference(body, mu):
+    """Body.contains as it was: the samples and radii of every disc
+    recomputed at each point."""
+    mu = complex(mu)
+    xs, ys = body.skeleton.all_samples()
+    d2 = (xs - mu.real) ** 2 + (ys - mu.imag) ** 2
+    rad = body.C * body.p.h / np.log(1.0 / mu_h_norm(xs + 1j * ys, body.p.h))
+    if np.any(d2 <= rad ** 2):
+        return True
+    if abs(mu.real) < body.C * body.p.h:
+        low = body.skeleton.lower(mu.real)
+        if not np.isnan(low) and mu.imag <= low:
+            return True
+    return body.in_B_v(mu) or body.in_B_e(mu)
+
+
+@pytest.mark.parametrize("C", [10.0, -5.0])
+def test_body_contains_equals_per_point_reference(monkeypatch, C):
+    # the discs are computed once per body, and each answer is the one
+    # the per-point form gives (a negative C squares its radius too)
+    p = params()
+    sk, _ = assemble(p, physical_model(7))
+    body = Body(skeleton=sk, C=C, p=p)
+    rng = np.random.default_rng(5)
+    xs, ys = (v[::7] for v in sk.all_samples())
+    near = xs + 1j * (ys + rng.normal(scale=3 * p.h, size=len(xs)))
+    pts = np.concatenate([near, rng.uniform(-0.2, 0.2, 300)
+                          + 1j * rng.uniform(-0.05, 0.05, 300)])
+    want = [_body_contains_reference(body, mu) for mu in pts]
+    calls = []
+    all_samples = skeleton.Skeleton.all_samples
+    monkeypatch.setattr(skeleton.Skeleton, "all_samples",
+                        lambda self: calls.append(1) or all_samples(self))
+    assert [body.contains(mu) for mu in pts] == want
+    assert len(calls) == 1
+    assert 0 < sum(want) < len(want)
 
 
 def test_case1_case2_skeleton_distance():

@@ -8,9 +8,13 @@ from scipy.special import loggamma as scipy_loggamma
 
 from branchspec.errors import PoleError, RegimeError
 from branchspec.specfun import (
+    _LANCZOS_C,
+    _LANCZOS_C0,
+    _LANCZOS_K,
     CONIC_MARGIN,
     LOG_SQRT_2PI,
     StirlingRegime,
+    _lanczos_right,
     _remainder,
     _stirling_approx,
     log_gamma,
@@ -194,6 +198,27 @@ def test_log_gamma_batch_matches_one_point_calls(kind):
     assert _bits(batch) == _bits([log_gamma(v) for v in z])
     assert _bits(log_gamma(z[:170].reshape(17, 10)).ravel()) \
         == _bits(batch[:170])
+
+
+def _lanczos_right_reference(z):
+    """_lanczos_right with the series' terms as an (n, 8) array reduced by
+    .sum(-1)."""
+    w = z - 1.0
+    series = _LANCZOS_C0 + (_LANCZOS_C / (w[..., None] + _LANCZOS_K)).sum(-1)
+    t = w + 7.5
+    return LOG_SQRT_2PI + (w + 0.5) * np.log(t) - t + np.log(series)
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (7,), (8,), (9,), (300,),
+                                   (8482,), (17, 10)])
+def test_lanczos_rows_bitwise_equal_to_the_column_sum(shape):
+    # the rows are summed in numpy's pairwise order for 8 terms; |Im z|
+    # spans the small-mu disk to |mu|/h of several thousand
+    rng = np.random.default_rng(len(shape) * 10000 + shape[0])
+    n = int(np.prod(shape))
+    im = rng.choice([-1, 1], n) * 10 ** rng.uniform(-3, 4, n)
+    z = (0.5 + 10 ** rng.uniform(-3, 2, n) + 1j * im).reshape(shape)
+    assert _bits(_lanczos_right(z)) == _bits(_lanczos_right_reference(z))
 
 
 def _remainder_mpmath(mu, h, regime):

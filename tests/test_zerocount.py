@@ -439,6 +439,43 @@ def test_match_bijection_equals_greedy_loop(zeros, predicted, cap):
     assert repr(got) == repr(want)
 
 
+def _distinct_reference(zeros, h):
+    """_distinct as the pairwise loop over every zero kept so far."""
+    uniq = []
+    for z in sorted(zeros, key=lambda w: w.residual):
+        if all(abs(z.location - u.location) > 1e-3 * h for u in uniq):
+            uniq.append(z)
+    return uniq
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 20), h=st.sampled_from([1e-2, 1e-3, 3e-4]),
+       odd=st.sampled_from([(), (np.nan,), (np.inf, 1e300 + 1j),
+                            (complex(np.nan, 0.0), 1e30)]))
+def test_distinct_equals_the_pairwise_loop(seed, h, odd):
+    # clusters at the polish scale, and pairs spaced 1e-3 h and one ulp
+    # either side of it along random directions, from centres on and off
+    # the bucket edges; residuals repeat, so the sort's ties show too
+    rng = np.random.default_rng(seed)
+    tol = 1e-3 * h
+    centres = rng.uniform(-0.3, 0.3, 6) + 1j * rng.uniform(-0.1, 0.1, 6)
+    centres[:3] = 2 * tol * np.round(centres[:3] / (2 * tol))
+    locs = [c + tol * rng.uniform(0, 2, 5) * np.exp(1j * rng.uniform(0, 7, 5))
+            for c in centres]
+    locs = list(np.concatenate(locs))
+    for c in centres:
+        for d in (tol, np.nextafter(tol, 0), np.nextafter(tol, 1)):
+            locs += [c, c + d * np.exp(1j * rng.choice([0, np.pi / 2,
+                                                        rng.uniform(0, 7)]))]
+    locs += list(odd)
+    res = rng.choice([0.0, 1e-14, 3e-14, 1e-13], len(locs))
+    zeros = [zerocount.Zero(complex(z), float(r)) for z, r in zip(locs, res)]
+    for zs in (zeros, zeros[::-1]):
+        got = zerocount._distinct(zs, h)
+        assert [id(z) for z in got] == [id(z) for z in
+                                        _distinct_reference(zs, h)]
+
+
 @settings(derandomize=True, max_examples=4, deadline=None)
 @given(seed=st.integers(0, 2 ** 20))
 def test_mirrored_model_zeros_are_conjugates(seed):
